@@ -139,7 +139,12 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--sign", type=_parse_sign, default=1)
     _add_common(v)
 
-    v = vsub.add_parser("omega", help="check the census of {A : A^p = sign*I}")
+    v = vsub.add_parser(
+        "omega",
+        help="check the census of {A : A^p = sign*I}; every orbit class is sampled at "
+             "least once, so samples_requested is ceil(samples/classes)*classes "
+             "(999 at p = 2000)",
+    )
     v.add_argument("--p", type=int, required=True)
     v.add_argument("--sign", type=_parse_sign, default=1)
     _add_common(v)

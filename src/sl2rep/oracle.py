@@ -43,6 +43,8 @@ from .traces import (
     central_root_classes,
     central_root_spectrum,
     classify_trace,
+    orbit_class,
+    orbit_count,
 )
 
 
@@ -77,11 +79,9 @@ class RankGapError(OracleError):
     """Singular value spectrum has no clean rank cut."""
 
 
-_ELEM = tuple(
-    np.array([[1.0 if (r, c) == pos else 0.0 for c in range(2)] for r in range(2)], dtype=complex)
-    for pos in ((0, 0), (0, 1), (1, 0), (1, 1))
-)
-_ADJ_ELEM = tuple(adjugate(e) for e in _ELEM)
+# derivatives of m and of adj(m) in the entries (0,0), (0,1), (1,0), (1,1) of m
+_ELEM = np.eye(4, dtype=complex).reshape(4, 2, 2)
+_ADJ_ELEM = np.stack([adjugate(e) for e in _ELEM])
 
 # prefix words larger than this push the float64 residual floor past the
 # default acceptance tolerance, so oversized draws are retried
@@ -90,7 +90,14 @@ _REDRAW_LIMIT = 200
 
 
 def _power_with_derivs(m: np.ndarray, p: int):
-    """m^p (adjugate route for p < 0) and its four entry derivatives."""
+    """m^p (adjugate route for p < 0) and its derivatives in the four
+    entries of m, as a (4, 2, 2) array.
+
+    Runs the binary exponentiation of mat_power, so the value is
+    bitwise equal to mat_power(m, p), and carries the derivatives of
+    the running result and of the repeated square through it by the
+    product rule: O(log |p|) matrix products.
+    """
     k = abs(p)
     if p >= 0:
         base = np.asarray(m, dtype=complex)
@@ -98,16 +105,16 @@ def _power_with_derivs(m: np.ndarray, p: int):
     else:
         base = adjugate(m)
         dbase = _ADJ_ELEM
-    powers = [IDENTITY.copy()]
-    for _ in range(k):
-        powers.append(powers[-1] @ base)
-    value = powers[k]
-    derivs = []
-    for db in dbase:
-        acc = np.zeros((2, 2), dtype=complex)
-        for j in range(k):
-            acc += powers[j] @ db @ powers[k - 1 - j]
-        derivs.append(acc)
+    value = IDENTITY.copy()
+    derivs = np.zeros((4, 2, 2), dtype=complex)
+    while k:
+        if k & 1:
+            derivs = derivs @ base + value @ dbase
+            value = value @ base
+        k >>= 1
+        if k:
+            dbase = dbase @ base + base @ dbase
+            base = base @ base
     return value, derivs
 
 
@@ -164,11 +171,9 @@ class ConstraintSystem:
             for i, p in enumerate(self.exponents):
                 factor, factor_derivs = _power_with_derivs(mats[i], p)
                 word_derivs = word_derivs @ factor
-                for e in range(4):
-                    word_derivs[4 * i + e] += value @ factor_derivs[e]
+                word_derivs[4 * i: 4 * i + 4] += value @ factor_derivs
                 value = value @ factor
-            for r in range(4):
-                jac[n + r, :] = word_derivs[:, r // 2, r % 2]
+            jac[n:] = word_derivs.reshape(4 * n, 4).T
         return jac
 
 
@@ -267,8 +272,7 @@ def _polish_last(prefix_word: np.ndarray, root: np.ndarray, power: int, sign: in
         a, b, c, d = m.ravel()
         jac = np.zeros((5, 4), dtype=complex)
         jac[0] = (d, -c, -b, a)
-        for e in range(4):
-            jac[1:, e] = (prefix_word @ derivs[e]).ravel()
+        jac[1:] = (prefix_word @ derivs).reshape(4, 4).T
         delta = np.linalg.lstsq(jac, -fvec, rcond=None)[0]
         m = m + delta.reshape(2, 2)
     return best
@@ -349,15 +353,19 @@ def _random_conjugator(rng: np.random.Generator, max_cond: float = 50.0) -> np.n
     return s
 
 
-def _sample_orbit_point(k: int, target_sign: int, rng: np.random.Generator) -> np.ndarray:
-    """Random point on a random eigenvalue-pair orbit of {A : A^k = target_sign*I}."""
-    classes = central_root_classes(k, target_sign)
-    if not classes.orbits:
-        raise OracleError(f"no orbit components for power {k}, sign {target_sign}")
-    cls = classes.orbits[int(rng.integers(len(classes.orbits)))]
+def _orbit_point(cls: TraceClass, rng: np.random.Generator) -> np.ndarray:
+    """Random conjugate of diag(zeta, 1/zeta), zeta = exp(i pi angle)."""
     zeta = np.exp(1j * np.pi * float(cls.angle))
     conj = _random_conjugator(rng)
     return conj @ np.diag([zeta, 1 / zeta]).astype(complex) @ (adjugate(conj) / determinant(conj))
+
+
+def _sample_orbit_point(k: int, target_sign: int, rng: np.random.Generator) -> np.ndarray:
+    """Random point on a random eigenvalue-pair orbit of {A : A^k = target_sign*I}."""
+    count = orbit_count(k, target_sign)
+    if not count:
+        raise OracleError(f"no orbit components for power {k}, sign {target_sign}")
+    return _orbit_point(orbit_class(k, target_sign, int(rng.integers(count))), rng)
 
 
 @dataclass
@@ -370,10 +378,10 @@ class Sample:
 def sample_from_plan(plan: SamplePlan, branch: int, rng: np.random.Generator) -> Sample:
     if plan.kind == "leaf":
         k = abs(plan.exponents[0])
-        classes = central_root_classes(k, plan.sign)
-        if classes.orbits:
+        if orbit_count(k, plan.sign):
             return Sample(np.stack([_sample_orbit_point(k, plan.sign, rng)]))
-        eta = classes.central[branch % len(classes.central)]
+        central = central_root_classes(k, plan.sign).central
+        eta = central[branch % len(central)]
         return Sample(np.stack([eta * IDENTITY]))
     if plan.kind == "stratum":
         inner = sample_from_plan(plan.prefix, branch, rng)
@@ -578,12 +586,7 @@ def verify_central_roots(
     for class_index, cls in enumerate(classes.orbits):
         for rep in range(per_class):
             index = class_index * per_class + rep
-            rng = sample_rng(seed, index)
-            zeta = np.exp(1j * np.pi * float(cls.angle))
-            conj = _random_conjugator(rng)
-            mat = conj @ np.diag([zeta, 1 / zeta]).astype(complex) @ (
-                adjugate(conj) / determinant(conj)
-            )
+            mat = _orbit_point(cls, sample_rng(seed, index))
             try:
                 local = local_dimension(np.stack([mat]), system, tol)
             except ResidualError:

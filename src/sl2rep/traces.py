@@ -89,13 +89,30 @@ def _check_power_sign(p: int, sign: int):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
 
 
+def orbit_count(p: int, sign: int) -> int:
+    """Number of 2-dimensional orbit components of {A : A^p = sign*I}."""
+    _check_power_sign(p, sign)
+    return (p - 1) // 2 if sign == 1 else p // 2
+
+
+def orbit_class(p: int, sign: int, index: int) -> TraceClass:
+    """The index-th orbit class of {A : A^p = sign*I} by increasing angle.
+
+    The angles are 2j/p (sign=+1) or (2j+1)/p (sign=-1) strictly
+    between 0 and 1, so the index-th one is (2*index + 2)/p or
+    (2*index + 1)/p.
+    """
+    if not 0 <= index < orbit_count(p, sign):
+        raise IndexError(f"orbit index {index} out of range for power {p}, sign {sign}")
+    return TraceClass(Fraction(2 * index + (2 if sign == 1 else 1), p))
+
+
 def central_root_classes(p: int, sign: int) -> CentralRootClasses:
     """Enumerate components of the solution set of A^p = sign*I in SL2C.
 
     Solutions other than +-I are conjugates of diag(z, 1/z) with
-    z^p = sign; the unordered pair {z, 1/z} indexes one orbit.  For
-    sign=+1 the candidate angles are 2j/p, for sign=-1 they are
-    (2j+1)/p, folded into (0, 1) and excluding the central angles.
+    z^p = sign; the unordered pair {z, 1/z} indexes one orbit, listed
+    by increasing angle as orbit_class gives them.
     """
     _check_power_sign(p, sign)
     central = []
@@ -106,16 +123,8 @@ def central_root_classes(p: int, sign: int) -> CentralRootClasses:
     else:
         if p % 2 == 1:
             central.append(-1)
-    orbits = []
-    if sign == 1:
-        numerators = range(2, p, 2)  # angle 2j/p, j = 1 .. ceil(p/2)-1
-    else:
-        numerators = range(1, p, 2)  # angle (2j+1)/p
-    for num in numerators:
-        frac = Fraction(num, p)
-        if 0 < frac < 1:
-            orbits.append(TraceClass(frac))
-    return CentralRootClasses(p, sign, tuple(central), tuple(sorted(orbits)))
+    orbits = tuple(orbit_class(p, sign, i) for i in range(orbit_count(p, sign)))
+    return CentralRootClasses(p, sign, tuple(central), orbits)
 
 
 def central_root_spectrum(p: int, sign: int) -> ComponentSpectrum:

@@ -2,11 +2,12 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from sl2rep.matrices import mat2, mat_power, random_sl2
+from sl2rep.matrices import adjugate, mat2, mat_power, random_sl2
 from sl2rep.oracle import (
     ConstraintSystem,
     RankGapError,
@@ -24,6 +25,8 @@ from sl2rep.oracle import (
     verify_central_roots,
     verify_dimension,
 )
+from sl2rep.oracle import _orbit_point, _power_with_derivs
+from sl2rep.traces import TraceClass
 
 
 def test_tolerance_defaults():
@@ -82,6 +85,73 @@ def test_analytic_jacobian_matches_finite_differences(exponents, sign):
         numeric = jacobian_fd(system, mats)
         scale = max(np.linalg.norm(analytic), 1.0)
         assert np.linalg.norm(analytic - numeric) / scale < 1e-5
+
+
+def _linear_power_derivs(m, p):
+    """Entry derivatives of m^p as the O(|p|) sum of b^j dB b^(k-1-j),
+    b = m (or adj m for p < 0), dB the derivative of b in one entry."""
+    k = abs(p)
+    elems = [np.zeros((2, 2), dtype=complex) for _ in range(4)]
+    for e in range(4):
+        elems[e][divmod(e, 2)] = 1.0
+    base, dbase = (m, elems) if p >= 0 else (adjugate(m), [adjugate(e) for e in elems])
+    powers = [np.eye(2, dtype=complex)]
+    for _ in range(k):
+        powers.append(powers[-1] @ base)
+    return np.stack([
+        sum(powers[j] @ db @ powers[k - 1 - j] for j in range(k)) for db in dbase
+    ])
+
+
+def _rel_err(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+def _power_test_points():
+    rng = np.random.default_rng(41)
+    elliptic = [_orbit_point(TraceClass(Fraction(rng.uniform(0.05, 0.95))), rng)
+                for _ in range(3)]
+    # trace 2 - 1e-3: near-parabolic, where closed forms in the trace lose digits
+    near_parabolic = _orbit_point(TraceClass(Fraction(np.arccos(1 - 5e-4) / np.pi)), rng)
+    assert abs(np.trace(near_parabolic) - (2 - 1e-3)) < 1e-9
+    return elliptic + [near_parabolic, elliptic[0] * (1 + 1e-4)]
+
+
+_TEST_POWERS = (2, 9, 211, 2000, -2, -9, -211, -2000)
+
+
+def test_power_value_is_bitwise_mat_power():
+    for m in _power_test_points():
+        for p in _TEST_POWERS:
+            assert np.array_equal(_power_with_derivs(m, p)[0], mat_power(m, p))
+
+
+def test_power_derivatives_match_sum_and_differences():
+    step = 1e-6
+    for m in _power_test_points():
+        for p in _TEST_POWERS:
+            derivs = _power_with_derivs(m, p)[1]
+            assert derivs.shape == (4, 2, 2)
+            assert _rel_err(derivs, _linear_power_derivs(m, p)) < 1e-10
+            if abs(p) > 211:
+                continue  # differences are too coarse at higher powers
+            for e in range(4):
+                bump = np.zeros((2, 2), dtype=complex)
+                bump[divmod(e, 2)] = step
+                diff = (mat_power(m + bump, p) - mat_power(m - bump, p)) / (2 * step)
+                assert _rel_err(derivs[e], diff) < 1e-5
+
+
+@pytest.mark.parametrize(
+    "exponents,sign,seed",
+    [((-3, 9, 211), 1, 1140749727), ((9, 6, 271), -1, 177841464)],
+)
+def test_verify_dimension_near_parabolic_roots(exponents, sign, seed):
+    # the polished last matrix has trace close to 2, where a power
+    # recurrence in the trace loses the digits the residual gate needs
+    report = verify_dimension(exponents, sign, num_samples=1, seed=seed)
+    assert report.passed
+    assert report.samples_accepted == 1
 
 
 def test_free_group_local_dimension():

@@ -20,6 +20,8 @@ from sl2rep.traces import (
     central_root_classes,
     central_root_spectrum,
     classify_trace,
+    orbit_class,
+    orbit_count,
     trace_poly,
 )
 
@@ -49,12 +51,17 @@ def test_census_matches_unit_root_enumeration(p, sign):
     assert len(classes.orbits) == len(traces)
     got = sorted((c.value for c in classes.orbits), reverse=True)
     assert got == pytest.approx(traces, abs=1e-9)
+    assert orbit_count(p, sign) == len(traces)
+    picked = [orbit_class(p, sign, i).value for i in range(orbit_count(p, sign))]
+    # increasing angle means decreasing trace
+    assert picked == pytest.approx(traces, abs=1e-9)
 
 
 def test_orbit_count_closed_forms():
-    for p in range(2, 32):
+    for p in range(2, 501):
         plus = len(central_root_classes(p, 1).orbits)
         minus = len(central_root_classes(p, -1).orbits)
+        assert (plus, minus) == (orbit_count(p, 1), orbit_count(p, -1))
         if p % 2 == 1:
             assert plus == (p - 1) // 2
             assert minus == (p - 1) // 2
@@ -89,6 +96,13 @@ def test_census_input_validation():
         central_root_classes(1, 1)
     with pytest.raises(ValueError):
         central_root_classes(5, 0)
+    with pytest.raises(ValueError):
+        orbit_count(1, -1)
+    for p, sign in ((5, 1), (6, 1), (6, -1), (2, 1)):
+        with pytest.raises(IndexError):
+            orbit_class(p, sign, orbit_count(p, sign))
+        with pytest.raises(IndexError):
+            orbit_class(p, sign, -1)
 
 
 def test_trace_class_values_and_labels():
