@@ -13,6 +13,7 @@ inside a distinct dimension-c component upstairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Union
 
 from .dimension import representation_dim
@@ -180,10 +181,18 @@ def consecutive_prime_triples(start: int = 3) -> Iterator[tuple[int, int, int]]:
 def prime_triple(index: int) -> tuple[int, int, int]:
     if index < 0:
         raise ValueError(f"triple index must be >= 0, got {index}")
-    for i, triple in enumerate(consecutive_prime_triples()):
-        if i == index:
-            return triple
-    raise AssertionError("unreachable")
+    return next(islice(consecutive_prime_triples(), index, None))
+
+
+def triple_group(rank: int, triple: tuple[int, int, int]) -> GroupSpec:
+    """The rank-r group on a prime triple: the one-relator group
+    ProductPower(triple), free-multiplied by F_{r-2} when r > 2."""
+    if rank < 2:
+        raise ValueError(f"family ranks start at 2, got {rank}")
+    group: GroupSpec = ProductPower(triple)
+    if rank > 2:
+        group = FreeProduct((FreeGroup(rank - 2), group))
+    return group
 
 
 def distinguishing_sequence(c: int, count: int) -> list[tuple[GroupSpec, CensusResult]]:
@@ -198,12 +207,5 @@ def distinguishing_sequence(c: int, count: int) -> list[tuple[GroupSpec, CensusR
         raise ValueError(f"count must be >= 0, got {count}")
     if c < 6 or c % 3 != 0:
         raise ValueError(f"supported dimensions are 6, 9, 12, ...; got {c}")
-    r = c // 3
-    out = []
-    for i in range(count):
-        triple = prime_triple(i)
-        group: GroupSpec = ProductPower(triple)
-        if r > 2:
-            group = FreeProduct((FreeGroup(r - 2), group))
-        out.append((group, lower_bound_census(group, c)))
-    return out
+    groups = (triple_group(c // 3, t) for t in islice(consecutive_prime_triples(), count))
+    return [(group, lower_bound_census(group, c)) for group in groups]

@@ -23,6 +23,7 @@ from .census import (
 )
 from .dimension import freeness_test, product_power_dim, representation_dim
 from .families import (
+    MAX_WITNESS_TARGET,
     EligibilityError,
     family_member,
     meskin_isomorphic,
@@ -118,7 +119,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="family member with many top-dimension components")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--mirc", type=int, required=True,
-                   help="required number of maximal top-dimension components")
+                   help="required number of maximal top-dimension components, "
+                        f"1 to {MAX_WITNESS_TARGET:,} (larger targets exit 2)")
     _add_common(p)
 
     p = sub.add_parser("isom", help="isomorphism test for product-power relators")
@@ -201,7 +203,7 @@ class _Report:
         basis_by_name = {p["name"]: p["basis"] for p in self.provenance}
         for item in self.results:
             value = item["value"]
-            if isinstance(value, dict):
+            if isinstance(value, (dict, list)):
                 value = json.dumps(value)
             lines.append(f"{item['name']}: {value}   [{basis_by_name[item['name']]}]")
         lines.append(f"pass: {str(self.passed).lower()}")

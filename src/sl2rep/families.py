@@ -13,7 +13,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .census import CensusResult, lower_bound_census, prime_triple
+from .census import (
+    CensusResult,
+    consecutive_prime_triples,
+    lower_bound_census,
+    prime_triple,
+    triple_group,
+)
 from .presentations import (
     FreeGroup,
     FreeProduct,
@@ -127,24 +133,27 @@ def family_member(rank: int, index: int) -> GroupSpec:
     triple (3,5,7), (11,13,17), ...; rank r > 2 multiplies in a free
     group of rank r - 2.  Distinct indices give non-isomorphic groups
     (disjoint exponent multisets)."""
-    if rank < 2:
-        raise ValueError(f"family ranks start at 2, got {rank}")
-    power = ProductPower(prime_triple(index))
-    if rank == 2:
-        return power
-    return FreeProduct((FreeGroup(rank - 2), power))
+    return triple_group(rank, prime_triple(index))
+
+
+# largest component target witness_group accepts: the search walks the
+# family once and reaches it at the triple (199999, 200003, 200009),
+# after ~6000 triples
+MAX_WITNESS_TARGET = 10**15
 
 
 def witness_group(rank: int, min_components: int) -> tuple[GroupSpec, CensusResult]:
     """First family member of the given rank whose variety carries at
     least min_components maximal components at top dimension 3*rank,
-    certified by the quotient lower bound."""
-    if min_components < 1:
-        raise ValueError(f"component target must be >= 1, got {min_components}")
-    index = 0
-    while True:
-        group = family_member(rank, index)
+    certified by the quotient lower bound.  min_components is at most
+    MAX_WITNESS_TARGET."""
+    if not 1 <= min_components <= MAX_WITNESS_TARGET:
+        raise ValueError(
+            f"component target must be in 1..{MAX_WITNESS_TARGET}, got {min_components}"
+        )
+    for triple in consecutive_prime_triples():
+        group = triple_group(rank, triple)
         result = lower_bound_census(group, 3 * rank)
         if result.spectrum.count(3 * rank) >= min_components:
             return group, result
-        index += 1
+    raise AssertionError("unreachable")

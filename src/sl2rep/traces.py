@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 
 @dataclass(frozen=True, order=True)
 class TraceClass:
@@ -107,6 +109,13 @@ def orbit_class(p: int, sign: int, index: int) -> TraceClass:
     return TraceClass(Fraction(2 * index + (2 if sign == 1 else 1), p))
 
 
+def _central_signs(p: int, sign: int) -> tuple[int, ...]:
+    """Signs eta with (eta*I)^p = sign*I, each an isolated central point."""
+    if sign == 1:
+        return (1, -1) if p % 2 == 0 else (1,)
+    return (-1,) if p % 2 == 1 else ()
+
+
 def central_root_classes(p: int, sign: int) -> CentralRootClasses:
     """Enumerate components of the solution set of A^p = sign*I in SL2C.
 
@@ -114,49 +123,45 @@ def central_root_classes(p: int, sign: int) -> CentralRootClasses:
     z^p = sign; the unordered pair {z, 1/z} indexes one orbit, listed
     by increasing angle as orbit_class gives them.
     """
-    _check_power_sign(p, sign)
-    central = []
-    if sign == 1:
-        central.append(1)
-        if p % 2 == 0:
-            central.append(-1)
-    else:
-        if p % 2 == 1:
-            central.append(-1)
     orbits = tuple(orbit_class(p, sign, i) for i in range(orbit_count(p, sign)))
-    return CentralRootClasses(p, sign, tuple(central), orbits)
+    return CentralRootClasses(p, sign, _central_signs(p, sign), orbits)
 
 
 def central_root_spectrum(p: int, sign: int) -> ComponentSpectrum:
     """Component spectrum of {A : A^p = sign*I}: isolated centers at
-    dimension 0, one 2-dimensional component per eigenvalue-pair orbit."""
-    classes = central_root_classes(p, sign)
-    return ComponentSpectrum({0: len(classes.central), 2: len(classes.orbits)})
+    dimension 0, one 2-dimensional component per eigenvalue-pair orbit.
+    Closed form, O(1) in p."""
+    orbits = orbit_count(p, sign)
+    return ComponentSpectrum({0: len(_central_signs(p, sign)), 2: orbits})
 
 
-def admissible_traces(p: int, sign: int) -> tuple[TraceClass, ...]:
+class TraceTable(tuple):
+    """Trace classes with their float values, computed once so that
+    classify_trace matches each sample in one vectorised pass."""
+
+    def __new__(cls, classes):
+        table = super().__new__(cls, classes)
+        table.values = np.array([c.value for c in table], dtype=float)
+        return table
+
+
+def admissible_traces(p: int, sign: int) -> TraceTable:
     """All trace values occurring on the solution set of A^p = sign*I."""
     classes = central_root_classes(p, sign)
-    central = []
-    for eta in classes.central:
-        central.append(TraceClass(Fraction(0 if eta == 1 else 1)))
-    return tuple(sorted(central + list(classes.orbits)))
+    central = [TraceClass(Fraction(0 if eta == 1 else 1)) for eta in classes.central]
+    return TraceTable(sorted(central + list(classes.orbits)))
 
 
-def classify_trace(value: complex, classes, tol: float) -> TraceClass | None:
+def classify_trace(value: complex, classes: TraceTable, tol: float) -> TraceClass | None:
     """Match a numeric trace against a finite set of classes.
 
-    Returns the unique class within tol of value, or None.  Admissible
-    traces are real, so the imaginary part counts toward the distance.
+    Returns the class within tol of value at the smallest distance (the
+    last such one on ties), or None.  Admissible traces are real, so the
+    imaginary part counts toward the distance.
     """
-    best = None
-    best_err = tol
-    for cls in classes:
-        err = abs(complex(value) - cls.value)
-        if err <= best_err:
-            best = cls
-            best_err = err
-    return best
+    errs = np.abs(complex(value) - classes.values)
+    hits = np.flatnonzero(errs <= min(tol, errs.min(initial=math.inf)))
+    return classes[hits[-1]] if len(hits) else None
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ itertools, independently of the accumulator in the package.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -18,6 +19,7 @@ from sl2rep.census import (
     prime_triple,
     product_spectrum,
 )
+from sl2rep.families import witness_group
 from sl2rep.presentations import CyclicFinite, FreeGroup, FreeProduct, ProductPower
 from sl2rep.traces import ComponentSpectrum, central_root_spectrum
 
@@ -44,6 +46,28 @@ def test_product_spectrum_matches_brute_force():
         for combo in itertools.combinations(parts, size):
             got = product_spectrum(combo)
             assert got.entries == convolve_brute(combo)
+
+
+def test_product_spectrum_is_commutative_associative_and_multiplies_totals():
+    rng = random.Random(20261018)
+
+    def random_factor():
+        if rng.random() < 0.3:
+            return exact_census(FreeGroup(rng.randint(0, 3))).spectrum
+        return exact_census(CyclicFinite(rng.randint(2, 60))).spectrum
+
+    for _ in range(200):
+        a, b, c = (random_factor() for _ in range(3))
+        ab = product_spectrum([a, b])
+        assert ab.entries == product_spectrum([b, a]).entries
+        left = product_spectrum([ab, c])
+        assert left.entries == product_spectrum([a, product_spectrum([b, c])]).entries
+        assert left.entries == product_spectrum([a, b, c]).entries
+        assert left.total() == a.total() * b.total() * c.total()
+
+
+def test_exact_census_of_a_huge_cyclic_group_is_closed_form():
+    assert exact_census(CyclicFinite(10**9)).spectrum.entries == {0: 2, 2: 499999999}
 
 
 def test_product_spectrum_requires_exact_factors():
@@ -143,6 +167,54 @@ def test_consecutive_prime_triples():
     assert prime_triple(3) == (31, 37, 41)
     with pytest.raises(ValueError):
         prime_triple(-1)
+
+
+def odd_primes_below(n):
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\x00\x00"
+    for d in range(2, int(n ** 0.5) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = bytearray(len(sieve[d * d::d]))
+    return [k for k in range(3, n) if sieve[k]]
+
+
+def test_prime_triple_walk_matches_a_sieve():
+    primes = odd_primes_below(5000)
+    reference = [tuple(primes[3 * i:3 * i + 3]) for i in range(200)]
+    walk = list(itertools.islice(consecutive_prime_triples(), 200))
+    assert walk == reference
+    assert [prime_triple(i) for i in range(200)] == reference
+
+
+def test_distinguishing_sequence_and_witness_regression():
+    # values of the enumerating implementation, which rescanned the
+    # primes for every index
+    entries = distinguishing_sequence(9, 40)
+    primes = odd_primes_below(700)
+    assert [group for group, _ in entries] == [
+        FreeProduct((FreeGroup(1), ProductPower(tuple(primes[3 * i:3 * i + 3]))))
+        for i in range(40)
+    ]
+    assert entries[-1][0].factors[1] == ProductPower((653, 659, 661))
+    assert [census.spectrum.count(9) for _, census in entries] == [
+        6, 240, 1386, 5400, 12558, 28710, 49140, 86592, 135150, 190512,
+        304980, 432900, 578178, 760950, 931392, 1317015, 1573656, 1920000,
+        2369790, 2724120, 3462390, 4066920, 5057136, 5765232, 6714414,
+        7682400, 8953560, 10170360, 11286912, 12379290, 14228865, 15874746,
+        18322200, 21326214, 23310720, 25931672, 27815400, 29979180,
+        33178560, 35393820,
+    ]
+    for group, census in entries:
+        assert census.spectrum.entries.keys() == {9} and not census.spectrum.exact
+        cyclics = tuple(CyclicFinite(p) for p in group.factors[1].exponents)
+        assert census.basis == QuotientLowerBound(FreeProduct((FreeGroup(1),) + cyclics), 9)
+
+    group, census = witness_group(3, 10**8)
+    assert group == FreeProduct((FreeGroup(1), ProductPower((929, 937, 941))))
+    assert census.spectrum.entries == {9: 102061440}
+    assert census.basis == QuotientLowerBound(
+        FreeProduct((FreeGroup(1), CyclicFinite(929), CyclicFinite(937), CyclicFinite(941))), 9
+    )
 
 
 def test_distinguishing_sequence_rank_two():

@@ -116,6 +116,32 @@ def test_sequence(capsys):
     assert [g["lower_bound"] for g in groups] == [6, 240, 1386]
 
 
+def test_text_output_renders_lists_as_json(capsys):
+    code, out, _ = run(capsys, "sequence", "--count", "2")
+    assert code == EXIT_OK
+    value, basis = out.splitlines()[0][len("groups: "):].rsplit("   ", 1)
+    assert basis == "[quotient-lower-bound]"
+    groups = json.loads(value)
+    assert [g["group"] for g in groups] == ["<a,b,c; a^3 b^5 c^7>", "<a,b,c; a^11 b^13 c^17>"]
+    assert [g["lower_bound"] for g in groups] == [6, 240]
+
+    code, out, _ = run(capsys, "parse", "<a,b,c; a^2 b^3 c^5>")
+    assert "exponents: [2, 3, 5]   [exact]" in out
+
+
+def test_witness_target_bound(capsys):
+    code, payload, _ = run_json(capsys, "witness", "--rank", "2", "--mirc", str(10**15))
+    assert code == EXIT_OK
+    names = {r["name"]: r["value"] for r in payload["results"]}
+    assert names["group"] == "<a,b,c; a^199999 b^200003 c^200009>"
+    assert names["components_at_6_at_least"] >= 10**15
+
+    code, out, err = run(capsys, "witness", "--rank", "2", "--mirc", str(10**16))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "component target" in err
+
+
 def test_verify_dim_passes_and_reports(capsys):
     code, payload, _ = run_json(
         capsys, "verify", "dim", "2,2", "--sign", "-", "--samples", "10"

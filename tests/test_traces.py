@@ -16,6 +16,7 @@ from sl2rep.matrices import mat_power, random_sl2
 from sl2rep.traces import (
     ComponentSpectrum,
     TraceClass,
+    TraceTable,
     admissible_traces,
     central_root_classes,
     central_root_spectrum,
@@ -139,6 +140,41 @@ def test_classify_trace():
     assert classify_trace(0.0, classes, 1e-6) is None
 
 
+def classify_loop(value, classes, tol):
+    """Reference matcher: the last class at the smallest distance within tol."""
+    best, best_err = None, tol
+    for cls in classes:
+        err = abs(complex(value) - cls.value)
+        if err <= best_err:
+            best, best_err = cls, err
+    return best
+
+
+def test_classify_trace_matches_the_reference_loop():
+    rng = np.random.default_rng(7)
+    for p in (2, 3, 12, 97, 600):
+        for sign in (1, -1):
+            table = admissible_traces(p, sign)
+            assert isinstance(table, TraceTable)
+            for _ in range(40):
+                target = table[int(rng.integers(len(table)))].value
+                scale = 10.0 ** rng.uniform(-9, -1)
+                value = complex(target + scale * rng.standard_normal(),
+                                scale * rng.standard_normal())
+                for tol in (1e-6, 1e-2, 5.0):
+                    assert classify_trace(value, table, tol) == classify_loop(value, table, tol)
+
+
+def test_classify_trace_ties_and_edge_cases():
+    plus, minus = TraceClass(Fraction(0)), TraceClass(Fraction(1))
+    # 0 is exactly 2 away from +2 and -2: the later class wins
+    assert classify_trace(0.0, TraceTable([plus, minus]), 3.0) == minus
+    assert classify_trace(0.0, TraceTable([minus, plus]), 3.0) == plus
+    assert classify_trace(0.0, TraceTable([plus, minus]), 1.5) is None
+    assert classify_trace(0.0, TraceTable([]), 1.0) is None
+    assert classify_trace(float("nan"), TraceTable([plus]), 1.0) is None
+
+
 def test_component_spectrum_bookkeeping():
     spec = ComponentSpectrum({2: 3, 0: 1, 4: 0})
     assert spec.entries == {0: 1, 2: 3}
@@ -149,6 +185,17 @@ def test_component_spectrum_bookkeeping():
         ComponentSpectrum({-1: 2})
     with pytest.raises(ValueError):
         ComponentSpectrum({}).dimension()
+
+
+def test_central_root_spectrum_closed_form_matches_enumeration():
+    for p in range(2, 601):
+        for sign in (1, -1):
+            classes = central_root_classes(p, sign)
+            # the central points are the eta in {+1, -1} with eta^p = sign
+            assert len(classes.central) == sum(eta ** p == sign for eta in (1, -1))
+            expected = {0: len(classes.central), 2: len(classes.orbits)}
+            expected = {d: c for d, c in expected.items() if c}
+            assert central_root_spectrum(p, sign).entries == expected
 
 
 def test_central_root_spectrum_examples():
