@@ -150,32 +150,32 @@ def lower_bound_census(spec: GroupSpec, c: int) -> CensusResult:
     )
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+def _is_prime(n: int, odd_primes: list[int]) -> bool:
+    """Primality of an odd n >= 3, by trial division with odd_primes,
+    which must list every odd prime up to sqrt(n) in increasing order."""
+    for p in odd_primes:
+        if p * p > n:
+            return True
+        if n % p == 0:
             return False
-        d += 2
     return True
 
 
-def consecutive_prime_triples(start: int = 3) -> Iterator[tuple[int, int, int]]:
+def consecutive_prime_triples() -> Iterator[tuple[int, int, int]]:
     """(3,5,7), (11,13,17), (19,23,29), ...: consecutive odd primes in
-    disjoint groups of three."""
+    disjoint groups of three.  Each odd candidate is trial-divided by
+    the primes the walk has already found."""
+    primes: list[int] = []
     chunk = []
-    n = start
+    n = 3
     while True:
-        if _is_prime(n):
+        if _is_prime(n, primes):
+            primes.append(n)
             chunk.append(n)
             if len(chunk) == 3:
                 yield tuple(chunk)
                 chunk = []
         n += 2
-    # unreachable
 
 
 def prime_triple(index: int) -> tuple[int, int, int]:

@@ -23,6 +23,7 @@ from .census import (
 )
 from .dimension import freeness_test, product_power_dim, representation_dim
 from .families import (
+    MAX_FAMILY_INDEX,
     MAX_WITNESS_TARGET,
     EligibilityError,
     family_member,
@@ -113,7 +114,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family", help="canonical parafree family member")
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--index", type=int, required=True)
+    p.add_argument("--index", type=int, required=True,
+                   help=f"position in the family, 0 to {MAX_FAMILY_INDEX:,} "
+                        "(larger indices exit 2)")
     _add_common(p)
 
     p = sub.add_parser("witness", help="family member with many top-dimension components")

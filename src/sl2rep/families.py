@@ -126,20 +126,26 @@ def meskin_isomorphic(a, b) -> bool:
     return Counter(normalized_exponents(a)) == Counter(normalized_exponents(b))
 
 
+# largest index family_member accepts: the walk reaches it at the triple
+# (350411, 350423, 350429) in ~0.4 s
+MAX_FAMILY_INDEX = 10**4
+
+# largest component target witness_group accepts: the search walks the
+# family once and reaches it at the triple (199999, 200003, 200009),
+# after ~6000 triples
+MAX_WITNESS_TARGET = 10**15
+
+
 def family_member(rank: int, index: int) -> GroupSpec:
     """index-th member of the canonical rank-r parafree family.
 
     Rank 2: the one-relator group on the index-th consecutive prime
     triple (3,5,7), (11,13,17), ...; rank r > 2 multiplies in a free
     group of rank r - 2.  Distinct indices give non-isomorphic groups
-    (disjoint exponent multisets)."""
+    (disjoint exponent multisets).  index is at most MAX_FAMILY_INDEX."""
+    if not 0 <= index <= MAX_FAMILY_INDEX:
+        raise ValueError(f"family index must be in 0..{MAX_FAMILY_INDEX}, got {index}")
     return triple_group(rank, prime_triple(index))
-
-
-# largest component target witness_group accepts: the search walks the
-# family once and reaches it at the triple (199999, 200003, 200009),
-# after ~6000 triples
-MAX_WITNESS_TARGET = 10**15
 
 
 def witness_group(rank: int, min_components: int) -> tuple[GroupSpec, CensusResult]:

@@ -1,20 +1,22 @@
 """2x2 complex matrix kernel: powers, words, eigensplits, k-th roots.
 
-Matrices are numpy arrays of shape (2, 2), dtype complex128.  Inverses
-of determinant-1 matrices are taken with the exact adjugate
-[[d, -b], [-c, a]], which is also the polynomial continuation used off
-the determinant-1 locus, so word maps stay polynomial in the entries.
+Matrices are numpy arrays of shape (2, 2), dtype complex128;
+determinant, adjugate, mat_power and eval_word also take (..., 2, 2)
+stacks and work matrix by matrix.  Inverses of determinant-1 matrices
+are taken with the exact adjugate [[d, -b], [-c, a]], which is also the
+polynomial continuation used off the determinant-1 locus, so word maps
+stay polynomial in the entries.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
-from .traces import central_root_classes
+from .traces import central_signs, orbit_class, orbit_count
 
 IDENTITY = np.eye(2, dtype=complex)
 
@@ -28,13 +30,26 @@ def mat2(a, b, c, d) -> np.ndarray:
     return np.array([[a, b], [c, d]], dtype=complex)
 
 
+# The single-matrix branches below keep scalar indexing: the samplers
+# call them per draw, and it is several times cheaper than [..., i, j].
+
 def adjugate(m: np.ndarray) -> np.ndarray:
     """[[d, -b], [-c, a]]; equals the inverse when det(m) == 1."""
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex)
+    if m.ndim == 2:
+        return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex)
+    out = np.empty(m.shape, dtype=complex)
+    out[..., 0, 0] = m[..., 1, 1]
+    out[..., 0, 1] = -m[..., 0, 1]
+    out[..., 1, 0] = -m[..., 1, 0]
+    out[..., 1, 1] = m[..., 0, 0]
+    return out
 
 
-def determinant(m: np.ndarray) -> complex:
-    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+def determinant(m: np.ndarray):
+    """ad - bc: a complex for one matrix, shape (...) for a (..., 2, 2) stack."""
+    if m.ndim == 2:
+        return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
 def mat_power(m: np.ndarray, k: int) -> np.ndarray:
@@ -46,7 +61,7 @@ def mat_power(m: np.ndarray, k: int) -> np.ndarray:
         k = -k
     else:
         base = np.asarray(m, dtype=complex)
-    result = IDENTITY.copy()
+    result = IDENTITY.copy() if base.ndim == 2 else np.broadcast_to(IDENTITY, base.shape).copy()
     while k:
         if k & 1:
             result = result @ base
@@ -56,7 +71,13 @@ def mat_power(m: np.ndarray, k: int) -> np.ndarray:
 
 
 def eval_word(mats, exponents) -> np.ndarray:
-    """Evaluate m1^p1 ... mn^pn for the first n = len(exponents) matrices."""
+    """Evaluate m1^p1 ... mn^pn for the first n = len(exponents) matrices.
+
+    mats is a sequence of matrices, or a (..., n, 2, 2) stack of points
+    whose words come back as a (..., 2, 2) stack.
+    """
+    if isinstance(mats, np.ndarray) and mats.ndim > 3:
+        mats = np.moveaxis(mats, -3, 0)
     mats = list(mats)
     exponents = tuple(exponents)
     if len(mats) < len(exponents):
@@ -138,6 +159,39 @@ def _conjugate(basis: np.ndarray, diag: np.ndarray) -> np.ndarray:
     return basis @ diag @ (adjugate(basis) / determinant(basis))
 
 
+def _root_branches(m: np.ndarray, k: int):
+    """(count, build): the number of k-th root branches of m in SL2C and
+    a function building branch j, 0 <= j < count, alone."""
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"root order must be an integer >= 1, got {k!r}")
+    m = np.asarray(m, dtype=complex)
+    if k == 1:
+        return 1, lambda branch: m.copy()
+    split = eigen_split(m)
+    if isinstance(split, Diagonalizable):
+        log_lam = cmath.log(split.eigenvalue)
+
+        def diagonal_root(branch):
+            mu = cmath.exp((log_lam + 2j * cmath.pi * branch) / k)
+            return _conjugate(split.basis, np.diag([mu, 1 / mu]))
+        return k, diagonal_root
+    if isinstance(split, Scalar):
+        central = central_signs(k, split.sign)
+
+        def central_root(branch):
+            if branch < len(central):
+                return central[branch] * IDENTITY
+            cls = orbit_class(k, split.sign, branch - len(central))
+            zeta = cmath.exp(1j * cmath.pi * float(cls.angle))
+            return np.diag([zeta, 1 / zeta]).astype(complex)
+        return len(central) + orbit_count(k, split.sign), central_root
+    if split.sign == 1:
+        return 1, lambda branch: IDENTITY + split.nilpotent / k
+    if k % 2 == 0:
+        return 0, None
+    return 1, lambda branch: -(IDENTITY + (-m - IDENTITY) / k)
+
+
 def matrix_roots(m: np.ndarray, k: int) -> list[np.ndarray]:
     """All k-th root branches of m in SL2C, one representative per branch.
 
@@ -150,32 +204,15 @@ def matrix_roots(m: np.ndarray, k: int) -> list[np.ndarray]:
     -(I + N/k) with N = -m - I when k is odd, and no roots at all when
     k is even, since no SL2C matrix has an even power in that class.
     """
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"root order must be an integer >= 1, got {k!r}")
-    m = np.asarray(m, dtype=complex)
-    if k == 1:
-        return [m.copy()]
-    split = eigen_split(m)
-    if isinstance(split, Diagonalizable):
-        log_lam = cmath.log(split.eigenvalue)
-        roots = []
-        for branch in range(k):
-            mu = cmath.exp((log_lam + 2j * cmath.pi * branch) / k)
-            roots.append(_conjugate(split.basis, np.diag([mu, 1 / mu])))
-        return roots
-    if isinstance(split, Scalar):
-        classes = central_root_classes(k, split.sign)
-        roots = [eta * IDENTITY for eta in classes.central]
-        for cls in classes.orbits:
-            zeta = cmath.exp(1j * cmath.pi * float(cls.angle))
-            roots.append(np.diag([zeta, 1 / zeta]).astype(complex))
-        return roots
-    if split.sign == 1:
-        return [IDENTITY + split.nilpotent / k]
-    if k % 2 == 0:
-        return []
-    nil = -m - IDENTITY
-    return [-(IDENTITY + nil / k)]
+    count, build = _root_branches(m, k)
+    return [build(branch) for branch in range(count)]
+
+
+def matrix_root(m: np.ndarray, k: int, branch: int) -> Optional[np.ndarray]:
+    """matrix_roots(m, k)[branch % count], built without the other
+    branches; None when m has no k-th root."""
+    count, build = _root_branches(m, k)
+    return build(branch % count) if count else None
 
 
 def random_sl2(rng: np.random.Generator) -> np.ndarray:

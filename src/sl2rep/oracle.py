@@ -33,7 +33,7 @@ from .matrices import (
     determinant,
     eval_word,
     mat_power,
-    matrix_roots,
+    matrix_root,
     random_sl2,
 )
 from .presentations import validate_exponents
@@ -42,6 +42,7 @@ from .traces import (
     admissible_traces,
     central_root_classes,
     central_root_spectrum,
+    central_signs,
     classify_trace,
     orbit_class,
     orbit_count,
@@ -81,7 +82,7 @@ class RankGapError(OracleError):
 
 # derivatives of m and of adj(m) in the entries (0,0), (0,1), (1,0), (1,1) of m
 _ELEM = np.eye(4, dtype=complex).reshape(4, 2, 2)
-_ADJ_ELEM = np.stack([adjugate(e) for e in _ELEM])
+_ADJ_ELEM = adjugate(_ELEM)
 
 # prefix words larger than this push the float64 residual floor past the
 # default acceptance tolerance, so oversized draws are retried
@@ -146,12 +147,15 @@ class ConstraintSystem:
         return 4 * self.num_matrices
 
     def residuals(self, mats) -> np.ndarray:
+        """det(m_i) - 1 for each matrix, then the four entries of the word
+        minus sign*I (no word rows for a free system).  A (..., n, 2, 2)
+        stack of points gives a (..., n + 4) stack of residual vectors."""
         mats = np.asarray(mats, dtype=complex)
-        vals = [determinant(mats[i]) - 1.0 for i in range(self.num_matrices)]
-        if self.exponents is not None:
-            word = eval_word(mats, self.exponents)
-            vals.extend((word - self.sign * IDENTITY).ravel())
-        return np.array(vals, dtype=complex)
+        dets = determinant(mats) - 1.0
+        if self.exponents is None:
+            return dets
+        word = eval_word(mats, self.exponents) - self.sign * IDENTITY
+        return np.concatenate([dets, word.reshape(word.shape[:-2] + (4,))], axis=-1)
 
     def residual_norm(self, mats) -> float:
         return float(np.max(np.abs(self.residuals(mats))))
@@ -177,21 +181,18 @@ class ConstraintSystem:
         return jac
 
 
-def jacobian_fd(system: ConstraintSystem, mats, step: float = 1e-6) -> np.ndarray:
-    """Central finite differences of the residual map, for cross-checks."""
-    base = np.asarray(mats, dtype=complex).copy()
-    rows = len(system.residuals(base))
+def jacobian_fd(system: ConstraintSystem, mats,
+                step: float = Tolerances().fd_step) -> np.ndarray:
+    """Central finite differences of the residual map, for cross-checks.
+
+    The 8n points base +- step * e_j, one per entry j of the 4n matrix
+    entries, go through a single stacked residual evaluation.
+    """
+    base = np.asarray(mats, dtype=complex)
     cols = system.ambient_dim
-    jac = np.zeros((rows, cols), dtype=complex)
-    for col in range(cols):
-        i, e = divmod(col, 4)
-        r, c = divmod(e, 2)
-        plus = base.copy()
-        plus[i, r, c] += step
-        minus = base.copy()
-        minus[i, r, c] -= step
-        jac[:, col] = (system.residuals(plus) - system.residuals(minus)) / (2 * step)
-    return jac
+    offsets = (step * np.eye(cols)).reshape((cols,) + base.shape)
+    res = system.residuals(base + np.concatenate([offsets, -offsets]))
+    return (res[:cols] - res[cols:]).T / (2 * step)
 
 
 def _equilibrated(jac: np.ndarray) -> np.ndarray:
@@ -294,10 +295,10 @@ def complete_point(prefix, exponents, sign: int, branch: int):
     word = eval_word(prefix, exps[:-1])
     last = exps[-1]
     target = sign * (adjugate(word) if last > 0 else word)
-    roots = matrix_roots(target, abs(last))
-    if not roots:
+    root = matrix_root(target, abs(last), branch)
+    if root is None:
         return None
-    polished = _polish_last(word, roots[branch % len(roots)], last, sign)
+    polished = _polish_last(word, root, last, sign)
     return np.stack(prefix + [polished])
 
 
@@ -380,7 +381,7 @@ def sample_from_plan(plan: SamplePlan, branch: int, rng: np.random.Generator) ->
         k = abs(plan.exponents[0])
         if orbit_count(k, plan.sign):
             return Sample(np.stack([_sample_orbit_point(k, plan.sign, rng)]))
-        central = central_root_classes(k, plan.sign).central
+        central = central_signs(k, plan.sign)
         eta = central[branch % len(central)]
         return Sample(np.stack([eta * IDENTITY]))
     if plan.kind == "stratum":
@@ -414,10 +415,10 @@ def sample_from_plan(plan: SamplePlan, branch: int, rng: np.random.Generator) ->
     last = exps[-1]
     target = plan.sign * (adjugate(partial) if last > 0 else partial)
     witnesses.append(complex(np.trace(target)))
-    roots = matrix_roots(target, abs(last))
-    if not roots:
+    root = matrix_root(target, abs(last), branch)
+    if root is None:
         return Sample(None, witnesses, obstructed=True)
-    polished = _polish_last(partial, roots[branch % len(roots)], last, plan.sign)
+    polished = _polish_last(partial, root, last, plan.sign)
     return Sample(np.stack(prefix + [polished]), witnesses)
 
 

@@ -149,6 +149,13 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _to_int(digits: str, pos: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # longer than the interpreter's int string limit
+        raise ParseError(f"integer at position {pos} is too long") from None
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -187,7 +194,7 @@ class _Parser:
             if m is None:
                 raise ParseError(f"expected F<n>, Z<n>, or a presentation at position {pos}, got {val!r}")
             self.next()
-            n = int(m.group(2))
+            n = _to_int(m.group(2), pos)
             if m.group(1) == "F":
                 return FreeGroup(n)
             try:
@@ -254,7 +261,7 @@ class _Parser:
                 kind, val, pos = self.next()
                 if kind != "int":
                     raise ParseError(f"expected an integer exponent at position {pos}")
-                exp = sign * int(val)
+                exp = sign * _to_int(val, pos)
             terms.append((name, exp))
         if not terms:
             kind, val, pos = self.peek()

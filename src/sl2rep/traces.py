@@ -109,7 +109,7 @@ def orbit_class(p: int, sign: int, index: int) -> TraceClass:
     return TraceClass(Fraction(2 * index + (2 if sign == 1 else 1), p))
 
 
-def _central_signs(p: int, sign: int) -> tuple[int, ...]:
+def central_signs(p: int, sign: int) -> tuple[int, ...]:
     """Signs eta with (eta*I)^p = sign*I, each an isolated central point."""
     if sign == 1:
         return (1, -1) if p % 2 == 0 else (1,)
@@ -124,7 +124,7 @@ def central_root_classes(p: int, sign: int) -> CentralRootClasses:
     by increasing angle as orbit_class gives them.
     """
     orbits = tuple(orbit_class(p, sign, i) for i in range(orbit_count(p, sign)))
-    return CentralRootClasses(p, sign, _central_signs(p, sign), orbits)
+    return CentralRootClasses(p, sign, central_signs(p, sign), orbits)
 
 
 def central_root_spectrum(p: int, sign: int) -> ComponentSpectrum:
@@ -132,7 +132,7 @@ def central_root_spectrum(p: int, sign: int) -> ComponentSpectrum:
     dimension 0, one 2-dimensional component per eigenvalue-pair orbit.
     Closed form, O(1) in p."""
     orbits = orbit_count(p, sign)
-    return ComponentSpectrum({0: len(_central_signs(p, sign)), 2: orbits})
+    return ComponentSpectrum({0: len(central_signs(p, sign)), 2: orbits})
 
 
 class TraceTable(tuple):

@@ -142,6 +142,13 @@ def test_witness_target_bound(capsys):
     assert "component target" in err
 
 
+def test_family_index_bound(capsys):
+    code, out, err = run(capsys, "family", "--rank", "2", "--index", "10001")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "family index must be in 0..10000" in err
+
+
 def test_verify_dim_passes_and_reports(capsys):
     code, payload, _ = run_json(
         capsys, "verify", "dim", "2,2", "--sign", "-", "--samples", "10"

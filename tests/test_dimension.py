@@ -95,6 +95,20 @@ def test_invariance_under_permutation_and_negation():
             assert product_power_dim(permuted, sign).dim == base
 
 
+def test_invariance_under_permutation_and_global_negation_property():
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        exps = tuple(int(s * p) for s, p in zip(rng.choice((-1, 1), size=n),
+                                                  rng.integers(2, 40, size=n)))
+        permuted = tuple(exps[i] for i in rng.permutation(n))
+        negated = tuple(-p for p in exps)
+        for sign in (1, -1):
+            base = product_power_dim(exps, sign).dim
+            assert product_power_dim(permuted, sign).dim == base
+            assert product_power_dim(negated, sign).dim == base
+
+
 def test_certificates_for_triples():
     # reducibility is certified exactly when some exponent exceeds 2
     for exps in [(2, 2, 2), (2, 2, 7), (2, 3, 5), (3, 5, 7), (9, 2, 2), (2, 9, 2)]:

@@ -3,6 +3,7 @@
 import pytest
 
 from sl2rep.families import (
+    MAX_FAMILY_INDEX,
     EligibilityError,
     family_member,
     meskin_isomorphic,
@@ -90,6 +91,15 @@ def test_family_member():
     assert family_member(4, 0) == FreeProduct((FreeGroup(2), ProductPower((3, 5, 7))))
     with pytest.raises(ValueError):
         family_member(1, 0)
+
+
+def test_family_index_bound():
+    # the value at the cap was recorded from the walk before it was capped
+    assert family_member(2, MAX_FAMILY_INDEX) == ProductPower((350411, 350423, 350429))
+    with pytest.raises(ValueError, match="family index"):
+        family_member(2, MAX_FAMILY_INDEX + 1)
+    with pytest.raises(ValueError, match="family index"):
+        family_member(2, -1)
 
 
 def test_family_members_are_pairwise_nonisomorphic():

@@ -14,6 +14,7 @@ from sl2rep.matrices import (
     eval_word,
     mat2,
     mat_power,
+    matrix_root,
     matrix_roots,
     random_sl2,
 )
@@ -26,6 +27,68 @@ def naive_power(m, k):
     for _ in range(abs(k)):
         out = out @ base
     return out
+
+
+def _scalar_determinant(m):
+    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+
+
+def _scalar_adjugate(m):
+    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex)
+
+
+def _scalar_power(m, k):
+    """Binary exponentiation with the single-matrix formulas above."""
+    base = _scalar_adjugate(m) if k < 0 else np.asarray(m, dtype=complex)
+    k = abs(k)
+    result = np.eye(2, dtype=complex)
+    while k:
+        if k & 1:
+            result = result @ base
+        base = base @ base
+        k >>= 1
+    return result
+
+
+def test_single_matrix_kernel_is_bitwise_the_scalar_formulas():
+    # the samplers' numbers, and so the report bytes, depend on the
+    # single-matrix path staying exactly these formulas
+    rng = np.random.default_rng(71)
+    for _ in range(20):
+        m = random_sl2(rng) * complex(*rng.standard_normal(2))
+        assert determinant(m) == _scalar_determinant(m)
+        assert np.array_equal(adjugate(m), _scalar_adjugate(m))
+        for k in (0, 1, 2, 7, 60, -1, -3, -60):
+            assert np.array_equal(mat_power(m, k), _scalar_power(m, k))
+    mats = [random_sl2(rng) for _ in range(4)]
+    exps = (3, -5, 2, 9)
+    ref = np.eye(2, dtype=complex)
+    for m, p in zip(mats, exps):
+        ref = ref @ _scalar_power(m, p)
+    assert np.array_equal(eval_word(mats, exps), ref)
+    assert np.array_equal(eval_word(np.stack(mats), exps), ref)
+
+
+def test_kernel_on_stacks_matches_matrix_by_matrix():
+    rng = np.random.default_rng(73)
+    stack = np.stack([random_sl2(rng) * complex(*rng.standard_normal(2))
+                      for _ in range(12)]).reshape(3, 4, 2, 2)
+    flat = stack.reshape(12, 2, 2)
+    assert determinant(stack).shape == (3, 4)
+    assert np.allclose(determinant(stack).ravel(),
+                       [_scalar_determinant(m) for m in flat], rtol=1e-14, atol=0)
+    assert np.array_equal(adjugate(stack).reshape(12, 2, 2),
+                          np.stack([_scalar_adjugate(m) for m in flat]))
+    for k in (0, 1, 7, -3):
+        got = mat_power(stack, k)
+        assert got.shape == (3, 4, 2, 2)
+        assert np.allclose(got.reshape(12, 2, 2), np.stack([_scalar_power(m, k) for m in flat]),
+                           rtol=1e-12, atol=0)
+    exps = (2, -3, 5, 4)
+    words = eval_word(stack, exps)
+    assert words.shape == (3, 2, 2)
+    for point, word in zip(stack, words):
+        assert np.allclose(word, eval_word(list(point), exps), rtol=1e-12, atol=0)
 
 
 def test_mat_power_matches_naive():
@@ -152,6 +215,21 @@ def test_matrix_roots_parabolic_minus_even_obstruction():
         root = roots[0]
         assert np.trace(root) == pytest.approx(-2.0, abs=1e-12)
         assert np.allclose(mat_power(root, k), b, atol=1e-10)
+
+
+def test_matrix_root_builds_one_branch_of_matrix_roots():
+    rng = np.random.default_rng(19)
+    targets = [(random_sl2(rng), k) for k in (1, 2, 5)]
+    targets += [(sign * np.eye(2, dtype=complex), k) for sign in (1, -1) for k in (2, 3, 8, 9)]
+    targets += [(mat2(1, 1, 0, 1), 3), (mat2(-1, 1, 0, -1), 3), (mat2(-1, 1, 0, -1), 4)]
+    for m, k in targets:
+        roots = matrix_roots(m, k)
+        for branch in range(2 * len(roots) + 1):
+            root = matrix_root(m, k, branch)
+            if not roots:
+                assert root is None
+            else:
+                assert np.array_equal(root, roots[branch % len(roots)])
 
 
 def test_matrix_roots_order_one_and_validation():

@@ -87,6 +87,75 @@ def test_analytic_jacobian_matches_finite_differences(exponents, sign):
         assert np.linalg.norm(analytic - numeric) / scale < 1e-5
 
 
+def _elliptic_point(n, rng):
+    """n random elliptic matrices with well-conditioned conjugators, so
+    that even 211th powers stay of moderate size."""
+    return np.stack([_orbit_point(TraceClass(Fraction(rng.uniform(0.05, 0.95))), rng)
+                     for _ in range(n)])
+
+
+def test_residuals_of_a_stack_equal_the_residuals_of_each_point():
+    rng = np.random.default_rng(43)
+    for exps, sign in [((2, -9, 3), 1), ((211,), -1), ((9, 2, -2, 5, 7), -1), (None, 1)]:
+        n = 3 if exps is None else len(exps)
+        system = ConstraintSystem(n, exps, sign)
+        stack = np.stack([_elliptic_point(n, rng) * (1 + 1e-3 * rng.standard_normal())
+                          for _ in range(6)]).reshape(2, 3, n, 2, 2)
+        got = system.residuals(stack)
+        rows = n if exps is None else n + 4
+        assert got.shape == (2, 3, rows)
+        for index in np.ndindex(2, 3):
+            ref = system.residuals(stack[index])
+            assert np.max(np.abs(got[index] - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1.0)
+
+
+def _column_loop_fd(system, mats, step):
+    """The per-column central differences: two residual calls per entry."""
+    base = np.asarray(mats, dtype=complex)
+    jac = np.zeros((len(system.residuals(base)), system.ambient_dim), dtype=complex)
+    for col in range(system.ambient_dim):
+        i, e = divmod(col, 4)
+        plus, minus = base.copy(), base.copy()
+        plus[(i,) + divmod(e, 2)] += step
+        minus[(i,) + divmod(e, 2)] -= step
+        jac[:, col] = (system.residuals(plus) - system.residuals(minus)) / (2 * step)
+    return jac
+
+
+def test_stacked_jacobian_fd_matches_the_column_loop():
+    rng = np.random.default_rng(47)
+    step = Tolerances().fd_step
+    for n in range(1, 11):
+        for sign in (1, -1):
+            exps = tuple(int(x) for x in rng.choice((2, 9, 211, -2, -9, -211), size=n))
+            system = ConstraintSystem(n, exps, sign)
+            mats = _elliptic_point(n, rng)
+            got = jacobian_fd(system, mats)
+            ref = _column_loop_fd(system, mats, step)
+            assert got.shape == (n + 4, 4 * n)
+            assert np.linalg.norm(got - ref) <= 1e-9 * max(np.linalg.norm(ref), 1.0)
+
+
+def test_jacobian_fd_defaults_to_the_tolerance_step():
+    system = ConstraintSystem(2, (3, -5), 1)
+    mats = _elliptic_point(2, np.random.default_rng(53))
+    assert np.array_equal(jacobian_fd(system, mats),
+                          jacobian_fd(system, mats, step=Tolerances().fd_step))
+    assert not np.array_equal(jacobian_fd(system, mats),
+                              jacobian_fd(system, mats, step=2 * Tolerances().fd_step))
+
+
+def test_free_systems_keep_their_shapes():
+    rng = np.random.default_rng(59)
+    for n in (1, 3):
+        system = ConstraintSystem(n)
+        mats = np.stack([random_sl2(rng) for _ in range(n)])
+        assert system.residuals(mats).shape == (n,)
+        numeric = jacobian_fd(system, mats)
+        assert numeric.shape == (n, 4 * n)
+        assert np.allclose(numeric, system.jacobian(mats), rtol=0, atol=1e-8)
+
+
 def _linear_power_derivs(m, p):
     """Entry derivatives of m^p as the O(|p|) sum of b^j dB b^(k-1-j),
     b = m (or adj m for p < 0), dB the derivative of b in one entry."""

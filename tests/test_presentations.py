@@ -1,5 +1,7 @@
 """Grammar, normal form, and validation of group specifications."""
 
+import random
+
 import pytest
 
 from sl2rep.presentations import (
@@ -96,6 +98,46 @@ ROUNDTRIP_SPECS = [
 @pytest.mark.parametrize("spec", ROUNDTRIP_SPECS)
 def test_format_parse_roundtrip(spec):
     assert parse_spec(format_spec(spec)) == spec
+
+
+def _random_atom(rng):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return FreeGroup(rng.randrange(0, 40))
+    if kind == 1:
+        return CyclicFinite(rng.randrange(2, 10**6))
+    n = rng.choice((1, 2, 3, 5, 26, 27, 40))
+    return ProductPower(tuple(rng.choice((-1, 1)) * rng.randrange(2, 10**4) for _ in range(n)))
+
+
+def test_format_parse_roundtrip_property():
+    rng = random.Random(61)
+    for _ in range(300):
+        atoms = [_random_atom(rng) for _ in range(rng.randrange(1, 5))]
+        spec = atoms[0] if len(atoms) == 1 else FreeProduct(tuple(atoms))
+        assert parse_spec(format_spec(spec)) == spec
+
+
+_FUZZ_PIECES = ["<", ">", ",", ";", "=", "*", "^", "-", " ", "a", "b", "c", "F", "Z",
+                "1", "2", "7", "0", "x1", "<a,b; a^2 b^3>", "F2", "Z5", "^-", "9" * 5000,
+                "!", "(", "\t", "é"]
+
+
+def test_parser_fuzz_raises_only_parse_errors():
+    rng = random.Random(67)
+    for _ in range(20000):
+        text = "".join(rng.choice(_FUZZ_PIECES) for _ in range(rng.randrange(0, 12)))
+        try:
+            parse_spec(text)
+        except ParseError:
+            pass
+
+
+def test_overlong_integers_are_parse_errors():
+    with pytest.raises(ParseError):
+        parse_spec("F" + "9" * 5000)
+    with pytest.raises(ParseError):
+        parse_spec("<a,b; a^" + "9" * 5000 + " b^2>")
 
 
 def test_format_examples():
