@@ -59,7 +59,6 @@ from .oracle import (
     complete_point,
     jacobian_fd,
     local_dimension,
-    sample_point,
     sample_rng,
     verify_central_roots,
     verify_dimension,

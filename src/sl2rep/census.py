@@ -195,16 +195,21 @@ def triple_group(rank: int, triple: tuple[int, int, int]) -> GroupSpec:
     return group
 
 
+# a cost bound: 10^4 groups take about 1.3 s on a 2-core VM
+MAX_SEQUENCE_COUNT = 10**4
+
+
 def distinguishing_sequence(c: int, count: int) -> list[tuple[GroupSpec, CensusResult]]:
     """Groups of one rank, pairwise distinguished by dimension-c counts.
 
     c must be 6 (rank-2 one-relator groups on prime triples) or 3r for
     r >= 3 (the same groups free-multiplied by F_{r-2}).  Each entry
     carries a strictly larger certified dimension-c lower bound than
-    the one before, so no two of the varieties are isomorphic.
+    the one before, so no two of the varieties are isomorphic.  count
+    is at most MAX_SEQUENCE_COUNT.
     """
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+    if not 0 <= count <= MAX_SEQUENCE_COUNT:
+        raise ValueError(f"count must be in 0..{MAX_SEQUENCE_COUNT}, got {count}")
     if c < 6 or c % 3 != 0:
         raise ValueError(f"supported dimensions are 6, 9, 12, ...; got {c}")
     groups = (triple_group(c // 3, t) for t in islice(consecutive_prime_triples(), count))

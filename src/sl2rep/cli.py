@@ -16,6 +16,7 @@ import re
 import sys
 
 from .census import (
+    MAX_SEQUENCE_COUNT,
     QuotientLowerBound,
     distinguishing_sequence,
     exact_census,
@@ -31,7 +32,13 @@ from .families import (
     parafree_profile,
     witness_group,
 )
-from .oracle import Tolerances, verify_central_roots, verify_dimension
+from .oracle import (
+    MAX_CENTRAL_POWER,
+    MAX_SAMPLES,
+    Tolerances,
+    verify_central_roots,
+    verify_dimension,
+)
 from .presentations import (
     ParseError,
     ProductPower,
@@ -81,7 +88,9 @@ def _shield_negative_tuples(argv: list[str]) -> list[str]:
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=0, help="master RNG seed (default 0)")
-    parser.add_argument("--samples", type=int, default=100, help="sample count (default 100)")
+    parser.add_argument("--samples", type=int, default=100,
+                        help=f"verify sample count, 1 to {MAX_SAMPLES:,} (default 100; "
+                             "larger counts exit 2)")
     parser.add_argument("--tol-res", type=float, default=1e-8, dest="tol_res",
                         help="residual tolerance (default 1e-8)")
     parser.add_argument("--tol-rank", type=float, default=1e-8, dest="tol_rank",
@@ -132,7 +141,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("sequence", help="groups distinguished by component lower bounds")
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=int, required=True,
+                   help=f"number of groups, 0 to {MAX_SEQUENCE_COUNT:,} (larger counts exit 2)")
     p.add_argument("--dim", type=int, default=6)
     _add_common(p)
 
@@ -150,7 +160,8 @@ def _build_parser() -> argparse.ArgumentParser:
              "least once, so samples_requested is ceil(samples/classes)*classes "
              "(999 at p = 2000)",
     )
-    v.add_argument("--p", type=int, required=True)
+    v.add_argument("--p", type=int, required=True,
+                   help=f"the power, 2 to {MAX_CENTRAL_POWER:,} (larger powers exit 2)")
     v.add_argument("--sign", type=_parse_sign, default=1)
     _add_common(v)
 

@@ -16,10 +16,19 @@ dimension recursion's argmax and places the prefix on the degenerate
 locus where the prefix word is +-I, with the last matrix drawn from a
 random eigenvalue-pair orbit.  Every sample stream is derived from
 (master seed, sample index), so runs are reproducible.
+
+Generic prefix letters of power p are C diag(lam, 1/lam) C^-1, with
+C = U diag(s, 1/s) V, U and V Haar in SU(2), |log s| <= 0.2, |p log|lam||
+<= 0.2 and arg lam in [0.05, pi - 0.05]: ||m^p|| <= e^0.6 for every p,
+n-letter words stay below e^(0.6 n), traces stay 2(1 - cos 0.05) from
++-2, and nine uniforms per letter always serve.  The draw is generic: its
+image contains an open subset of SU(2)^(n-1), Zariski dense in
+SL2C^(n-1), so it meets the rank-drop locus with probability 0.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -32,9 +41,9 @@ from .matrices import (
     adjugate,
     determinant,
     eval_word,
+    mat2,
     mat_power,
     matrix_root,
-    random_sl2,
 )
 from .presentations import validate_exponents
 from .traces import (
@@ -84,10 +93,13 @@ class RankGapError(OracleError):
 _ELEM = np.eye(4, dtype=complex).reshape(4, 2, 2)
 _ADJ_ELEM = adjugate(_ELEM)
 
-# prefix words larger than this push the float64 residual floor past the
-# default acceptance tolerance, so oversized draws are retried
-_PREFIX_NORM_CAP = 1e3
-_REDRAW_LIMIT = 200
+# the generic draw: |log s| and |p log|lam|| stay below _LOG_SPREAD, and
+# arg lam keeps _ARG_MARGIN away from 0 and pi
+_LOG_SPREAD = 0.2
+_ARG_MARGIN = 0.05
+# cost bounds (a few seconds each on a 2-core VM); the CLI exits 2 above them
+MAX_SAMPLES = 1000
+MAX_CENTRAL_POWER = 10**4
 
 
 def _power_with_derivs(m: np.ndarray, p: int):
@@ -279,6 +291,15 @@ def _polish_last(prefix_word: np.ndarray, root: np.ndarray, power: int, sign: in
     return best
 
 
+def _complete(prefix: list, word: np.ndarray, last: int, sign: int, branch: int):
+    """complete_point for a prefix whose word is already known."""
+    target = sign * (adjugate(word) if last > 0 else word)
+    root = matrix_root(target, abs(last), branch)
+    if root is None:
+        return None
+    return np.stack(prefix + [_polish_last(word, root, last, sign)])
+
+
 def complete_point(prefix, exponents, sign: int, branch: int):
     """Extend n-1 prefix matrices to a word solution, or None if the
     required root class is empty (the even-power parabolic obstruction).
@@ -288,25 +309,10 @@ def complete_point(prefix, exponents, sign: int, branch: int):
     branch picks among root branches modulo their count.
     """
     exps = validate_exponents(exponents)
-    n = len(exps)
     prefix = [np.asarray(m, dtype=complex) for m in prefix]
-    if len(prefix) != n - 1:
-        raise ValueError(f"need {n - 1} prefix matrices, got {len(prefix)}")
-    word = eval_word(prefix, exps[:-1])
-    last = exps[-1]
-    target = sign * (adjugate(word) if last > 0 else word)
-    root = matrix_root(target, abs(last), branch)
-    if root is None:
-        return None
-    polished = _polish_last(word, root, last, sign)
-    return np.stack(prefix + [polished])
-
-
-def sample_point(exponents, sign: int, branch: int, rng: np.random.Generator):
-    """Generic-stratum sample: random prefix, root branch for the last."""
-    exps = validate_exponents(exponents)
-    prefix = [random_sl2(rng) for _ in range(len(exps) - 1)]
-    return complete_point(prefix, exps, sign, branch)
+    if len(prefix) != len(exps) - 1:
+        raise ValueError(f"need {len(exps) - 1} prefix matrices, got {len(prefix)}")
+    return _complete(prefix, eval_word(prefix, exps[:-1]), exps[-1], sign, branch)
 
 
 @dataclass(frozen=True)
@@ -346,19 +352,34 @@ def build_plan(exponents, sign: int) -> SamplePlan:
                       prefix=build_plan(exps[:-1], sign))
 
 
-def _random_conjugator(rng: np.random.Generator, max_cond: float = 50.0) -> np.ndarray:
-    for _ in range(64):
-        s = random_sl2(rng)
-        if np.linalg.norm(s) * np.linalg.norm(adjugate(s)) <= max_cond:
-            return s
-    return s
+def _conjugated_diagonal(u: list, lam: complex) -> np.ndarray:
+    """C diag(lam, 1/lam) C^-1 in scalar arithmetic, C = U diag(s, 1/s) V
+    from seven uniforms u (Shoemake's unit quaternions for U and V)."""
+    (a, b), (g, h) = ((cmath.rect(math.sqrt(1 - x), 2 * math.pi * y),
+                       cmath.rect(math.sqrt(x), 2 * math.pi * z)) for x, y, z in (u[0:3], u[3:6]))
+    s = math.exp(_LOG_SPREAD * (2 * u[6] - 1))
+    # rows of U diag(s, 1/s), U = [[a, b], [-conj b, conj a]], times V likewise from g, h
+    rows = ((a * s, b / s), (-b.conjugate() * s, a.conjugate() / s))
+    (c00, c01), (c10, c11) = ((x * g - y * h.conjugate(), x * h + y * g.conjugate()) for x, y in rows)
+    mu = 1 / lam
+    return mat2(lam * c00 * c11 - mu * c01 * c10, (mu - lam) * c00 * c01,
+                (lam - mu) * c10 * c11, mu * c00 * c11 - lam * c01 * c10)
+
+
+def _letter(p: int, rng: np.random.Generator) -> np.ndarray:
+    """A generic prefix letter for the exponent p from nine uniforms (see
+    the module docstring)."""
+    u = rng.random(9).tolist()
+    # 1 / abs(p) divides ints, so exponents past the float range do not overflow
+    lam = cmath.exp(complex(_LOG_SPREAD * (2 * u[7] - 1) * (1 / abs(p)),
+                            _ARG_MARGIN + (math.pi - 2 * _ARG_MARGIN) * u[8]))
+    return _conjugated_diagonal(u, lam)
 
 
 def _orbit_point(cls: TraceClass, rng: np.random.Generator) -> np.ndarray:
-    """Random conjugate of diag(zeta, 1/zeta), zeta = exp(i pi angle)."""
-    zeta = np.exp(1j * np.pi * float(cls.angle))
-    conj = _random_conjugator(rng)
-    return conj @ np.diag([zeta, 1 / zeta]).astype(complex) @ (adjugate(conj) / determinant(conj))
+    """Random conjugate of diag(zeta, 1/zeta), zeta = exp(i pi angle), by
+    the same near-unitary C as a prefix letter."""
+    return _conjugated_diagonal(rng.random(7).tolist(), cmath.exp(1j * math.pi * float(cls.angle)))
 
 
 def _sample_orbit_point(k: int, target_sign: int, rng: np.random.Generator) -> np.ndarray:
@@ -373,7 +394,6 @@ def _sample_orbit_point(k: int, target_sign: int, rng: np.random.Generator) -> n
 class Sample:
     mats: Optional[np.ndarray]
     witness_traces: list = field(default_factory=list)
-    obstructed: bool = False
 
 
 def sample_from_plan(plan: SamplePlan, branch: int, rng: np.random.Generator) -> Sample:
@@ -392,34 +412,17 @@ def sample_from_plan(plan: SamplePlan, branch: int, rng: np.random.Generator) ->
         fiber = _sample_orbit_point(k, plan.fiber_sign, rng)
         return Sample(np.concatenate([inner.mats, fiber[None, :, :]]),
                       inner.witness_traces)
-    # generic: every trace met along the construction is a genericity witness
+    # generic: the traces of each letter and prefix word are genericity witnesses
     exps = plan.exponents
-    prefix = []
-    partial_traces = []
-    partial = IDENTITY.copy()
+    prefix, witnesses = [], []
+    word = IDENTITY
     for p in exps[:-1]:
-        # keep the running word below the cap so the residual floor
-        # eps * |W|^2 stays well under the acceptance tolerance
-        m = random_sl2(rng)
-        step = partial @ mat_power(m, p)
-        for _ in range(_REDRAW_LIMIT):
-            if np.all(np.isfinite(step)) and np.max(np.abs(step)) <= _PREFIX_NORM_CAP:
-                break
-            m = random_sl2(rng)
-            step = partial @ mat_power(m, p)
+        m = _letter(p, rng)
+        word = word @ mat_power(m, p)
         prefix.append(m)
-        partial = step
-        partial_traces.append(complex(np.trace(partial)))
-    witnesses = [complex(np.trace(m)) for m in prefix]
-    witnesses.extend(partial_traces)
-    last = exps[-1]
-    target = plan.sign * (adjugate(partial) if last > 0 else partial)
-    witnesses.append(complex(np.trace(target)))
-    root = matrix_root(target, abs(last), branch)
-    if root is None:
-        return Sample(None, witnesses, obstructed=True)
-    polished = _polish_last(partial, root, last, plan.sign)
-    return Sample(np.stack(prefix + [polished]), witnesses)
+        witnesses += [complex(np.trace(m)), complex(np.trace(word))]
+    mats = _complete(prefix, word, exps[-1], plan.sign, branch)
+    return Sample(mats, witnesses)
 
 
 def _near_central_trace(witnesses, tol: float) -> bool:
@@ -491,15 +494,16 @@ def verify_dimension(
     Passes only when at least one sample is accepted, every accepted
     sample reports the same local dimension, and that consensus equals
     the predicted dimension.  Root branches are swept round-robin via
-    the sample index.  Word lengths are capped at 8 as a cost guard.
+    the sample index.  Word lengths are capped at 8 and sample counts
+    at MAX_SAMPLES as cost guards.
     """
     exps = validate_exponents(exponents)
     if not 2 <= len(exps) <= 8:
         raise ValueError(f"verification covers word lengths 2..8, got {len(exps)}")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    if num_samples < 1:
-        raise ValueError("need at least one sample")
+    if not 1 <= num_samples <= MAX_SAMPLES:
+        raise ValueError(f"samples must be in 1..{MAX_SAMPLES}, got {num_samples}")
     predicted = product_power_dim(exps, sign).dim
     plan = build_plan(exps, sign)
     system = ConstraintSystem(len(exps), exps, sign)
@@ -507,24 +511,21 @@ def verify_dimension(
     rejections = {"obstructed": 0, "genericity": 0, "residual": 0, "rank_gap": 0}
     min_gap = math.inf
     for index in range(num_samples):
-        # extreme draws can overflow intermediates; the rejection gates
-        # below handle those, so the float warnings are only noise
-        with np.errstate(all="ignore"):
-            sample = sample_from_plan(plan, index, sample_rng(seed, index))
-            if _near_central_trace(sample.witness_traces, tol.genericity):
-                rejections["genericity"] += 1
-                continue
-            if sample.mats is None:
-                rejections["obstructed"] += 1
-                continue
-            try:
-                local = local_dimension(sample.mats, system, tol)
-            except ResidualError:
-                rejections["residual"] += 1
-                continue
-            except RankGapError:
-                rejections["rank_gap"] += 1
-                continue
+        sample = sample_from_plan(plan, index, sample_rng(seed, index))
+        if _near_central_trace(sample.witness_traces, tol.genericity):
+            rejections["genericity"] += 1
+            continue
+        if sample.mats is None:
+            rejections["obstructed"] += 1
+            continue
+        try:
+            local = local_dimension(sample.mats, system, tol)
+        except ResidualError:
+            rejections["residual"] += 1
+            continue
+        except RankGapError:
+            rejections["rank_gap"] += 1
+            continue
         histogram[local.dim] = histogram.get(local.dim, 0) + 1
         min_gap = min(min_gap, local.gap)
     accepted = sum(histogram.values())
@@ -563,7 +564,11 @@ def verify_central_roots(
     random conjugates; every accepted sample must have local dimension
     2 and a trace matching its admissible class.  Passes when all of
     that holds and the sampled class set matches the expected census.
+    p is capped at MAX_CENTRAL_POWER and num_samples at MAX_SAMPLES.
     """
+    if p > MAX_CENTRAL_POWER or not 1 <= num_samples <= MAX_SAMPLES:
+        raise ValueError(f"need p <= {MAX_CENTRAL_POWER} and samples in 1..{MAX_SAMPLES}, "
+                         f"got p = {p}, samples = {num_samples}")
     classes = central_root_classes(p, sign)
     spectrum = central_root_spectrum(p, sign)
     predicted = spectrum.dimension()

@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from sl2rep import census, oracle
+from sl2rep.census import MAX_SEQUENCE_COUNT
 from sl2rep.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
+from sl2rep.oracle import MAX_CENTRAL_POWER, MAX_SAMPLES
 
 
 def run(capsys, *argv):
@@ -159,6 +162,44 @@ def test_verify_dim_passes_and_reports(capsys):
     assert names["consensus_dimension"] == 3
     assert names["report"]["pass"] is True
     assert payload["pass"] is True
+
+
+def test_verify_dim_big_exponent_in_the_prefix(capsys):
+    code, payload, _ = run_json(
+        capsys, "verify", "dim", "-1000,3,5", "--samples", "3", "--seed", "2"
+    )
+    assert code == EXIT_OK
+    report = {r["name"]: r["value"] for r in payload["results"]}["report"]
+    assert report["samples_accepted"] == 3
+
+
+class _Reached(Exception):
+    """Raised by a stand-in for the costly part of a command."""
+
+
+def _reached(*args, **kwargs):
+    raise _Reached
+
+
+@pytest.mark.parametrize(
+    "module,costly,argv,cap",
+    [
+        (oracle, "sample_from_plan", ("verify", "dim", "2,2", "--samples"), MAX_SAMPLES),
+        (oracle, "_orbit_point", ("verify", "omega", "--p", "5", "--samples"), MAX_SAMPLES),
+        (oracle, "_orbit_point", ("verify", "omega", "--p"), MAX_CENTRAL_POWER),
+        (census, "consecutive_prime_triples", ("sequence", "--count"), MAX_SEQUENCE_COUNT),
+    ],
+)
+def test_input_caps(capsys, monkeypatch, module, costly, argv, cap):
+    # the cap is checked before any work: at the cap the command reaches
+    # its costly part, one above it exits 2 without touching it
+    monkeypatch.setattr(module, costly, _reached)
+    with pytest.raises(_Reached):
+        main([*argv, str(cap)])
+    code, out, err = run(capsys, *argv, str(cap + 1))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert str(cap) in err
 
 
 def test_verify_dim_fails_when_nothing_is_accepted(capsys):

@@ -7,8 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sl2rep.matrices import adjugate, mat2, mat_power, random_sl2
+from sl2rep.matrices import IDENTITY, adjugate, determinant, mat2, mat_power, random_sl2
 from sl2rep.oracle import (
+    MAX_CENTRAL_POWER,
+    MAX_SAMPLES,
     ConstraintSystem,
     RankGapError,
     ResidualError,
@@ -20,12 +22,11 @@ from sl2rep.oracle import (
     jacobian_rank,
     local_dimension,
     sample_from_plan,
-    sample_point,
     sample_rng,
     verify_central_roots,
     verify_dimension,
 )
-from sl2rep.oracle import _orbit_point, _power_with_derivs
+from sl2rep.oracle import _letter, _orbit_point, _power_with_derivs
 from sl2rep.traces import TraceClass
 
 
@@ -289,13 +290,86 @@ def test_complete_point_even_parabolic_obstruction():
     assert system.residual_norm(mats) <= 1e-8
 
 
-def test_sample_point_reproducible_and_valid():
+def test_generic_sample_reproducible_and_valid():
     exps = (-3, -5, -7)
-    first = sample_point(exps, 1, 0, sample_rng(0, 0))
-    again = sample_point(exps, 1, 0, sample_rng(0, 0))
+    plan = build_plan(exps, 1)
+    assert plan.kind == "generic"
+    first = sample_from_plan(plan, 0, sample_rng(0, 0)).mats
+    again = sample_from_plan(plan, 0, sample_rng(0, 0)).mats
     assert np.array_equal(first, again)
     system = ConstraintSystem(3, exps, 1)
     assert system.residual_norm(first) <= 1e-8
+
+
+# |p| for the draw properties, up to powers where any letter whose norm is
+# not pinned near 1 overflows
+_DRAW_POWERS = (2, 9, 211, 2000, 20000)
+
+
+def test_prefix_letters_are_bounded_by_construction():
+    # C and C^-1 have norm <= e^0.2 and |lam^p| <= e^0.2, so ||m^p|| <= e^0.6
+    rng = np.random.default_rng(61)
+    margin = 2 * (1 - math.cos(0.05))
+    for p in _DRAW_POWERS:
+        departures = []
+        for _ in range(40):
+            m = _letter(p, rng)
+            departures.append(np.linalg.norm(m @ m.conj().T - m.conj().T @ m))
+            assert abs(determinant(m) - 1) <= 1e-13
+            trace = np.trace(m)
+            assert min(abs(trace - 2), abs(trace + 2)) >= margin - 1e-12
+            for q in (p, -p):
+                assert np.linalg.norm(mat_power(m, q), 2) <= math.exp(0.6) * (1 + 1e-9)
+        # C = U diag(s, 1/s) with no V would make every letter normal
+        assert max(departures) > 1e-2
+
+
+def test_prefix_words_stay_within_their_bound():
+    rng = np.random.default_rng(67)
+    for p in _DRAW_POWERS:
+        for sign in (1, -1):
+            for _ in range(10):
+                word = IDENTITY
+                for length in range(1, 9):
+                    word = word @ mat_power(_letter(p, rng), sign * p)
+                    assert np.linalg.norm(word, 2) <= math.exp(0.6 * length) * (1 + 1e-9)
+
+
+def test_orbit_points_use_a_near_unitary_conjugator():
+    rng = np.random.default_rng(71)
+    for p in _DRAW_POWERS:
+        cls = TraceClass(Fraction(1, p))
+        for _ in range(20):
+            m = _orbit_point(cls, rng)
+            assert abs(determinant(m) - 1) <= 1e-13
+            assert np.linalg.norm(m, 2) <= math.exp(0.4) * (1 + 1e-12)
+            assert abs(np.trace(m) - 2 * math.cos(math.pi / p)) <= 1e-12
+
+
+def _advanced(seed, outputs):
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(outputs)
+    return rng.bit_generator.state
+
+
+def test_draws_take_a_fixed_number_of_uniforms():
+    # no data-dependent loop: a letter advances the generator by exactly
+    # nine outputs and an orbit point by seven, whatever they drew
+    for p in _DRAW_POWERS:
+        rng = np.random.default_rng(p)
+        for count in range(1, 21):
+            _letter(p, rng)
+            assert rng.bit_generator.state == _advanced(p, 9 * count)
+        rng = np.random.default_rng(p)
+        _orbit_point(TraceClass(Fraction(1, p)), rng)
+        assert rng.bit_generator.state == _advanced(p, 7)
+    exps = (9, -211, 2000, -20000, 2)
+    plan = build_plan(exps, -1)
+    assert plan.kind == "generic"
+    for index in range(20):
+        rng = np.random.default_rng(index)
+        sample_from_plan(plan, index, rng)
+        assert rng.bit_generator.state == _advanced(index, 9 * (len(exps) - 1))
 
 
 def test_sample_rng_streams():
@@ -332,7 +406,6 @@ def test_sample_from_plan_stratum_matrices_satisfy_the_word():
     for index in range(6):
         sample = sample_from_plan(plan, index, sample_rng(0, index))
         assert sample.mats is not None
-        assert not sample.obstructed
         assert system.residual_norm(sample.mats) <= 1e-8
 
 
@@ -356,6 +429,14 @@ def test_verify_dimension_consensus(exponents, sign, expected):
     assert report.samples_accepted + sum(report.rejections.values()) == 20
 
 
+def test_verify_dimension_big_exponents_in_the_prefix():
+    # powers in the hundreds in the prefix: only letters with |lam^p| near 1
+    # keep the word, and so the residual floor, small
+    report = verify_dimension((500, -700, 3, 5), 1, num_samples=20, seed=2)
+    assert report.passed
+    assert report.samples_accepted == 20
+
+
 def test_verify_dimension_validation():
     with pytest.raises(ValueError):
         verify_dimension((5,), 1)
@@ -365,6 +446,8 @@ def test_verify_dimension_validation():
         verify_dimension((2, 2), 0)
     with pytest.raises(ValueError):
         verify_dimension((2, 2), 1, num_samples=0)
+    with pytest.raises(ValueError):
+        verify_dimension((2, 2), 1, num_samples=MAX_SAMPLES + 1)
 
 
 def test_verify_dimension_report_is_deterministic():
@@ -391,6 +474,23 @@ def test_verify_central_roots_central_only():
     assert report.central_checks == {"+2": 0, "-2": 0}
     assert report.samples_requested == 0
     assert report.to_dict()["min_rank_gap"] == "inf"
+
+
+def test_verify_central_roots_high_power():
+    # the residual floor of A^p grows like |p| eps cond(C)^2, so at this
+    # power every sample passes only with near-unitary conjugators
+    report = verify_central_roots(6000, 1, num_samples=1, seed=0)
+    assert report.passed
+    assert report.samples_accepted == report.samples_requested == 2999
+
+
+def test_verify_central_roots_validation():
+    with pytest.raises(ValueError):
+        verify_central_roots(MAX_CENTRAL_POWER + 1, 1)
+    with pytest.raises(ValueError):
+        verify_central_roots(5, 1, num_samples=MAX_SAMPLES + 1)
+    with pytest.raises(ValueError):
+        verify_central_roots(5, 1, num_samples=0)
 
 
 def test_verify_central_roots_even_sign_minus():
