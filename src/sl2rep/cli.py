@@ -11,6 +11,7 @@ or "numeric-consensus").  Exit codes: 0 success / verification pass,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -35,6 +36,7 @@ from .families import (
 from .oracle import (
     MAX_CENTRAL_POWER,
     MAX_SAMPLES,
+    MAX_VERIFY_EXPONENT,
     Tolerances,
     verify_central_roots,
     verify_dimension,
@@ -100,6 +102,8 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--output", choices=("text", "json"), default="text")
 
 
+# built once per process: constructing the tree costs ~20 times a parse
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sl2rep",
@@ -150,7 +154,9 @@ def _build_parser() -> argparse.ArgumentParser:
     vsub = p.add_subparsers(dest="verify_what", required=True)
 
     v = vsub.add_parser("dim", help="sample a word variety and check its dimension")
-    v.add_argument("exponents", type=_parse_tuple)
+    v.add_argument("exponents", type=_parse_tuple,
+                   help=f"2 to 8 exponents, each |p| at most {MAX_VERIFY_EXPONENT:,} "
+                        "(larger ones exit 2)")
     v.add_argument("--sign", type=_parse_sign, default=1)
     _add_common(v)
 

@@ -2,7 +2,8 @@
 
 Matrices are numpy arrays of shape (2, 2), dtype complex128;
 determinant, adjugate, mat_power and eval_word also take (..., 2, 2)
-stacks and work matrix by matrix.  Inverses of determinant-1 matrices
+stacks and work matrix by matrix, and branch_roots takes a stack of
+root targets with one branch each.  Inverses of determinant-1 matrices
 are taken with the exact adjugate [[d, -b], [-c, a]], which is also the
 polynomial continuation used off the determinant-1 locus, so word maps
 stay polynomial in the entries.
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -24,6 +25,8 @@ IDENTITY = np.eye(2, dtype=complex)
 TRACE_CLASS_TOL = 1e-7
 # tolerance for "is this matrix exactly central" within a trace class
 CENTRAL_TOL = 1e-9
+# (x, y) -> (y, -x): the null vector of a row (x, y)
+_ROW_NULL = np.array([1, -1])
 
 
 def mat2(a, b, c, d) -> np.ndarray:
@@ -61,7 +64,8 @@ def mat_power(m: np.ndarray, k: int) -> np.ndarray:
         k = -k
     else:
         base = np.asarray(m, dtype=complex)
-    result = IDENTITY.copy() if base.ndim == 2 else np.broadcast_to(IDENTITY, base.shape).copy()
+    result = np.empty(base.shape, dtype=complex)
+    result[...] = IDENTITY
     while k:
         if k & 1:
             result = result @ base
@@ -114,15 +118,39 @@ class Jordan:
 EigenSplit = Union[Diagonalizable, Scalar, Jordan]
 
 
-def _eigenvector(m: np.ndarray, lam: complex) -> np.ndarray:
-    # (m - lam I) v = 0; pick the better conditioned of the two row formulas
-    v1 = np.array([m[0, 1], lam - m[0, 0]], dtype=complex)
-    v2 = np.array([lam - m[1, 1], m[1, 0]], dtype=complex)
-    v = v1 if np.linalg.norm(v1) >= np.linalg.norm(v2) else v2
-    norm = np.linalg.norm(v)
-    if norm == 0:
+def _check_order(k):
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"root order must be an integer >= 1, got {k!r}")
+
+
+def _eigenpairs(m: np.ndarray):
+    """(lam, basis) for an (S, 2, 2) stack with traces away from +-2:
+    lam is the quadratic root with the larger (imag, real), basis has the
+    unit eigenvectors of lam and 1/lam as columns."""
+    t = m[:, 0, 0] + m[:, 1, 1]
+    disc = np.sqrt(t * t - 4)
+    # the roots are reciprocal; form the larger one without cancellation
+    plus, minus = t + disc, t - disc
+    big = np.where(abs(plus) >= abs(minus), plus, minus) / 2
+    small = 1 / big
+    first = (big.imag > small.imag) | ((big.imag == small.imag) & (big.real >= small.real))
+    pair = np.stack([big, small], axis=1)
+    lams = np.where(first[:, None], pair, pair[:, ::-1])
+    # (m - lam I) v = 0: for each eigenvalue (axis 1), the null vectors
+    # (m01, lam - m00) and -(lam - m11, m10) of the two rows (axis 2);
+    # keep the better conditioned one
+    shifted = m[:, None] - lams[:, :, None, None] * IDENTITY
+    candidates = shifted[..., ::-1] * _ROW_NULL
+    sq_norms = np.sum(abs(candidates) ** 2, axis=-1)
+    second = sq_norms[..., 1] > sq_norms[..., 0]
+    norm = np.sqrt(np.max(sq_norms, axis=-1))
+    if np.any(norm == 0):
         raise ValueError("degenerate eigenvector, matrix is too close to central")
-    return v / norm
+    basis = np.swapaxes(np.where(second[..., None], candidates[:, :, 1], candidates[:, :, 0])
+                        / norm[..., None], 1, 2)
+    if np.any(abs(determinant(basis)) < 1e-12):
+        raise ValueError("eigenbasis is numerically singular")
+    return lams[:, 0], basis
 
 
 def eigen_split(m: np.ndarray, tol: float = TRACE_CLASS_TOL) -> EigenSplit:
@@ -141,40 +169,32 @@ def eigen_split(m: np.ndarray, tol: float = TRACE_CLASS_TOL) -> EigenSplit:
             if np.max(np.abs(off)) <= CENTRAL_TOL:
                 return Scalar(sign)
             return Jordan(sign, off)
-    disc = cmath.sqrt(t * t - 4)
-    # the roots are reciprocal; form the larger one without cancellation
-    big = (t + disc) / 2 if abs(t + disc) >= abs(t - disc) else (t - disc) / 2
-    roots = (big, 1 / big)
-    lam = max(roots, key=lambda z: (z.imag, z.real))
-    lam_inv = roots[1] if lam is roots[0] else roots[0]
-    v1 = _eigenvector(m, lam)
-    v2 = _eigenvector(m, lam_inv)
-    basis = np.column_stack([v1, v2])
-    if abs(determinant(basis)) < 1e-12:
-        raise ValueError("eigenbasis is numerically singular")
-    return Diagonalizable(lam, basis)
+    lam, basis = _eigenpairs(m[None])
+    return Diagonalizable(complex(lam[0]), basis[0])
 
 
-def _conjugate(basis: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    return basis @ diag @ (adjugate(basis) / determinant(basis))
+def _diagonal_roots(lam: np.ndarray, basis: np.ndarray, k: int, branches: np.ndarray) -> np.ndarray:
+    """basis diag(mu, 1/mu) basis^-1 with mu = exp((log(lam) + 2 pi i
+    branch)/k) for stacks lam (S,), basis (S, 2, 2) and branches (S,).
+    Stacks only: numpy's scalar arithmetic rounds differently from its
+    array loops, and every root should be bitwise the same however many
+    are built together."""
+    mu = np.exp((np.log(lam) + 2j * np.pi * branches) / k)
+    scaled = basis * np.stack([mu, 1 / mu], axis=-1)[..., None, :]
+    return scaled @ adjugate(basis) / determinant(basis)[..., None, None]
 
 
 def _root_branches(m: np.ndarray, k: int):
     """(count, build): the number of k-th root branches of m in SL2C and
     a function building branch j, 0 <= j < count, alone."""
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"root order must be an integer >= 1, got {k!r}")
+    _check_order(k)
     m = np.asarray(m, dtype=complex)
     if k == 1:
         return 1, lambda branch: m.copy()
     split = eigen_split(m)
     if isinstance(split, Diagonalizable):
-        log_lam = cmath.log(split.eigenvalue)
-
-        def diagonal_root(branch):
-            mu = cmath.exp((log_lam + 2j * cmath.pi * branch) / k)
-            return _conjugate(split.basis, np.diag([mu, 1 / mu]))
-        return k, diagonal_root
+        lam, basis = np.array([split.eigenvalue]), split.basis[None]
+        return k, lambda branch: _diagonal_roots(lam, basis, k, np.array([branch]))[0]
     if isinstance(split, Scalar):
         central = central_signs(k, split.sign)
 
@@ -208,11 +228,34 @@ def matrix_roots(m: np.ndarray, k: int) -> list[np.ndarray]:
     return [build(branch) for branch in range(count)]
 
 
-def matrix_root(m: np.ndarray, k: int, branch: int) -> Optional[np.ndarray]:
-    """matrix_roots(m, k)[branch % count], built without the other
-    branches; None when m has no k-th root."""
-    count, build = _root_branches(m, k)
-    return build(branch % count) if count else None
+def branch_roots(m: np.ndarray, k: int, branches):
+    """One k-th root per matrix of an (S, 2, 2) stack: row i is
+    matrix_roots(m[i], k)[branches[i] % count], built without the other
+    branches.  Returns the (S, 2, 2) roots and the mask of rows that have
+    one; a row without a root (the even-power parabolic obstruction) is
+    NaN.  Rows with traces away from +-2 are split in one vectorised
+    pass; the rare rows at +-2 take the central and parabolic branches
+    of matrix_roots one by one."""
+    _check_order(k)
+    m = np.asarray(m, dtype=complex)
+    branches = np.asarray(branches)
+    if k == 1:
+        return m.copy(), np.ones(len(m), dtype=bool)
+    t = m[:, 0, 0] + m[:, 1, 1]
+    special = (abs(t - 2) <= TRACE_CLASS_TOL) | (abs(t + 2) <= TRACE_CLASS_TOL)
+    roots = np.empty_like(m)
+    has_root = np.ones(len(m), dtype=bool)
+    if not special.all():
+        lam, basis = _eigenpairs(m[~special])
+        roots[~special] = _diagonal_roots(lam, basis, k, branches[~special] % k)
+    for i in np.flatnonzero(special):
+        count, build = _root_branches(m[i], k)
+        if count:
+            roots[i] = build(int(branches[i]) % count)
+        else:
+            roots[i] = np.nan
+            has_root[i] = False
+    return roots, has_root
 
 
 def random_sl2(rng: np.random.Generator) -> np.ndarray:

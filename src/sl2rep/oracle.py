@@ -24,30 +24,32 @@ n-letter words stay below e^(0.6 n), traces stay 2(1 - cos 0.05) from
 +-2, and nine uniforms per letter always serve.  The draw is generic: its
 image contains an open subset of SU(2)^(n-1), Zariski dense in
 SL2C^(n-1), so it meets the rank-drop locus with probability 0.
+
+A run verifies all its samples at once, as stages over (S, n, 2, 2)
+stacks: draw (each sample from its own stream sample_rng(seed, index),
+all letters and orbit points built in one vectorised pass), prefix word
+and closed-form root of the last matrix on branch index mod count,
+Gauss-Newton polish, one residual check, one Jacobian and one SVD with
+per-sample rank cuts.  A sample is rejected at the first stage it fails:
+genericity, obstructed, residual, rank_gap.  The single-sample entry
+points (sample_from_plan, complete_point, local_dimension,
+jacobian_rank) are stacks of one through the same code, so any sample
+of a run can be replayed alone.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .dimension import dimension_table, not_two, product_power_dim
-from .matrices import (
-    IDENTITY,
-    adjugate,
-    determinant,
-    eval_word,
-    mat2,
-    mat_power,
-    matrix_root,
-)
+from .matrices import IDENTITY, adjugate, branch_roots, determinant, eval_word, mat_power
 from .presentations import validate_exponents
 from .traces import (
-    TraceClass,
     admissible_traces,
     central_root_classes,
     central_root_spectrum,
@@ -92,41 +94,53 @@ class RankGapError(OracleError):
 # derivatives of m and of adj(m) in the entries (0,0), (0,1), (1,0), (1,1) of m
 _ELEM = np.eye(4, dtype=complex).reshape(4, 2, 2)
 _ADJ_ELEM = adjugate(_ELEM)
+# d det(m) = (d, -c, -b, a) is m reversed in both axes, times these signs
+_DET_SIGNS = np.array([[1, -1], [-1, 1]])
 
 # the generic draw: |log s| and |p log|lam|| stay below _LOG_SPREAD, and
 # arg lam keeps _ARG_MARGIN away from 0 and pi
 _LOG_SPREAD = 0.2
 _ARG_MARGIN = 0.05
+# Shoemake's radii sqrt(1 - x), sqrt(x) are sqrt|shift - x| for x = u0, u0, u3, u3
+_QUAT_SHIFT = np.array([1.0, 0.0, 1.0, 0.0])
+# U and V as rows of [a, b, g, h, conj a, conj b, conj g, conj h]
+_SU2_ENTRIES = np.array([0, 1, 5, 4, 2, 3, 7, 6])
+_SU2_SIGNS = np.array([1, 1, -1, 1, 1, 1, -1, 1])
+_RECIPROCAL = np.array([1, -1])
 # cost bounds (a few seconds each on a 2-core VM); the CLI exits 2 above them
 MAX_SAMPLES = 1000
 MAX_CENTRAL_POWER = 10**4
+# accuracy bound: float64 checks m^p to the residual gate up to here
+MAX_VERIFY_EXPONENT = 10**7
 
 
 def _power_with_derivs(m: np.ndarray, p: int):
     """m^p (adjugate route for p < 0) and its derivatives in the four
-    entries of m, as a (4, 2, 2) array.
+    entries of m, for |p| >= 2 as validate_exponents requires: a
+    (..., 2, 2) stack gives (..., 2, 2) values and (..., 4, 2, 2)
+    derivatives.
 
     Runs the binary exponentiation of mat_power, so the value is
-    bitwise equal to mat_power(m, p), and carries the derivatives of
-    the running result and of the repeated square through it by the
-    product rule: O(log |p|) matrix products.
+    bitwise equal to mat_power(m, p) at finite entries, and carries the
+    derivatives of the running result and of the repeated square through
+    it by the product rule: O(log |p|) matrix products.
     """
     k = abs(p)
-    if p >= 0:
-        base = np.asarray(m, dtype=complex)
-        dbase = _ELEM
-    else:
-        base = adjugate(m)
-        dbase = _ADJ_ELEM
-    value = IDENTITY.copy()
-    derivs = np.zeros((4, 2, 2), dtype=complex)
+    m = np.asarray(m, dtype=complex)
+    base, dbase = (m, _ELEM) if p >= 0 else (adjugate(m), _ADJ_ELEM)
+    value = derivs = None
     while k:
+        square = base[..., None, :, :]
         if k & 1:
-            derivs = derivs @ base + value @ dbase
-            value = value @ base
+            if value is None:
+                # mat_power's first product, I @ base, is base itself
+                value, derivs = base, dbase
+            else:
+                derivs = derivs @ square + value[..., None, :, :] @ dbase
+                value = value @ base
         k >>= 1
         if k:
-            dbase = dbase @ base + base @ dbase
+            dbase = dbase @ square + square @ dbase
             base = base @ base
     return value, derivs
 
@@ -173,23 +187,28 @@ class ConstraintSystem:
         return float(np.max(np.abs(self.residuals(mats))))
 
     def jacobian(self, mats) -> np.ndarray:
-        """Complex Jacobian of residuals, by product-rule accumulation."""
+        """Complex Jacobian of residuals, by product-rule accumulation.  A
+        (..., n, 2, 2) stack of points gives a (..., rows, 4n) stack."""
         mats = np.asarray(mats, dtype=complex)
         n = self.num_matrices
+        lead = mats.shape[:-3]
         rows = n + (4 if self.exponents is not None else 0)
-        jac = np.zeros((rows, 4 * n), dtype=complex)
-        for i in range(n):
-            a, b, c, d = mats[i].ravel()
-            jac[i, 4 * i: 4 * i + 4] = (d, -c, -b, a)
+        jac = np.zeros(lead + (rows, 4 * n), dtype=complex)
+        # row i holds d det(m_i) = (d, -c, -b, a) at columns 4i..4i+3
+        det_entries = (np.arange(n)[:, None] * (4 * n + 4) + np.arange(4)).ravel()
+        jac.reshape(lead + (-1,))[..., det_entries] = \
+            (mats[..., ::-1, ::-1] * _DET_SIGNS).reshape(lead + (4 * n,))
         if self.exponents is not None:
-            value = IDENTITY.copy()
-            word_derivs = np.zeros((4 * n, 2, 2), dtype=complex)
-            for i, p in enumerate(self.exponents):
-                factor, factor_derivs = _power_with_derivs(mats[i], p)
-                word_derivs = word_derivs @ factor
-                word_derivs[4 * i: 4 * i + 4] += value @ factor_derivs
+            word_derivs = np.empty(lead + (4 * n, 2, 2), dtype=complex)
+            # the word starts at its first factor, as I @ factor is factor
+            value, word_derivs[..., :4, :, :] = _power_with_derivs(mats[..., 0, :, :], self.exponents[0])
+            for i, p in enumerate(self.exponents[1:], start=1):
+                factor, factor_derivs = _power_with_derivs(mats[..., i, :, :], p)
+                # the rows of later letters are not filled in yet
+                word_derivs[..., :4 * i, :, :] = word_derivs[..., :4 * i, :, :] @ factor[..., None, :, :]
+                word_derivs[..., 4 * i: 4 * i + 4, :, :] = value[..., None, :, :] @ factor_derivs
                 value = value @ factor
-            jac[n:] = word_derivs.reshape(4 * n, 4).T
+            jac[..., n:, :] = np.swapaxes(word_derivs.reshape(lead + (4 * n, 4)), -1, -2)
         return jac
 
 
@@ -210,28 +229,35 @@ def jacobian_fd(system: ConstraintSystem, mats,
 def _equilibrated(jac: np.ndarray) -> np.ndarray:
     # row/column scaling by nonzero scalars preserves rank but evens out
     # the huge magnitude spread high powers put into word rows
-    out = jac.copy()
-    row_scale = np.max(np.abs(out), axis=1)
+    row_scale = np.max(np.abs(jac), axis=-1, keepdims=True)
     row_scale[row_scale == 0] = 1.0
-    out /= row_scale[:, None]
-    col_scale = np.max(np.abs(out), axis=0)
+    out = jac / row_scale
+    col_scale = np.max(np.abs(out), axis=-2, keepdims=True)
     col_scale[col_scale == 0] = 1.0
-    out /= col_scale[None, :]
-    return out
+    return out / col_scale
+
+
+def _ranks(jac: np.ndarray, rank_rel: float):
+    """(rank, gap ratio) of each matrix of an (S, rows, cols) stack of
+    finite Jacobians, from one stacked SVD of the equilibrated stack."""
+    singular = np.linalg.svd(_equilibrated(jac), compute_uv=False)
+    width = singular.shape[-1]
+    rank = np.sum(singular > rank_rel * singular[:, :1], axis=-1)
+    # the last kept and the first dropped value
+    rows = np.arange(len(singular))
+    kept = singular[rows, (rank - 1) % width]
+    dropped = singular[rows, np.minimum(rank, width - 1)]
+    cut = (rank < width) & (dropped != 0)
+    gap = np.divide(kept, dropped, out=np.full(len(rank), math.inf), where=cut)
+    return rank, gap
 
 
 def jacobian_rank(jac: np.ndarray, rank_rel: float, min_gap: float) -> tuple[int, float]:
     """(rank, gap ratio); raises RankGapError when the cut is ambiguous."""
     if not np.all(np.isfinite(jac)):
         raise RankGapError("jacobian has non-finite entries")
-    singular = np.linalg.svd(_equilibrated(jac), compute_uv=False)
-    if singular[0] == 0:
-        return 0, math.inf
-    rank = int(np.sum(singular > rank_rel * singular[0]))
-    if rank >= len(singular) or singular[rank] == 0:
-        gap = math.inf
-    else:
-        gap = float(singular[rank - 1] / singular[rank])
+    (rank,), (gap,) = _ranks(np.asarray(jac)[None], rank_rel)
+    rank, gap = int(rank), float(gap)
     if gap < min_gap:
         raise RankGapError(f"singular value gap {gap:.3g} below {min_gap:.3g}")
     return rank, gap
@@ -244,13 +270,33 @@ class LocalDimension:
     gap: float
 
 
+def _local_dimensions(mats: np.ndarray, system: ConstraintSystem, tol: Tolerances):
+    """The check stages on an (S, n, 2, 2) stack: the residual norm of
+    every sample, then for those within tol.residual one stacked Jacobian
+    and one stacked SVD.  Returns (res, rank, gap); rank is -1 and gap
+    NaN where the residual gate fails or the Jacobian is not finite."""
+    res = np.max(np.abs(system.residuals(mats)), axis=-1)
+    rank = np.full(len(mats), -1)
+    gap = np.full(len(mats), np.nan)
+    near = np.flatnonzero(res <= tol.residual)
+    if near.size:
+        jac = system.jacobian(mats[near])
+        finite = np.all(np.isfinite(jac), axis=(-2, -1))
+        if finite.any():
+            rank[near[finite]], gap[near[finite]] = _ranks(jac[finite], tol.rank_rel)
+    return res, rank, gap
+
+
 def local_dimension(mats, system: ConstraintSystem, tol: Tolerances = Tolerances()) -> LocalDimension:
     """Local dimension 4n - rank(Jacobian) at a near-solution sample."""
-    res = system.residual_norm(mats)
-    if not math.isfinite(res) or res > tol.residual:
+    (res,), (rank,), (gap,) = _local_dimensions(np.asarray(mats, dtype=complex)[None], system, tol)
+    if not res <= tol.residual:
         raise ResidualError(f"residual {res:.3g} above {tol.residual:.3g}")
-    rank, gap = jacobian_rank(system.jacobian(mats), tol.rank_rel, tol.min_rank_gap)
-    return LocalDimension(system.ambient_dim - rank, rank, gap)
+    if rank < 0:
+        raise RankGapError("jacobian has non-finite entries")
+    if gap < tol.min_rank_gap:
+        raise RankGapError(f"singular value gap {gap:.3g} below {tol.min_rank_gap:.3g}")
+    return LocalDimension(system.ambient_dim - int(rank), int(rank), float(gap))
 
 
 def sample_rng(seed: int, index: int) -> np.random.Generator:
@@ -258,46 +304,60 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
+def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solutions of a stack of systems a x = b,
+    by stacked SVD with np.linalg.lstsq's default cutoff."""
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(a.shape[-2:]) * s[..., :1]
+    coef = (u.conj().swapaxes(-1, -2) @ b[..., None])[..., 0]
+    coef = np.divide(coef, s, out=np.zeros_like(coef), where=keep)
+    return (vh.conj().swapaxes(-1, -2) @ coef[..., None])[..., 0]
+
+
 def _polish_last(prefix_word: np.ndarray, root: np.ndarray, power: int, sign: int,
                  steps: int = 4) -> np.ndarray:
-    """Gauss-Newton refinement of the solved last matrix.
+    """Gauss-Newton refinement of the solved last matrices, an (S, 2, 2)
+    stack with its prefix words.
 
     Root extraction through an eigenbasis loses accuracy when the target
     matrix has large entries; a few corrector steps on the system
     (det m - 1, W m^power - sign I) pull the residual back to rounding
-    level without leaving the chosen branch.
+    level without leaving the chosen branch.  A row stops once its
+    residual is below 1e-13 or not finite and keeps its best iterate;
+    the others step together through a stacked SVD solve, which, unlike
+    normal equations, does not square the magnitude spread of the word
+    rows.
     """
-    m = np.asarray(root, dtype=complex)
-    best, best_res = m, math.inf
-    for _ in range(steps + 1):
-        value, derivs = _power_with_derivs(m, power)
-        fvec = np.concatenate((
-            [determinant(m) - 1.0],
-            (prefix_word @ value - sign * IDENTITY).ravel(),
-        ))
-        res = float(np.max(np.abs(fvec)))
-        if not math.isfinite(res):
+    m, word, target = root, prefix_word, sign * IDENTITY
+    best, best_res = root.copy(), np.full(len(root), math.inf)
+    rows = np.arange(len(root))  # where the stepping rows sit in best
+    for step in range(steps + 1):
+        fvec = np.empty((len(m), 5), dtype=complex)
+        fvec[:, 0] = determinant(m) - 1.0
+        fvec[:, 1:] = (word @ mat_power(m, power) - target).reshape(-1, 4)
+        res = np.max(abs(fvec), axis=1)
+        better = res < best_res[rows]
+        best[rows[better]], best_res[rows[better]] = m[better], res[better]
+        go = (res >= 1e-13) & (res < math.inf)
+        if step == steps or not go.any():
             break
-        if res < best_res:
-            best, best_res = m, res
-        if res < 1e-13:
-            break
-        a, b, c, d = m.ravel()
-        jac = np.zeros((5, 4), dtype=complex)
-        jac[0] = (d, -c, -b, a)
-        jac[1:] = (prefix_word @ derivs).reshape(4, 4).T
-        delta = np.linalg.lstsq(jac, -fvec, rcond=None)[0]
-        m = m + delta.reshape(2, 2)
+        if not go.all():
+            m, word, fvec, rows = m[go], word[go], fvec[go], rows[go]
+        # most rows stop at the first check, so derivatives wait until here
+        jac = np.empty((len(m), 5, 4), dtype=complex)
+        jac[:, 0] = (m[:, ::-1, ::-1] * _DET_SIGNS).reshape(-1, 4)
+        jac[:, 1:] = np.swapaxes((word[:, None] @ _power_with_derivs(m, power)[1]).reshape(-1, 4, 4),
+                                 -1, -2)
+        m = m + _lstsq(jac, -fvec).reshape(-1, 2, 2)
     return best
 
 
-def _complete(prefix: list, word: np.ndarray, last: int, sign: int, branch: int):
-    """complete_point for a prefix whose word is already known."""
+def _complete(word: np.ndarray, last: int, sign: int, branches):
+    """Root and polish: the last matrices (S, 2, 2) for an (S, 2, 2) stack
+    of prefix words, and the mask of rows whose root class is empty."""
     target = sign * (adjugate(word) if last > 0 else word)
-    root = matrix_root(target, abs(last), branch)
-    if root is None:
-        return None
-    return np.stack(prefix + [_polish_last(word, root, last, sign)])
+    root, has_root = branch_roots(target, abs(last), branches)
+    return _polish_last(word, root, last, sign), ~has_root
 
 
 def complete_point(prefix, exponents, sign: int, branch: int):
@@ -309,10 +369,11 @@ def complete_point(prefix, exponents, sign: int, branch: int):
     branch picks among root branches modulo their count.
     """
     exps = validate_exponents(exponents)
-    prefix = [np.asarray(m, dtype=complex) for m in prefix]
+    prefix = np.asarray(prefix, dtype=complex).reshape(-1, 2, 2)
     if len(prefix) != len(exps) - 1:
         raise ValueError(f"need {len(exps) - 1} prefix matrices, got {len(prefix)}")
-    return _complete(prefix, eval_word(prefix, exps[:-1]), exps[-1], sign, branch)
+    last, obstructed = _complete(eval_word(prefix, exps[:-1])[None], exps[-1], sign, [branch])
+    return None if obstructed[0] else np.concatenate([prefix, last])
 
 
 @dataclass(frozen=True)
@@ -352,42 +413,46 @@ def build_plan(exponents, sign: int) -> SamplePlan:
                       prefix=build_plan(exps[:-1], sign))
 
 
-def _conjugated_diagonal(u: list, lam: complex) -> np.ndarray:
-    """C diag(lam, 1/lam) C^-1 in scalar arithmetic, C = U diag(s, 1/s) V
-    from seven uniforms u (Shoemake's unit quaternions for U and V)."""
-    (a, b), (g, h) = ((cmath.rect(math.sqrt(1 - x), 2 * math.pi * y),
-                       cmath.rect(math.sqrt(x), 2 * math.pi * z)) for x, y, z in (u[0:3], u[3:6]))
-    s = math.exp(_LOG_SPREAD * (2 * u[6] - 1))
-    # rows of U diag(s, 1/s), U = [[a, b], [-conj b, conj a]], times V likewise from g, h
-    rows = ((a * s, b / s), (-b.conjugate() * s, a.conjugate() / s))
-    (c00, c01), (c10, c11) = ((x * g - y * h.conjugate(), x * h + y * g.conjugate()) for x, y in rows)
-    mu = 1 / lam
-    return mat2(lam * c00 * c11 - mu * c01 * c10, (mu - lam) * c00 * c01,
-                (lam - mu) * c10 * c11, mu * c00 * c11 - lam * c01 * c10)
+def _conjugated_diagonal(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """C diag(lam, 1/lam) C^-1 with C = U diag(s, 1/s) V from seven
+    uniforms (Shoemake's unit quaternions for U and V): u of shape
+    (..., 7) and lam of shape (...) give a (..., 2, 2) stack."""
+    # a, b, g, h with U = [[a, b], [-conj b, conj a]] and V likewise from g, h
+    quat = np.sqrt(abs(_QUAT_SHIFT - u[..., [0, 0, 3, 3]])) * np.exp(2j * math.pi * u[..., [1, 2, 4, 5]])
+    uv = np.concatenate([quat, quat.conj()], axis=-1)[..., _SU2_ENTRIES] * _SU2_SIGNS
+    uv = uv.reshape(uv.shape[:-1] + (2, 2, 2))
+    s = np.exp(_LOG_SPREAD * (2 * u[..., 6] - 1))
+    c = (uv[..., 0, :, :] * (s[..., None] ** _RECIPROCAL)[..., None, :]) @ uv[..., 1, :, :]
+    # det C = 1, so C^-1 is the adjugate
+    return (c * (lam[..., None] ** _RECIPROCAL)[..., None, :]) @ adjugate(c)
 
 
-def _letter(p: int, rng: np.random.Generator) -> np.ndarray:
-    """A generic prefix letter for the exponent p from nine uniforms (see
-    the module docstring)."""
-    u = rng.random(9).tolist()
+def _letters(exps, u: np.ndarray) -> np.ndarray:
+    """Generic prefix letters for the exponents exps from nine uniforms
+    each, u of shape (..., len(exps), 9) (see the module docstring)."""
     # 1 / abs(p) divides ints, so exponents past the float range do not overflow
-    lam = cmath.exp(complex(_LOG_SPREAD * (2 * u[7] - 1) * (1 / abs(p)),
-                            _ARG_MARGIN + (math.pi - 2 * _ARG_MARGIN) * u[8]))
-    return _conjugated_diagonal(u, lam)
+    scale = np.array([1 / abs(p) for p in exps])
+    lam = np.exp(_LOG_SPREAD * (2 * u[..., 7] - 1) * scale
+                 + 1j * (_ARG_MARGIN + (math.pi - 2 * _ARG_MARGIN) * u[..., 8]))
+    return _conjugated_diagonal(u[..., :7], lam)
 
 
-def _orbit_point(cls: TraceClass, rng: np.random.Generator) -> np.ndarray:
-    """Random conjugate of diag(zeta, 1/zeta), zeta = exp(i pi angle), by
-    the same near-unitary C as a prefix letter."""
-    return _conjugated_diagonal(rng.random(7).tolist(), cmath.exp(1j * math.pi * float(cls.angle)))
+def _orbit_point(angles, u: np.ndarray) -> np.ndarray:
+    """Random conjugates of diag(zeta, 1/zeta), zeta = exp(i pi angle), by
+    the same near-unitary C as a prefix letter, from seven uniforms each:
+    angles of shape (...) and u of shape (..., 7)."""
+    return _conjugated_diagonal(u, np.exp(1j * math.pi * np.asarray(angles, dtype=float)))
 
 
-def _sample_orbit_point(k: int, target_sign: int, rng: np.random.Generator) -> np.ndarray:
-    """Random point on a random eigenvalue-pair orbit of {A : A^k = target_sign*I}."""
+def _orbit_draws(k: int, target_sign: int, rngs) -> np.ndarray:
+    """Random points on random eigenvalue-pair orbits of {A : A^k =
+    target_sign*I}, one per generator: an orbit index, then seven uniforms."""
     count = orbit_count(k, target_sign)
     if not count:
         raise OracleError(f"no orbit components for power {k}, sign {target_sign}")
-    return _orbit_point(orbit_class(k, target_sign, int(rng.integers(count))), rng)
+    draws = [(float(orbit_class(k, target_sign, int(rng.integers(count))).angle), rng.random(7))
+             for rng in rngs]
+    return _orbit_point([angle for angle, _ in draws], np.stack([u for _, u in draws]))
 
 
 @dataclass
@@ -396,37 +461,69 @@ class Sample:
     witness_traces: list = field(default_factory=list)
 
 
-def sample_from_plan(plan: SamplePlan, branch: int, rng: np.random.Generator) -> Sample:
+def _draw_samples(plan: SamplePlan, branches: np.ndarray, rngs):
+    """The draw, root and polish stages, one sample per generator.
+
+    Returns the (S, n, 2, 2) points, the mask of obstructed samples
+    (their last matrix is NaN), and the (S, w) genericity witnesses: for a
+    generic plan, the traces of each prefix letter and prefix word.
+    """
+    size = len(rngs)
     if plan.kind == "leaf":
         k = abs(plan.exponents[0])
+        no_witness = np.empty((size, 0), dtype=complex)
         if orbit_count(k, plan.sign):
-            return Sample(np.stack([_sample_orbit_point(k, plan.sign, rng)]))
+            return _orbit_draws(k, plan.sign, rngs)[:, None], np.zeros(size, dtype=bool), no_witness
         central = central_signs(k, plan.sign)
-        eta = central[branch % len(central)]
-        return Sample(np.stack([eta * IDENTITY]))
+        eta = np.array([central[branch % len(central)] for branch in branches])
+        return eta[:, None, None, None] * IDENTITY, np.zeros(size, dtype=bool), no_witness
     if plan.kind == "stratum":
-        inner = sample_from_plan(plan.prefix, branch, rng)
-        if inner.mats is None:
-            return inner
-        k = abs(plan.exponents[-1])
-        fiber = _sample_orbit_point(k, plan.fiber_sign, rng)
-        return Sample(np.concatenate([inner.mats, fiber[None, :, :]]),
-                      inner.witness_traces)
-    # generic: the traces of each letter and prefix word are genericity witnesses
+        inner, obstructed, witnesses = _draw_samples(plan.prefix, branches, rngs)
+        fiber = _orbit_draws(abs(plan.exponents[-1]), plan.fiber_sign, rngs)
+        return np.concatenate([inner, fiber[:, None]], axis=1), obstructed, witnesses
     exps = plan.exponents
-    prefix, witnesses = [], []
+    n = len(exps)
+    letters = _letters(exps[:-1], np.stack([rng.random(9 * (n - 1)) for rng in rngs]).reshape(size, n - 1, 9))
     word = IDENTITY
-    for p in exps[:-1]:
-        m = _letter(p, rng)
-        word = word @ mat_power(m, p)
-        prefix.append(m)
-        witnesses += [complex(np.trace(m)), complex(np.trace(word))]
-    mats = _complete(prefix, word, exps[-1], plan.sign, branch)
-    return Sample(mats, witnesses)
+    witnesses = []
+    for i, p in enumerate(exps[:-1]):
+        word = word @ mat_power(letters[:, i], p)
+        witnesses += [letters[:, i], word]
+    last, obstructed = _complete(word, exps[-1], plan.sign, branches)
+    traces = np.trace(np.stack(witnesses, axis=1), axis1=-2, axis2=-1)
+    return np.concatenate([letters, last[:, None]], axis=1), obstructed, traces
 
 
-def _near_central_trace(witnesses, tol: float) -> bool:
-    return any(min(abs(w - 2), abs(w + 2)) < tol for w in witnesses)
+def sample_from_plan(plan: SamplePlan, branch: int, rng: np.random.Generator) -> Sample:
+    """One sample of a plan: the stack of one that a run with this stream
+    and branch (the sample index) draws."""
+    mats, obstructed, witnesses = _draw_samples(plan, np.array([branch]), [rng])
+    return Sample(None if obstructed[0] else mats[0], witnesses[0].tolist())
+
+
+def _near_central_trace(witnesses: np.ndarray, tol: float) -> np.ndarray:
+    return np.any(np.minimum(abs(witnesses - 2), abs(witnesses + 2)) < tol, axis=-1)
+
+
+def _dimension_verdicts(plan: SamplePlan, system: ConstraintSystem, seed: int,
+                        num_samples: int, tol: Tolerances):
+    """The stages of a dimension run over samples 0..num_samples-1: each
+    sample's verdict, its rejection reason or else its local dimension,
+    and the rank gaps of the accepted samples."""
+    mats, obstructed, witnesses = _draw_samples(
+        plan, np.arange(num_samples), [sample_rng(seed, index) for index in range(num_samples)])
+    verdicts = np.full(num_samples, None, dtype=object)
+    generic = ~_near_central_trace(witnesses, tol.genericity)
+    verdicts[~generic] = "genericity"
+    verdicts[generic & obstructed] = "obstructed"
+    checked = np.flatnonzero(generic & ~obstructed)
+    res, rank, gap = _local_dimensions(mats[checked], system, tol)
+    near = res <= tol.residual
+    good = gap >= tol.min_rank_gap
+    verdicts[checked[~near]] = "residual"
+    verdicts[checked[near & ~good]] = "rank_gap"
+    verdicts[checked[good]] = (system.ambient_dim - rank[good]).tolist()
+    return verdicts.tolist(), gap[good]
 
 
 @dataclass
@@ -495,39 +592,26 @@ def verify_dimension(
     sample reports the same local dimension, and that consensus equals
     the predicted dimension.  Root branches are swept round-robin via
     the sample index.  Word lengths are capped at 8 and sample counts
-    at MAX_SAMPLES as cost guards.
+    at MAX_SAMPLES as cost guards, and |exponents| at MAX_VERIFY_EXPONENT,
+    beyond which float64 cannot check m^p to the residual gate.
     """
     exps = validate_exponents(exponents)
     if not 2 <= len(exps) <= 8:
         raise ValueError(f"verification covers word lengths 2..8, got {len(exps)}")
+    if max(map(abs, exps)) > MAX_VERIFY_EXPONENT:
+        raise ValueError(f"verification covers exponents up to |p| = {MAX_VERIFY_EXPONENT}, "
+                         f"got {max(exps, key=abs)}")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     if not 1 <= num_samples <= MAX_SAMPLES:
         raise ValueError(f"samples must be in 1..{MAX_SAMPLES}, got {num_samples}")
     predicted = product_power_dim(exps, sign).dim
-    plan = build_plan(exps, sign)
     system = ConstraintSystem(len(exps), exps, sign)
-    histogram: dict[int, int] = {}
-    rejections = {"obstructed": 0, "genericity": 0, "residual": 0, "rank_gap": 0}
-    min_gap = math.inf
-    for index in range(num_samples):
-        sample = sample_from_plan(plan, index, sample_rng(seed, index))
-        if _near_central_trace(sample.witness_traces, tol.genericity):
-            rejections["genericity"] += 1
-            continue
-        if sample.mats is None:
-            rejections["obstructed"] += 1
-            continue
-        try:
-            local = local_dimension(sample.mats, system, tol)
-        except ResidualError:
-            rejections["residual"] += 1
-            continue
-        except RankGapError:
-            rejections["rank_gap"] += 1
-            continue
-        histogram[local.dim] = histogram.get(local.dim, 0) + 1
-        min_gap = min(min_gap, local.gap)
+    verdicts, gaps = _dimension_verdicts(build_plan(exps, sign), system, seed, num_samples, tol)
+    rejections = {reason: verdicts.count(reason)
+                  for reason in ("obstructed", "genericity", "residual", "rank_gap")}
+    histogram = dict(Counter(v for v in verdicts if isinstance(v, int)))
+    min_gap = float(np.min(gaps)) if len(gaps) else math.inf
     accepted = sum(histogram.values())
     consensus = _consensus(histogram)
     passed = bool(accepted > 0 and len(histogram) == 1 and consensus == predicted)
@@ -582,32 +666,31 @@ def verify_central_roots(
         central_checks[label] = local.dim
         if local.dim != 0:
             ok = False
-    histogram: dict[int, int] = {}
     tallies: dict[str, int] = {}
-    rejections = {"obstructed": 0, "genericity": 0, "residual": 0, "rank_gap": 0}
-    min_gap = math.inf
     per_class = 0
     if classes.orbits:
         per_class = max(1, -(-num_samples // len(classes.orbits)))
-    for class_index, cls in enumerate(classes.orbits):
-        for rep in range(per_class):
-            index = class_index * per_class + rep
-            mat = _orbit_point(cls, sample_rng(seed, index))
-            try:
-                local = local_dimension(np.stack([mat]), system, tol)
-            except ResidualError:
-                rejections["residual"] += 1
-                continue
-            except RankGapError:
-                rejections["rank_gap"] += 1
-                continue
-            histogram[local.dim] = histogram.get(local.dim, 0) + 1
-            min_gap = min(min_gap, local.gap)
-            matched = classify_trace(np.trace(mat), traces, tol.trace)
-            if matched != cls or local.dim != 2:
-                ok = False
-            if matched is not None:
-                tallies[matched.label()] = tallies.get(matched.label(), 0) + 1
+    # sample index class_index * per_class + rep draws class class_index
+    total = per_class * len(classes.orbits)
+    mats = np.empty((0, 2, 2), dtype=complex)
+    if total:
+        uniforms = np.stack([sample_rng(seed, index).random(7) for index in range(total)])
+        angles = np.repeat([float(cls.angle) for cls in classes.orbits], per_class)
+        mats = _orbit_point(angles, uniforms)
+    res, rank, gap = _local_dimensions(mats[:, None], system, tol)
+    near = res <= tol.residual
+    good = gap >= tol.min_rank_gap
+    rejections = {"obstructed": 0, "genericity": 0,
+                  "residual": int(np.sum(~near)), "rank_gap": int(np.sum(near & ~good))}
+    dims = system.ambient_dim - rank
+    histogram = dict(Counter(dims[good].tolist()))
+    min_gap = float(np.min(gap[good])) if good.any() else math.inf
+    for index in np.flatnonzero(good):
+        matched = classify_trace(np.trace(mats[index]), traces, tol.trace)
+        if matched != classes.orbits[index // per_class] or dims[index] != 2:
+            ok = False
+        if matched is not None:
+            tallies[matched.label()] = tallies.get(matched.label(), 0) + 1
     accepted = sum(histogram.values())
     sampled_classes = len(tallies)
     if classes.orbits:
@@ -622,7 +705,7 @@ def verify_central_roots(
         inputs={"power": p, "sign": sign},
         seed=seed,
         tolerances=tol,
-        samples_requested=per_class * len(classes.orbits),
+        samples_requested=total,
         samples_accepted=accepted,
         rejections=rejections,
         local_dim_histogram=histogram,

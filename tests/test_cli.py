@@ -7,7 +7,7 @@ import pytest
 from sl2rep import census, oracle
 from sl2rep.census import MAX_SEQUENCE_COUNT
 from sl2rep.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
-from sl2rep.oracle import MAX_CENTRAL_POWER, MAX_SAMPLES
+from sl2rep.oracle import MAX_CENTRAL_POWER, MAX_SAMPLES, MAX_VERIFY_EXPONENT
 
 
 def run(capsys, *argv):
@@ -184,7 +184,7 @@ def _reached(*args, **kwargs):
 @pytest.mark.parametrize(
     "module,costly,argv,cap",
     [
-        (oracle, "sample_from_plan", ("verify", "dim", "2,2", "--samples"), MAX_SAMPLES),
+        (oracle, "_draw_samples", ("verify", "dim", "2,2", "--samples"), MAX_SAMPLES),
         (oracle, "_orbit_point", ("verify", "omega", "--p", "5", "--samples"), MAX_SAMPLES),
         (oracle, "_orbit_point", ("verify", "omega", "--p"), MAX_CENTRAL_POWER),
         (census, "consecutive_prime_triples", ("sequence", "--count"), MAX_SEQUENCE_COUNT),
@@ -200,6 +200,20 @@ def test_input_caps(capsys, monkeypatch, module, costly, argv, cap):
     assert code == EXIT_USAGE
     assert out == ""
     assert str(cap) in err
+
+
+@pytest.mark.parametrize("word", ["{},3,5", "3,5,{}", "{},3"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_exponent_cap(capsys, monkeypatch, word, sign):
+    # as test_input_caps: at the cap the run reaches its first stage, one
+    # above it exits 2 without drawing a sample
+    monkeypatch.setattr(oracle, "_draw_samples", _reached)
+    with pytest.raises(_Reached):
+        main(["verify", "dim", word.format(sign * MAX_VERIFY_EXPONENT), "--samples", "2"])
+    code, out, err = run(capsys, "verify", "dim", word.format(sign * (MAX_VERIFY_EXPONENT + 1)))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert str(MAX_VERIFY_EXPONENT) in err
 
 
 def test_verify_dim_fails_when_nothing_is_accepted(capsys):

@@ -9,12 +9,12 @@ from sl2rep.matrices import (
     Jordan,
     Scalar,
     adjugate,
+    branch_roots,
     determinant,
     eigen_split,
     eval_word,
     mat2,
     mat_power,
-    matrix_root,
     matrix_roots,
     random_sl2,
 )
@@ -224,12 +224,16 @@ def test_matrix_root_builds_one_branch_of_matrix_roots():
     targets += [(mat2(1, 1, 0, 1), 3), (mat2(-1, 1, 0, -1), 3), (mat2(-1, 1, 0, -1), 4)]
     for m, k in targets:
         roots = matrix_roots(m, k)
-        for branch in range(2 * len(roots) + 1):
-            root = matrix_root(m, k, branch)
-            if not roots:
-                assert root is None
-            else:
-                assert np.array_equal(root, roots[branch % len(roots)])
+        # every branch in one stack, and each branch alone
+        branches = np.arange(2 * len(roots) + 1)
+        stacked, has_root = branch_roots(np.broadcast_to(m, (len(branches), 2, 2)), k, branches)
+        for branch in branches:
+            alone, alone_has_root = branch_roots(m[None], k, [branch])
+            for root, ok in ((stacked[branch], has_root[branch]), (alone[0], alone_has_root[0])):
+                if not roots:
+                    assert not ok and np.all(np.isnan(root))
+                else:
+                    assert ok and np.array_equal(root, roots[branch % len(roots)])
 
 
 def test_matrix_roots_order_one_and_validation():

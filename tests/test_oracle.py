@@ -2,7 +2,6 @@
 
 import json
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from sl2rep.matrices import IDENTITY, adjugate, determinant, mat2, mat_power, ra
 from sl2rep.oracle import (
     MAX_CENTRAL_POWER,
     MAX_SAMPLES,
+    MAX_VERIFY_EXPONENT,
     ConstraintSystem,
     RankGapError,
     ResidualError,
@@ -26,8 +26,8 @@ from sl2rep.oracle import (
     verify_central_roots,
     verify_dimension,
 )
-from sl2rep.oracle import _letter, _orbit_point, _power_with_derivs
-from sl2rep.traces import TraceClass
+from sl2rep.oracle import _dimension_verdicts, _letters, _orbit_point, _power_with_derivs
+from sl2rep.traces import orbit_count
 
 
 def test_tolerance_defaults():
@@ -91,8 +91,7 @@ def test_analytic_jacobian_matches_finite_differences(exponents, sign):
 def _elliptic_point(n, rng):
     """n random elliptic matrices with well-conditioned conjugators, so
     that even 211th powers stay of moderate size."""
-    return np.stack([_orbit_point(TraceClass(Fraction(rng.uniform(0.05, 0.95))), rng)
-                     for _ in range(n)])
+    return np.stack([_orbit_point(rng.uniform(0.05, 0.95), rng.random(7)) for _ in range(n)])
 
 
 def test_residuals_of_a_stack_equal_the_residuals_of_each_point():
@@ -179,10 +178,9 @@ def _rel_err(got, ref):
 
 def _power_test_points():
     rng = np.random.default_rng(41)
-    elliptic = [_orbit_point(TraceClass(Fraction(rng.uniform(0.05, 0.95))), rng)
-                for _ in range(3)]
+    elliptic = [_orbit_point(rng.uniform(0.05, 0.95), rng.random(7)) for _ in range(3)]
     # trace 2 - 1e-3: near-parabolic, where closed forms in the trace lose digits
-    near_parabolic = _orbit_point(TraceClass(Fraction(np.arccos(1 - 5e-4) / np.pi)), rng)
+    near_parabolic = _orbit_point(np.arccos(1 - 5e-4) / np.pi, rng.random(7))
     assert abs(np.trace(near_parabolic) - (2 - 1e-3)) < 1e-9
     return elliptic + [near_parabolic, elliptic[0] * (1 + 1e-4)]
 
@@ -210,6 +208,124 @@ def test_power_derivatives_match_sum_and_differences():
                 bump[divmod(e, 2)] = step
                 diff = (mat_power(m + bump, p) - mat_power(m - bump, p)) / (2 * step)
                 assert _rel_err(derivs[e], diff) < 1e-5
+
+
+def _loop_power_with_derivs(m, p):
+    """Reference for _power_with_derivs: the same binary exponentiation on
+    one matrix, starting from I, which the stacked code matches bit for
+    bit at finite entries."""
+    k = abs(p)
+    elems = np.eye(4, dtype=complex).reshape(4, 2, 2)
+    base, dbase = (np.asarray(m, dtype=complex), elems) if p >= 0 else (adjugate(m), adjugate(elems))
+    value = IDENTITY.copy()
+    derivs = np.zeros((4, 2, 2), dtype=complex)
+    while k:
+        if k & 1:
+            derivs = derivs @ base + value @ dbase
+            value = value @ base
+        k >>= 1
+        if k:
+            dbase = dbase @ base + base @ dbase
+            base = base @ base
+    return value, derivs
+
+
+def _loop_jacobian(system, mats):
+    """Reference for ConstraintSystem.jacobian: the per-letter loop on one
+    point, which the single-point call matches bit for bit."""
+    n = system.num_matrices
+    jac = np.zeros((n + (4 if system.exponents is not None else 0), 4 * n), dtype=complex)
+    for i in range(n):
+        a, b, c, d = mats[i].ravel()
+        jac[i, 4 * i: 4 * i + 4] = (d, -c, -b, a)
+    if system.exponents is not None:
+        value = IDENTITY.copy()
+        word_derivs = np.zeros((4 * n, 2, 2), dtype=complex)
+        for i, p in enumerate(system.exponents):
+            factor, factor_derivs = _loop_power_with_derivs(mats[i], p)
+            word_derivs = word_derivs @ factor
+            word_derivs[4 * i: 4 * i + 4] += value @ factor_derivs
+            value = value @ factor
+        jac[n:] = word_derivs.reshape(4 * n, 4).T
+    return jac
+
+
+def _stack_cases():
+    """(system, three points stacked) on lengths 1-10, both central signs,
+    exponents +-{2, 9, 211, 2000}, and a free system."""
+    rng = np.random.default_rng(73)
+    for n in range(1, 11):
+        for sign in (1, -1):
+            exps = tuple(int(x) for x in rng.choice(_TEST_POWERS, size=n))
+            yield ConstraintSystem(n, exps, sign), np.stack([_elliptic_point(n, rng) for _ in range(3)])
+    yield ConstraintSystem(3), np.stack([_elliptic_point(3, rng) for _ in range(3)])
+
+
+def test_single_point_jacobian_equals_the_loop():
+    for system, stack in _stack_cases():
+        for mats in stack:
+            assert np.array_equal(system.jacobian(mats), _loop_jacobian(system, mats))
+    for m in _power_test_points():
+        for p in _TEST_POWERS:
+            for got, ref in zip(_power_with_derivs(m, p), _loop_power_with_derivs(m, p)):
+                assert np.array_equal(got, ref)
+
+
+def test_stacked_jacobian_and_powers_equal_each_point():
+    for system, stack in _stack_cases():
+        n = system.num_matrices
+        got = system.jacobian(stack)
+        assert got.shape == (3, len(system.residuals(stack[0])), 4 * n)
+        for mats, jac in zip(stack, got):
+            assert np.array_equal(jac, system.jacobian(mats))
+        for i, p in enumerate(system.exponents or ()):
+            values, derivs = _power_with_derivs(stack[:, i], p)
+            assert derivs.shape == (3, 4, 2, 2)
+            for mats, value, deriv in zip(stack, values, derivs):
+                alone = _power_with_derivs(mats[i], p)
+                assert np.array_equal(value, alone[0]) and np.array_equal(deriv, alone[1])
+
+
+def _replay_verdict(plan, system, seed, index, tol):
+    """One sample alone through the single-sample entry points, with the
+    rejection order of a run: genericity, obstructed, residual, rank_gap."""
+    sample = sample_from_plan(plan, index, sample_rng(seed, index))
+    if any(min(abs(w - 2), abs(w + 2)) < tol.genericity for w in sample.witness_traces):
+        return "genericity"
+    if sample.mats is None:
+        return "obstructed"
+    try:
+        return local_dimension(sample.mats, system, tol).dim
+    except ResidualError:
+        return "residual"
+    except RankGapError:
+        return "rank_gap"
+
+
+@pytest.mark.parametrize(
+    "exponents,sign,seed",
+    [
+        ((3, 5, 7), 1, 0),
+        ((-3, 9, -211, 2000), -1, 4),
+        ((2, 5), -1, 1),   # stratum: the prefix letter on -I
+        ((2, 2), 1, 2),    # stratum: sign flip
+        ((-3, 9, 211), 1, 1140749727),   # near-parabolic last matrices
+        ((9, 6, 271), -1, 177841464),
+    ],
+)
+def test_run_verdicts_replay_sample_by_sample(exponents, sign, seed):
+    system = ConstraintSystem(len(exponents), exponents, sign)
+    plan = build_plan(exponents, sign)
+    # the tightened gates split most words between accepted and rejected
+    for tol in (Tolerances(), Tolerances(genericity=0.2), Tolerances(residual=1e-15),
+                Tolerances(residual=3e-15), Tolerances(min_rank_gap=1e15)):
+        verdicts, gaps = _dimension_verdicts(plan, system, seed, 10, tol)
+        assert verdicts == [_replay_verdict(plan, system, seed, i, tol) for i in range(10)]
+        assert len(gaps) == sum(isinstance(v, int) for v in verdicts)
+        report = verify_dimension(exponents, sign, num_samples=10, seed=seed, tol=tol)
+        assert report.rejections == {r: verdicts.count(r) for r in report.rejections}
+        assert report.local_dim_histogram == {d: verdicts.count(d) for d in set(verdicts)
+                                              if isinstance(d, int)}
 
 
 @pytest.mark.parametrize(
@@ -312,8 +428,7 @@ def test_prefix_letters_are_bounded_by_construction():
     margin = 2 * (1 - math.cos(0.05))
     for p in _DRAW_POWERS:
         departures = []
-        for _ in range(40):
-            m = _letter(p, rng)
+        for m in _letters((p,), rng.random((40, 1, 9)))[:, 0]:
             departures.append(np.linalg.norm(m @ m.conj().T - m.conj().T @ m))
             assert abs(determinant(m) - 1) <= 1e-13
             trace = np.trace(m)
@@ -328,48 +443,49 @@ def test_prefix_words_stay_within_their_bound():
     rng = np.random.default_rng(67)
     for p in _DRAW_POWERS:
         for sign in (1, -1):
-            for _ in range(10):
+            for letters in _letters((p,) * 8, rng.random((10, 8, 9))):
                 word = IDENTITY
-                for length in range(1, 9):
-                    word = word @ mat_power(_letter(p, rng), sign * p)
+                for length, m in enumerate(letters, start=1):
+                    word = word @ mat_power(m, sign * p)
                     assert np.linalg.norm(word, 2) <= math.exp(0.6 * length) * (1 + 1e-9)
 
 
 def test_orbit_points_use_a_near_unitary_conjugator():
     rng = np.random.default_rng(71)
     for p in _DRAW_POWERS:
-        cls = TraceClass(Fraction(1, p))
-        for _ in range(20):
-            m = _orbit_point(cls, rng)
+        for m in _orbit_point(np.full(20, 1 / p), rng.random((20, 7))):
             assert abs(determinant(m) - 1) <= 1e-13
             assert np.linalg.norm(m, 2) <= math.exp(0.4) * (1 + 1e-12)
             assert abs(np.trace(m) - 2 * math.cos(math.pi / p)) <= 1e-12
 
 
-def _advanced(seed, outputs):
-    rng = np.random.default_rng(seed)
-    rng.bit_generator.advance(outputs)
-    return rng.bit_generator.state
-
-
 def test_draws_take_a_fixed_number_of_uniforms():
-    # no data-dependent loop: a letter advances the generator by exactly
-    # nine outputs and an orbit point by seven, whatever they drew
-    for p in _DRAW_POWERS:
-        rng = np.random.default_rng(p)
-        for count in range(1, 21):
-            _letter(p, rng)
-            assert rng.bit_generator.state == _advanced(p, 9 * count)
-        rng = np.random.default_rng(p)
-        _orbit_point(TraceClass(Fraction(1, p)), rng)
-        assert rng.bit_generator.state == _advanced(p, 7)
+    # no data-dependent loop: a generic sample takes exactly nine uniforms
+    # per prefix letter, whatever it drew, in one call that is bitwise the
+    # stream of one nine-uniform call per letter
+    for n in range(2, 9):
+        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+        assert np.array_equal(rng.random(9 * (n - 1)),
+                              np.concatenate([ref.random(9) for _ in range(n - 1)]))
+        assert rng.bit_generator.state == ref.bit_generator.state
     exps = (9, -211, 2000, -20000, 2)
     plan = build_plan(exps, -1)
     assert plan.kind == "generic"
     for index in range(20):
         rng = np.random.default_rng(index)
         sample_from_plan(plan, index, rng)
-        assert rng.bit_generator.state == _advanced(index, 9 * (len(exps) - 1))
+        ref = np.random.default_rng(index)
+        ref.bit_generator.advance(9 * (len(exps) - 1))
+        assert rng.bit_generator.state == ref.bit_generator.state
+    # a stratum sample takes an orbit index, then seven uniforms, per letter
+    plan = build_plan((2, 5), -1)
+    for index in range(20):
+        rng, ref = np.random.default_rng(index), np.random.default_rng(index)
+        sample_from_plan(plan, index, rng)
+        for k, target_sign in ((2, -1), (5, 1)):
+            ref.integers(orbit_count(k, target_sign))
+            ref.random(7)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_sample_rng_streams():
@@ -448,6 +564,19 @@ def test_verify_dimension_validation():
         verify_dimension((2, 2), 1, num_samples=0)
     with pytest.raises(ValueError):
         verify_dimension((2, 2), 1, num_samples=MAX_SAMPLES + 1)
+    for exps in ((MAX_VERIFY_EXPONENT + 1, 3, 5), (3, 5, -MAX_VERIFY_EXPONENT - 1), (3, 10**400)):
+        with pytest.raises(ValueError):
+            verify_dimension(exps, 1)
+
+
+def test_verify_dimension_at_the_exponent_cap():
+    # float64 still checks m^p to the residual gate at the cap
+    for exps in ((MAX_VERIFY_EXPONENT, 3, 5), (3, 5, -MAX_VERIFY_EXPONENT),
+                 (-MAX_VERIFY_EXPONENT, 3)):
+        for sign in (1, -1):
+            report = verify_dimension(exps, sign, num_samples=10, seed=5)
+            assert report.passed
+            assert report.samples_accepted == 10
 
 
 def test_verify_dimension_report_is_deterministic():
