@@ -81,12 +81,10 @@ from .presentations import (
 from .traces import (
     ComponentSpectrum,
     TraceClass,
-    TracePolynomial,
     admissible_traces,
     central_root_classes,
     central_root_spectrum,
     classify_trace,
-    trace_poly,
 )
 
 __version__ = "0.1.0"

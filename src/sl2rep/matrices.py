@@ -3,10 +3,13 @@
 Matrices are numpy arrays of shape (2, 2), dtype complex128;
 determinant, adjugate, mat_power and eval_word also take (..., 2, 2)
 stacks and work matrix by matrix, and branch_roots takes a stack of
-root targets with one branch each.  Inverses of determinant-1 matrices
-are taken with the exact adjugate [[d, -b], [-c, a]], which is also the
-polynomial continuation used off the determinant-1 locus, so word maps
-stay polynomial in the entries.
+root targets with one branch each.  Every 2x2 product, here and in the
+oracle, is entry-wise through mul2: three array operations over the
+whole stack, where numpy's stacked @ calls BLAS once per matrix, and
+each product is bitwise the same however many are taken together.
+Inverses of determinant-1 matrices are taken with the exact adjugate
+[[d, -b], [-c, a]], which is also the polynomial continuation used off
+the determinant-1 locus, so word maps stay polynomial in the entries.
 """
 
 from __future__ import annotations
@@ -55,22 +58,28 @@ def determinant(m: np.ndarray):
     return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
+def mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for broadcastable (..., 2, 2) stacks, entry by entry:
+    (ab)_ij = a_i0 b_0j + a_i1 b_1j."""
+    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+
+
 def mat_power(m: np.ndarray, k: int) -> np.ndarray:
     """m**k by binary exponentiation; negative k goes through the adjugate."""
     if not isinstance(k, int):
         raise ValueError(f"matrix power must be an integer, got {k!r}")
-    if k < 0:
-        base = adjugate(m)
-        k = -k
-    else:
-        base = np.asarray(m, dtype=complex)
-    result = np.empty(base.shape, dtype=complex)
-    result[...] = IDENTITY
+    base = adjugate(m) if k < 0 else np.array(m, dtype=complex)
+    k = abs(k)
+    if not k:
+        return np.broadcast_to(IDENTITY, base.shape).copy()
+    result = None
     while k:
         if k & 1:
-            result = result @ base
-        base = base @ base
+            # the first factor is the result itself, with no product by I
+            result = base if result is None else mul2(result, base)
         k >>= 1
+        if k:
+            base = mul2(base, base)
     return result
 
 
@@ -88,7 +97,7 @@ def eval_word(mats, exponents) -> np.ndarray:
         raise ValueError(f"word needs {len(exponents)} matrices, got {len(mats)}")
     out = IDENTITY.copy()
     for m, p in zip(mats, exponents):
-        out = out @ mat_power(m, p)
+        out = mul2(out, mat_power(m, p))
     return out
 
 
@@ -181,7 +190,7 @@ def _diagonal_roots(lam: np.ndarray, basis: np.ndarray, k: int, branches: np.nda
     are built together."""
     mu = np.exp((np.log(lam) + 2j * np.pi * branches) / k)
     scaled = basis * np.stack([mu, 1 / mu], axis=-1)[..., None, :]
-    return scaled @ adjugate(basis) / determinant(basis)[..., None, None]
+    return mul2(scaled, adjugate(basis)) / determinant(basis)[..., None, None]
 
 
 def _root_branches(m: np.ndarray, k: int):

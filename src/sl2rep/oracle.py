@@ -47,14 +47,13 @@ from typing import Optional
 import numpy as np
 
 from .dimension import dimension_table, not_two, product_power_dim
-from .matrices import IDENTITY, adjugate, branch_roots, determinant, eval_word, mat_power
+from .matrices import IDENTITY, adjugate, branch_roots, determinant, eval_word, mat_power, mul2
 from .presentations import validate_exponents
 from .traces import (
     admissible_traces,
-    central_root_classes,
     central_root_spectrum,
     central_signs,
-    classify_trace,
+    match_traces,
     orbit_class,
     orbit_count,
 )
@@ -114,35 +113,38 @@ MAX_CENTRAL_POWER = 10**4
 MAX_VERIFY_EXPONENT = 10**7
 
 
+def _jet_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """[xy, dx y + x dy] for (..., 5, 2, 2) jets [x, dx]: a matrix and its
+    derivatives in four entries, multiplied by the product rule."""
+    out = mul2(left, right[..., :1, :, :])
+    out[..., 1:, :, :] += mul2(left[..., :1, :, :], right[..., 1:, :, :])
+    return out
+
+
 def _power_with_derivs(m: np.ndarray, p: int):
     """m^p (adjugate route for p < 0) and its derivatives in the four
     entries of m, for |p| >= 2 as validate_exponents requires: a
     (..., 2, 2) stack gives (..., 2, 2) values and (..., 4, 2, 2)
     derivatives.
 
-    Runs the binary exponentiation of mat_power, so the value is
-    bitwise equal to mat_power(m, p) at finite entries, and carries the
-    derivatives of the running result and of the repeated square through
-    it by the product rule: O(log |p|) matrix products.
+    Runs the binary exponentiation of mat_power on the jet [m^j, d m^j],
+    so the value is bitwise equal to mat_power(m, p) at finite entries
+    and the derivatives follow by the product rule: O(log |p|) products.
     """
     k = abs(p)
     m = np.asarray(m, dtype=complex)
     base, dbase = (m, _ELEM) if p >= 0 else (adjugate(m), _ADJ_ELEM)
-    value = derivs = None
+    jet = np.empty(base.shape[:-2] + (5, 2, 2), dtype=complex)
+    jet[..., 0, :, :], jet[..., 1:, :, :] = base, dbase
+    result = None
     while k:
-        square = base[..., None, :, :]
         if k & 1:
-            if value is None:
-                # mat_power's first product, I @ base, is base itself
-                value, derivs = base, dbase
-            else:
-                derivs = derivs @ square + value[..., None, :, :] @ dbase
-                value = value @ base
+            # mat_power's first factor is the result itself, with no product by I
+            result = jet if result is None else _jet_product(result, jet)
         k >>= 1
         if k:
-            dbase = dbase @ square + square @ dbase
-            base = base @ base
-    return value, derivs
+            jet = _jet_product(jet, jet)
+    return result[..., 0, :, :], result[..., 1:, :, :]
 
 
 @dataclass(frozen=True)
@@ -199,16 +201,17 @@ class ConstraintSystem:
         jac.reshape(lead + (-1,))[..., det_entries] = \
             (mats[..., ::-1, ::-1] * _DET_SIGNS).reshape(lead + (4 * n,))
         if self.exponents is not None:
-            word_derivs = np.empty(lead + (4 * n, 2, 2), dtype=complex)
-            # the word starts at its first factor, as I @ factor is factor
-            value, word_derivs[..., :4, :, :] = _power_with_derivs(mats[..., 0, :, :], self.exponents[0])
+            # row 0 holds the word so far, rows 4i+1..4i+4 its derivatives
+            # in the entries of m_i; the word starts at its first factor,
+            # as I @ factor is factor
+            word = np.empty(lead + (1 + 4 * n, 2, 2), dtype=complex)
+            word[..., 0, :, :], word[..., 1:5, :, :] = _power_with_derivs(mats[..., 0, :, :], self.exponents[0])
             for i, p in enumerate(self.exponents[1:], start=1):
                 factor, factor_derivs = _power_with_derivs(mats[..., i, :, :], p)
                 # the rows of later letters are not filled in yet
-                word_derivs[..., :4 * i, :, :] = word_derivs[..., :4 * i, :, :] @ factor[..., None, :, :]
-                word_derivs[..., 4 * i: 4 * i + 4, :, :] = value[..., None, :, :] @ factor_derivs
-                value = value @ factor
-            jac[..., n:, :] = np.swapaxes(word_derivs.reshape(lead + (4 * n, 4)), -1, -2)
+                word[..., 4 * i + 1: 4 * i + 5, :, :] = mul2(word[..., :1, :, :], factor_derivs)
+                word[..., :4 * i + 1, :, :] = mul2(word[..., :4 * i + 1, :, :], factor[..., None, :, :])
+            jac[..., n:, :] = np.swapaxes(word[..., 1:, :, :].reshape(lead + (4 * n, 4)), -1, -2)
         return jac
 
 
@@ -334,7 +337,7 @@ def _polish_last(prefix_word: np.ndarray, root: np.ndarray, power: int, sign: in
     for step in range(steps + 1):
         fvec = np.empty((len(m), 5), dtype=complex)
         fvec[:, 0] = determinant(m) - 1.0
-        fvec[:, 1:] = (word @ mat_power(m, power) - target).reshape(-1, 4)
+        fvec[:, 1:] = (mul2(word, mat_power(m, power)) - target).reshape(-1, 4)
         res = np.max(abs(fvec), axis=1)
         better = res < best_res[rows]
         best[rows[better]], best_res[rows[better]] = m[better], res[better]
@@ -346,7 +349,7 @@ def _polish_last(prefix_word: np.ndarray, root: np.ndarray, power: int, sign: in
         # most rows stop at the first check, so derivatives wait until here
         jac = np.empty((len(m), 5, 4), dtype=complex)
         jac[:, 0] = (m[:, ::-1, ::-1] * _DET_SIGNS).reshape(-1, 4)
-        jac[:, 1:] = np.swapaxes((word[:, None] @ _power_with_derivs(m, power)[1]).reshape(-1, 4, 4),
+        jac[:, 1:] = np.swapaxes(mul2(word[:, None], _power_with_derivs(m, power)[1]).reshape(-1, 4, 4),
                                  -1, -2)
         m = m + _lstsq(jac, -fvec).reshape(-1, 2, 2)
     return best
@@ -422,9 +425,9 @@ def _conjugated_diagonal(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     uv = np.concatenate([quat, quat.conj()], axis=-1)[..., _SU2_ENTRIES] * _SU2_SIGNS
     uv = uv.reshape(uv.shape[:-1] + (2, 2, 2))
     s = np.exp(_LOG_SPREAD * (2 * u[..., 6] - 1))
-    c = (uv[..., 0, :, :] * (s[..., None] ** _RECIPROCAL)[..., None, :]) @ uv[..., 1, :, :]
+    c = mul2(uv[..., 0, :, :] * (s[..., None] ** _RECIPROCAL)[..., None, :], uv[..., 1, :, :])
     # det C = 1, so C^-1 is the adjugate
-    return (c * (lam[..., None] ** _RECIPROCAL)[..., None, :]) @ adjugate(c)
+    return mul2(c * (lam[..., None] ** _RECIPROCAL)[..., None, :], adjugate(c))
 
 
 def _letters(exps, u: np.ndarray) -> np.ndarray:
@@ -487,7 +490,7 @@ def _draw_samples(plan: SamplePlan, branches: np.ndarray, rngs):
     word = IDENTITY
     witnesses = []
     for i, p in enumerate(exps[:-1]):
-        word = word @ mat_power(letters[:, i], p)
+        word = mul2(word, mat_power(letters[:, i], p))
         witnesses += [letters[:, i], word]
     last, obstructed = _complete(word, exps[-1], plan.sign, branches)
     traces = np.trace(np.stack(witnesses, axis=1), axis1=-2, axis2=-1)
@@ -653,30 +656,32 @@ def verify_central_roots(
     if p > MAX_CENTRAL_POWER or not 1 <= num_samples <= MAX_SAMPLES:
         raise ValueError(f"need p <= {MAX_CENTRAL_POWER} and samples in 1..{MAX_SAMPLES}, "
                          f"got p = {p}, samples = {num_samples}")
-    classes = central_root_classes(p, sign)
+    traces = admissible_traces(p, sign)
+    # the orbit classes by increasing angle, as central_root_classes lists them
+    orbit_rows = [row for row, cls in enumerate(traces) if not cls.central]
     spectrum = central_root_spectrum(p, sign)
     predicted = spectrum.dimension()
     system = ConstraintSystem(1, (p,), sign)
-    traces = admissible_traces(p, sign)
     ok = True
+    central = central_signs(p, sign)
     central_checks: dict[str, int] = {}
-    for eta in classes.central:
+    for eta in central:
         label = "+2" if eta == 1 else "-2"
         local = local_dimension(np.stack([eta * IDENTITY]), system, tol)
         central_checks[label] = local.dim
         if local.dim != 0:
             ok = False
-    tallies: dict[str, int] = {}
     per_class = 0
-    if classes.orbits:
-        per_class = max(1, -(-num_samples // len(classes.orbits)))
+    if orbit_rows:
+        per_class = max(1, -(-num_samples // len(orbit_rows)))
     # sample index class_index * per_class + rep draws class class_index
-    total = per_class * len(classes.orbits)
+    expected = np.repeat(np.array(orbit_rows, dtype=int), per_class)
+    total = len(expected)
     mats = np.empty((0, 2, 2), dtype=complex)
     if total:
         uniforms = np.stack([sample_rng(seed, index).random(7) for index in range(total)])
-        angles = np.repeat([float(cls.angle) for cls in classes.orbits], per_class)
-        mats = _orbit_point(angles, uniforms)
+        mats = _orbit_point(np.repeat([float(traces[row].angle) for row in orbit_rows], per_class),
+                            uniforms)
     res, rank, gap = _local_dimensions(mats[:, None], system, tol)
     near = res <= tol.residual
     good = gap >= tol.min_rank_gap
@@ -685,20 +690,18 @@ def verify_central_roots(
     dims = system.ambient_dim - rank
     histogram = dict(Counter(dims[good].tolist()))
     min_gap = float(np.min(gap[good])) if good.any() else math.inf
-    for index in np.flatnonzero(good):
-        matched = classify_trace(np.trace(mats[index]), traces, tol.trace)
-        if matched != classes.orbits[index // per_class] or dims[index] != 2:
-            ok = False
-        if matched is not None:
-            tallies[matched.label()] = tallies.get(matched.label(), 0) + 1
+    matched = match_traces(np.trace(mats[good], axis1=-2, axis2=-1), traces, tol.trace)
+    if np.any(matched != expected[good]) or np.any(dims[good] != 2):
+        ok = False
+    tallies = dict(Counter(traces[row].label() for row in matched[matched >= 0]))
     accepted = sum(histogram.values())
     sampled_classes = len(tallies)
-    if classes.orbits:
+    if orbit_rows:
         consensus = _consensus(histogram)
         if consensus != 2 or sampled_classes != spectrum.count(2):
             ok = False
     else:
-        consensus = 0 if classes.central else None
+        consensus = 0 if central else None
     passed = bool(ok and consensus == predicted)
     return VerificationReport(
         kind="central-roots",

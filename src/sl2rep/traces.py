@@ -1,4 +1,4 @@
-"""Trace polynomials and the component census of {A in SL2C : A^p = +-I}.
+"""Trace classes and the component census of {A in SL2C : A^p = +-I}.
 
 The solution set of A^p = sign*I splits into conjugation-invariant
 pieces: central points (+-I when they satisfy the equation) and, for
@@ -136,12 +136,14 @@ def central_root_spectrum(p: int, sign: int) -> ComponentSpectrum:
 
 
 class TraceTable(tuple):
-    """Trace classes with their float values, computed once so that
-    classify_trace matches each sample in one vectorised pass."""
+    """Trace classes with their float values, and those values sorted,
+    computed once so that match_traces matches many samples in one pass."""
 
     def __new__(cls, classes):
         table = super().__new__(cls, classes)
         table.values = np.array([c.value for c in table], dtype=float)
+        table.order = np.argsort(table.values, kind="stable")
+        table.sorted_values = table.values[table.order]
         return table
 
 
@@ -152,50 +154,26 @@ def admissible_traces(p: int, sign: int) -> TraceTable:
     return TraceTable(sorted(central + list(classes.orbits)))
 
 
+def match_traces(values, classes: TraceTable, tol: float) -> np.ndarray:
+    """Match numeric traces against a finite set of classes.
+
+    Returns, per value, the index in classes of the class within tol of
+    it at the smallest distance (the last such one on ties), or -1.
+    Admissible traces are real, so the imaginary part counts toward the
+    distance.  Distances only grow away from a value's place among the
+    sorted class values, so only its two neighbours there are compared.
+    """
+    values = np.asarray(values, dtype=complex)
+    if not len(classes):
+        return np.full(values.shape, -1)
+    place = np.searchsorted(classes.sorted_values, values.real)
+    near = classes.order[np.clip([place - 1, place], 0, len(classes) - 1)]
+    errs = np.abs(values - classes.values[near])
+    right = (errs[1] < errs[0]) | ((errs[1] == errs[0]) & (near[1] > near[0]))
+    return np.where(np.minimum(errs[0], errs[1]) <= tol, np.where(right, near[1], near[0]), -1)
+
+
 def classify_trace(value: complex, classes: TraceTable, tol: float) -> TraceClass | None:
-    """Match a numeric trace against a finite set of classes.
-
-    Returns the class within tol of value at the smallest distance (the
-    last such one on ties), or None.  Admissible traces are real, so the
-    imaginary part counts toward the distance.
-    """
-    errs = np.abs(complex(value) - classes.values)
-    hits = np.flatnonzero(errs <= min(tol, errs.min(initial=math.inf)))
-    return classes[hits[-1]] if len(hits) else None
-
-
-@dataclass(frozen=True)
-class TracePolynomial:
-    """Integer polynomial giving tr(A^p) as a function of t = tr(A).
-
-    Satisfies poly(z + 1/z) == z^p + z^-p.  Recurrence: T_0 = 2,
-    T_1 = t, T_{m+1} = t*T_m - T_{m-1}.  Coefficients are ascending.
-    """
-
-    power: int
-    coefficients: tuple[int, ...]
-
-    def __call__(self, t: complex) -> complex:
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = acc * t + c
-        return acc
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-
-def trace_poly(p: int) -> TracePolynomial:
-    """Trace polynomial of the p-th power map on SL2C, exact integers."""
-    if not isinstance(p, int) or p < 0:
-        raise ValueError(f"power must be a nonnegative integer, got {p!r}")
-    prev = [2]
-    if p == 0:
-        return TracePolynomial(0, (2,))
-    cur = [0, 1]
-    for _ in range(p - 1):
-        shifted = [0] + cur
-        nxt = [a - b for a, b in zip(shifted, prev + [0] * (len(shifted) - len(prev)))]
-        prev, cur = cur, nxt
-    return TracePolynomial(p, tuple(cur))
+    """match_traces for one value: the matched class, or None."""
+    (index,) = match_traces([value], classes, tol)
+    return classes[index] if index >= 0 else None

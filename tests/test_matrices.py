@@ -16,6 +16,7 @@ from sl2rep.matrices import (
     mat2,
     mat_power,
     matrix_roots,
+    mul2,
     random_sl2,
 )
 
@@ -37,6 +38,12 @@ def _scalar_adjugate(m):
     return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex)
 
 
+def _product(a, b):
+    """(ab)_ij = a_i0 b_0j + a_i1 b_1j in numpy's array loops, on copies
+    of the columns and rows (numpy's scalar arithmetic rounds differently)."""
+    return a[..., :, [0]] * b[..., [0], :] + a[..., :, [1]] * b[..., [1], :]
+
+
 def _scalar_power(m, k):
     """Binary exponentiation with the single-matrix formulas above."""
     base = _scalar_adjugate(m) if k < 0 else np.asarray(m, dtype=complex)
@@ -44,15 +51,17 @@ def _scalar_power(m, k):
     result = np.eye(2, dtype=complex)
     while k:
         if k & 1:
-            result = result @ base
-        base = base @ base
+            result = _product(result, base)
+        base = _product(base, base)
         k >>= 1
     return result
 
 
 def test_single_matrix_kernel_is_bitwise_the_scalar_formulas():
     # the samplers' numbers, and so the report bytes, depend on the
-    # single-matrix path staying exactly these formulas
+    # single-matrix path staying exactly these formulas: the adjugate,
+    # ad - bc, and every product as the entry-wise a_i0 b_0j + a_i1 b_1j
+    # in numpy's array loops (not BLAS's @, not numpy's scalar arithmetic)
     rng = np.random.default_rng(71)
     for _ in range(20):
         m = random_sl2(rng) * complex(*rng.standard_normal(2))
@@ -64,9 +73,45 @@ def test_single_matrix_kernel_is_bitwise_the_scalar_formulas():
     exps = (3, -5, 2, 9)
     ref = np.eye(2, dtype=complex)
     for m, p in zip(mats, exps):
-        ref = ref @ _scalar_power(m, p)
+        ref = _product(ref, _scalar_power(m, p))
     assert np.array_equal(eval_word(mats, exps), ref)
     assert np.array_equal(eval_word(np.stack(mats), exps), ref)
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("left,right", [
+    ((2, 2), (2, 2)),
+    ((6, 2, 2), (6, 2, 2)),
+    ((6, 4, 2, 2), (6, 1, 2, 2)),
+    ((4, 2, 2), (2, 2)),
+])
+def test_mul2_is_the_matrix_product(left, right):
+    rng = np.random.default_rng(79)
+    eps = np.finfo(float).eps
+    for _ in range(20):
+        # magnitudes spread over six decades, as in high-power words
+        a = _complex(rng, left) * 10.0 ** rng.uniform(-3, 3, left[:-2] + (1, 1))
+        b = _complex(rng, right)
+        got = mul2(a, b)
+        ref = a @ b
+        assert got.shape == ref.shape
+        bound = 4 * eps * np.linalg.norm(a, axis=(-2, -1)) * np.linalg.norm(b, axis=(-2, -1))
+        assert np.all(np.max(abs(got - ref), axis=(-2, -1)) <= bound)
+
+
+def test_mul2_rows_are_bitwise_the_row_alone():
+    rng = np.random.default_rng(83)
+    a, b = _complex(rng, (9, 4, 2, 2)), _complex(rng, (9, 1, 2, 2))
+    stacked = mul2(a, b)
+    for i in range(9):
+        assert np.array_equal(stacked[i], mul2(a[i], b[i]))
+        assert np.array_equal(stacked[i], mul2(a[i:i + 1], b[i:i + 1])[0])
+        for j in range(4):
+            assert np.array_equal(stacked[i, j], mul2(a[i, j], b[i, 0]))
+            assert np.array_equal(stacked[i, j], _product(a[i, j], b[i, 0]))
 
 
 def test_kernel_on_stacks_matches_matrix_by_matrix():

@@ -27,7 +27,7 @@ from sl2rep.oracle import (
     verify_dimension,
 )
 from sl2rep.oracle import _dimension_verdicts, _letters, _orbit_point, _power_with_derivs
-from sl2rep.traces import orbit_count
+from sl2rep.traces import admissible_traces, classify_trace, match_traces, orbit_count
 
 
 def test_tolerance_defaults():
@@ -210,6 +210,28 @@ def test_power_derivatives_match_sum_and_differences():
                 assert _rel_err(derivs[e], diff) < 1e-5
 
 
+def _product(a, b):
+    """(ab)_ij = a_i0 b_0j + a_i1 b_1j in numpy's array loops: the 2x2
+    product the oracle's stacks use, written out here as the reference."""
+    return a[..., :, [0]] * b[..., [0], :] + a[..., :, [1]] * b[..., [1], :]
+
+
+def test_stacked_power_derivatives_match_differences():
+    # the jet [m^k, d m^k] carried through a (2, 3) stack of points at once
+    step = 1e-6
+    stack = np.stack(_power_test_points()[:3] * 2).reshape(2, 3, 2, 2)
+    for p in (2, 9, 211, -2, -9, -211):
+        values, derivs = _power_with_derivs(stack, p)
+        assert values.shape == (2, 3, 2, 2) and derivs.shape == (2, 3, 4, 2, 2)
+        assert np.array_equal(values, mat_power(stack, p))
+        for e in range(4):
+            bump = np.zeros((2, 2), dtype=complex)
+            bump[divmod(e, 2)] = step
+            diff = (mat_power(stack + bump, p) - mat_power(stack - bump, p)) / (2 * step)
+            for got, ref in zip(derivs[..., e, :, :].reshape(-1, 2, 2), diff.reshape(-1, 2, 2)):
+                assert _rel_err(got, ref) < 1e-5
+
+
 def _loop_power_with_derivs(m, p):
     """Reference for _power_with_derivs: the same binary exponentiation on
     one matrix, starting from I, which the stacked code matches bit for
@@ -221,12 +243,12 @@ def _loop_power_with_derivs(m, p):
     derivs = np.zeros((4, 2, 2), dtype=complex)
     while k:
         if k & 1:
-            derivs = derivs @ base + value @ dbase
-            value = value @ base
+            derivs = _product(derivs, base) + _product(value, dbase)
+            value = _product(value, base)
         k >>= 1
         if k:
-            dbase = dbase @ base + base @ dbase
-            base = base @ base
+            dbase = _product(dbase, base) + _product(base, dbase)
+            base = _product(base, base)
     return value, derivs
 
 
@@ -243,9 +265,9 @@ def _loop_jacobian(system, mats):
         word_derivs = np.zeros((4 * n, 2, 2), dtype=complex)
         for i, p in enumerate(system.exponents):
             factor, factor_derivs = _loop_power_with_derivs(mats[i], p)
-            word_derivs = word_derivs @ factor
-            word_derivs[4 * i: 4 * i + 4] += value @ factor_derivs
-            value = value @ factor
+            word_derivs = _product(word_derivs, factor)
+            word_derivs[4 * i: 4 * i + 4] += _product(value, factor_derivs)
+            value = _product(value, factor)
         jac[n:] = word_derivs.reshape(4 * n, 4).T
     return jac
 
@@ -611,6 +633,44 @@ def test_verify_central_roots_high_power():
     report = verify_central_roots(6000, 1, num_samples=1, seed=0)
     assert report.passed
     assert report.samples_accepted == report.samples_requested == 2999
+
+
+def _classify_against_every_class(value, table, tol):
+    """Reference matcher: distances to every class, the last nearest one
+    within tol."""
+    errs = np.abs(complex(value) - table.values)
+    hits = np.flatnonzero(errs <= min(tol, errs.min(initial=math.inf)))
+    return table[hits[-1]] if len(hits) else None
+
+
+@pytest.mark.parametrize("p,sign,samples", [(7, 1, 24), (600, -1, 1000), (MAX_CENTRAL_POWER, 1, 10)])
+def test_trace_matching_equals_classify_trace_on_every_sample(p, sign, samples):
+    tol, seed = Tolerances(), 5
+    report = verify_central_roots(p, sign, samples, seed, tol)
+    # the samples of the run, rebuilt: per_class draws of each orbit class
+    table = admissible_traces(p, sign)
+    orbits = [cls for cls in table if not cls.central]
+    per_class = max(1, -(-samples // len(orbits)))
+    angles = np.repeat([float(cls.angle) for cls in orbits], per_class)
+    uniforms = np.stack([sample_rng(seed, index).random(7) for index in range(len(angles))])
+    values = np.trace(_orbit_point(angles, uniforms), axis1=-2, axis2=-1)
+    assert report.passed and report.samples_accepted == len(values)
+    # nudged copies miss; near +-2 at p = 10^4 neighbouring classes lie
+    # closer than tol.trace, so jittered class values test the
+    # smallest-distance rule
+    rng = np.random.default_rng(89)
+    nudged = values + 10.0 ** rng.uniform(-8, -5, len(values)) * (
+        rng.standard_normal(len(values)) + 1j * rng.standard_normal(len(values)))
+    jittered = table.values + rng.uniform(-2, 2, len(table)) * tol.trace
+    for batch in (values, nudged, jittered):
+        matched = [table[row] if row >= 0 else None for row in match_traces(batch, table, tol.trace)]
+        assert matched == [classify_trace(value, table, tol.trace) for value in batch]
+        assert matched == [_classify_against_every_class(value, table, tol.trace) for value in batch]
+    tallies = {}
+    for value in values:
+        label = classify_trace(value, table, tol.trace).label()
+        tallies[label] = tallies.get(label, 0) + 1
+    assert report.trace_class_tallies == tallies
 
 
 def test_verify_central_roots_validation():
