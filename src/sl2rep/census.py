@@ -87,8 +87,9 @@ def _exact_spectrum(spec: GroupSpec) -> ComponentSpectrum:
     raise TypeError(f"no exact spectrum for {type(spec).__name__}")
 
 
-def _split_power_factor(spec: GroupSpec):
-    """(free ranks, power tuple) for ProductPower or FreeProduct(F*, one ProductPower)."""
+def split_power_factor(spec: GroupSpec):
+    """(free factors, power factor) for ProductPower or FreeProduct(F*, one
+    ProductPower); None for every other shape."""
     if isinstance(spec, ProductPower):
         return [], spec
     if isinstance(spec, FreeProduct):
@@ -116,7 +117,7 @@ def lower_bound_census(spec: GroupSpec, c: int) -> CensusResult:
     exponent magnitudes; it is valid only when that quotient variety
     also has dimension c, which is checked.
     """
-    shape = _split_power_factor(spec)
+    shape = split_power_factor(spec)
     if shape is None:
         raise ValueError(
             "lower bounds need a product-power factor times free groups, "

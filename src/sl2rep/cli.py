@@ -6,6 +6,12 @@ carry {command, inputs, config, results, provenance, pass} with one
 provenance basis per numeric claim ("exact", "quotient-lower-bound",
 or "numeric-consensus").  Exit codes: 0 success / verification pass,
 1 verification failure, 2 usage or domain errors.
+
+Every subcommand takes --output; only verify dim and verify omega take
+the sampling options (--seed, --samples, --tol-res, --tol-rank,
+--tol-trace), and the JSON config echoes the options the command has.
+Each subparser carries its handler, a handler returns its report, and
+the exit code follows from the report's pass flag.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from .dimension import freeness_test, product_power_dim, representation_dim
 from .families import (
     MAX_FAMILY_INDEX,
     MAX_WITNESS_TARGET,
-    EligibilityError,
     family_member,
     meskin_isomorphic,
     parafree_profile,
@@ -42,7 +47,6 @@ from .oracle import (
     verify_dimension,
 )
 from .presentations import (
-    ParseError,
     ProductPower,
     contains_product_power,
     format_spec,
@@ -88,7 +92,7 @@ def _shield_negative_tuples(argv: list[str]) -> list[str]:
     return [" " + a if _TUPLE_TOKEN.fullmatch(a) else a for a in argv]
 
 
-def _add_common(parser: argparse.ArgumentParser):
+def _add_sampling(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=0, help="master RNG seed (default 0)")
     parser.add_argument("--samples", type=int, default=100,
                         help=f"verify sample count, 1 to {MAX_SAMPLES:,} (default 100; "
@@ -99,7 +103,13 @@ def _add_common(parser: argparse.ArgumentParser):
                         help="relative singular value cutoff (default 1e-8)")
     parser.add_argument("--tol-trace", type=float, default=1e-6, dest="tol_trace",
                         help="trace matching tolerance (default 1e-6)")
-    parser.add_argument("--output", choices=("text", "json"), default="text")
+
+
+def _command(sub, name: str, handler, **kwargs) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, **kwargs)
+    p.add_argument("--output", choices=("text", "json"), default="text")
+    p.set_defaults(handler=handler)
+    return p
 
 
 # built once per process: constructing the tree costs ~20 times a parse
@@ -111,57 +121,55 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("parse", help="parse a group description and echo its normal form")
+    p = _command(sub, "parse", _cmd_parse,
+                 help="parse a group description and echo its normal form")
     p.add_argument("spec")
-    _add_common(p)
 
-    p = sub.add_parser("dim", help="variety dimension, reducibility, freeness")
+    p = _command(sub, "dim", _cmd_dim, help="variety dimension, reducibility, freeness")
     p.add_argument("spec")
-    _add_common(p)
 
-    p = sub.add_parser("census", help="component census (exact or certified lower bound)")
+    p = _command(sub, "census", _cmd_census,
+                 help="component census (exact or certified lower bound)")
     p.add_argument("spec")
     p.add_argument("--dim", type=int, default=None,
                    help="dimension for lower bounds (default: the variety dimension)")
-    _add_common(p)
 
-    p = sub.add_parser("family", help="canonical parafree family member")
+    p = _command(sub, "family", _cmd_family, help="canonical parafree family member")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--index", type=int, required=True,
                    help=f"position in the family, 0 to {MAX_FAMILY_INDEX:,} "
                         "(larger indices exit 2)")
-    _add_common(p)
 
-    p = sub.add_parser("witness", help="family member with many top-dimension components")
+    p = _command(sub, "witness", _cmd_witness,
+                 help="family member with many top-dimension components")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--mirc", type=int, required=True,
                    help="required number of maximal top-dimension components, "
                         f"1 to {MAX_WITNESS_TARGET:,} (larger targets exit 2)")
-    _add_common(p)
 
-    p = sub.add_parser("isom", help="isomorphism test for product-power relators")
+    p = _command(sub, "isom", _cmd_isom, help="isomorphism test for product-power relators")
     p.add_argument("tuple_a", type=_parse_tuple)
     p.add_argument("tuple_b", type=_parse_tuple)
-    _add_common(p)
 
-    p = sub.add_parser("sequence", help="groups distinguished by component lower bounds")
+    p = _command(sub, "sequence", _cmd_sequence,
+                 help="groups distinguished by component lower bounds")
     p.add_argument("--count", type=int, required=True,
                    help=f"number of groups, 0 to {MAX_SEQUENCE_COUNT:,} (larger counts exit 2)")
     p.add_argument("--dim", type=int, default=6)
-    _add_common(p)
 
     p = sub.add_parser("verify", help="numeric verification")
     vsub = p.add_subparsers(dest="verify_what", required=True)
 
-    v = vsub.add_parser("dim", help="sample a word variety and check its dimension")
+    v = _command(vsub, "dim", _cmd_verify,
+                 help="sample a word variety and check its dimension")
     v.add_argument("exponents", type=_parse_tuple,
                    help=f"2 to 8 exponents, each |p| at most {MAX_VERIFY_EXPONENT:,} "
                         "(larger ones exit 2)")
     v.add_argument("--sign", type=_parse_sign, default=1)
-    _add_common(v)
+    _add_sampling(v)
 
-    v = vsub.add_parser(
-        "omega",
+    v = _command(
+        vsub, "omega", _cmd_verify,
         help="check the census of {A : A^p = sign*I}; every orbit class is sampled at "
              "least once, so samples_requested is ceil(samples/classes)*classes "
              "(999 at p = 2000)",
@@ -169,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--p", type=int, required=True,
                    help=f"the power, 2 to {MAX_CENTRAL_POWER:,} (larger powers exit 2)")
     v.add_argument("--sign", type=_parse_sign, default=1)
-    _add_common(v)
+    _add_sampling(v)
 
     return parser
 
@@ -178,15 +186,12 @@ def _tolerances(args) -> Tolerances:
     return Tolerances(residual=args.tol_res, rank_rel=args.tol_rank, trace=args.tol_trace)
 
 
+_CONFIG_KEYS = ("seed", "samples", "tol_res", "tol_rank", "tol_trace", "output")
+
+
 def _config_dict(args) -> dict:
-    return {
-        "seed": args.seed,
-        "samples": args.samples,
-        "tol_res": args.tol_res,
-        "tol_rank": args.tol_rank,
-        "tol_trace": args.tol_trace,
-        "output": args.output,
-    }
+    """The options the command has, in a fixed order."""
+    return {key: getattr(args, key) for key in _CONFIG_KEYS if hasattr(args, key)}
 
 
 def _spectrum_json(spectrum) -> dict:
@@ -230,7 +235,7 @@ class _Report:
         return "\n".join(lines)
 
 
-def _cmd_parse(args) -> tuple[_Report, int]:
+def _cmd_parse(args) -> _Report:
     spec = parse_spec(args.spec)
     report = _Report("parse", {"spec": args.spec}, args)
     report.claim("normal_form", format_spec(spec), EXACT)
@@ -238,10 +243,10 @@ def _cmd_parse(args) -> tuple[_Report, int]:
     report.claim("generators", generator_count(spec), EXACT)
     if isinstance(spec, ProductPower):
         report.claim("exponents", list(spec.exponents), EXACT)
-    return report, EXIT_OK
+    return report
 
 
-def _cmd_dim(args) -> tuple[_Report, int]:
+def _cmd_dim(args) -> _Report:
     spec = parse_spec(args.spec)
     result = representation_dim(spec)
     report = _Report("dim", {"spec": args.spec, "group": format_spec(spec)}, args)
@@ -262,10 +267,10 @@ def _cmd_dim(args) -> tuple[_Report, int]:
             )
         except ValueError:
             pass
-    return report, EXIT_OK
+    return report
 
 
-def _cmd_census(args) -> tuple[_Report, int]:
+def _cmd_census(args) -> _Report:
     spec = parse_spec(args.spec)
     report = _Report("census", {"spec": args.spec, "group": format_spec(spec)}, args)
     if contains_product_power(spec):
@@ -279,10 +284,10 @@ def _cmd_census(args) -> tuple[_Report, int]:
         report.claim("dimension", result.spectrum.dimension(), EXACT)
         report.claim("spectrum", _spectrum_json(result.spectrum), EXACT)
         report.claim("total_components", result.spectrum.total(), EXACT)
-    return report, EXIT_OK
+    return report
 
 
-def _cmd_family(args) -> tuple[_Report, int]:
+def _cmd_family(args) -> _Report:
     group = family_member(args.rank, args.index)
     profile = parafree_profile(group)
     report = _Report("family", {"rank": args.rank, "index": args.index}, args)
@@ -291,29 +296,29 @@ def _cmd_family(args) -> tuple[_Report, int]:
     report.claim("min_generators", profile.min_generators, EXACT)
     report.claim("deviation", profile.deviation, EXACT)
     report.claim("freely_indecomposable", profile.freely_indecomposable, EXACT)
-    return report, EXIT_OK
+    return report
 
 
-def _cmd_witness(args) -> tuple[_Report, int]:
+def _cmd_witness(args) -> _Report:
     group, census = witness_group(args.rank, args.mirc)
     dim = representation_dim(group).dim
     report = _Report("witness", {"rank": args.rank, "mirc": args.mirc}, args)
     report.claim("group", format_spec(group), EXACT)
     report.claim("dimension", dim, EXACT)
     report.claim(f"components_at_{dim}_at_least", census.spectrum.count(dim), QUOTIENT)
-    return report, EXIT_OK
+    return report
 
 
-def _cmd_isom(args) -> tuple[_Report, int]:
+def _cmd_isom(args) -> _Report:
     same = meskin_isomorphic(args.tuple_a, args.tuple_b)
     report = _Report(
         "isom", {"tuple_a": list(args.tuple_a), "tuple_b": list(args.tuple_b)}, args
     )
     report.claim("isomorphic", same, EXACT)
-    return report, EXIT_OK
+    return report
 
 
-def _cmd_sequence(args) -> tuple[_Report, int]:
+def _cmd_sequence(args) -> _Report:
     entries = distinguishing_sequence(args.dim, args.count)
     report = _Report("sequence", {"dim": args.dim, "count": args.count}, args)
     listing = []
@@ -324,70 +329,40 @@ def _cmd_sequence(args) -> tuple[_Report, int]:
             "lower_bound": census.spectrum.count(args.dim),
         })
     report.claim("groups", listing, QUOTIENT)
-    return report, EXIT_OK
+    return report
 
 
-def _cmd_verify_dim(args) -> tuple[_Report, int]:
-    result = verify_dimension(
-        args.exponents,
-        sign=args.sign,
-        num_samples=args.samples,
-        seed=args.seed,
-        tol=_tolerances(args),
-    )
-    report = _Report("verify dim", {"exponents": list(args.exponents), "sign": args.sign}, args)
+def _cmd_verify(args) -> _Report:
+    # verify dim and verify omega differ only in the subject they sample
+    if args.verify_what == "dim":
+        verify, subject = verify_dimension, args.exponents
+        inputs = {"exponents": list(subject)}
+    else:
+        verify, subject = verify_central_roots, args.p
+        inputs = {"p": subject}
+    result = verify(subject, args.sign, args.samples, args.seed, _tolerances(args))
+    report = _Report(f"verify {args.verify_what}", {**inputs, "sign": args.sign}, args)
     report.claim("predicted_dimension", result.predicted_dim, EXACT)
     report.claim("consensus_dimension", result.consensus_dim, NUMERIC)
     report.claim("report", result.to_dict(), NUMERIC)
     report.passed = result.passed
-    return report, EXIT_OK if result.passed else EXIT_VERIFY_FAIL
-
-
-def _cmd_verify_omega(args) -> tuple[_Report, int]:
-    result = verify_central_roots(
-        args.p,
-        sign=args.sign,
-        num_samples=args.samples,
-        seed=args.seed,
-        tol=_tolerances(args),
-    )
-    report = _Report("verify omega", {"p": args.p, "sign": args.sign}, args)
-    report.claim("predicted_dimension", result.predicted_dim, EXACT)
-    report.claim("consensus_dimension", result.consensus_dim, NUMERIC)
-    report.claim("report", result.to_dict(), NUMERIC)
-    report.passed = result.passed
-    return report, EXIT_OK if result.passed else EXIT_VERIFY_FAIL
+    return report
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    argv = _shield_negative_tuples(list(argv))
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(_shield_negative_tuples(list(argv)))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    handlers = {
-        "parse": _cmd_parse,
-        "dim": _cmd_dim,
-        "census": _cmd_census,
-        "family": _cmd_family,
-        "witness": _cmd_witness,
-        "isom": _cmd_isom,
-        "sequence": _cmd_sequence,
-    }
     try:
-        if args.command == "verify":
-            handler = _cmd_verify_dim if args.verify_what == "dim" else _cmd_verify_omega
-        else:
-            handler = handlers[args.command]
-        report, code = handler(args)
-    except (ParseError, EligibilityError, ValueError) as exc:
+        report = args.handler(args)
+    except ValueError as exc:  # ParseError and EligibilityError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(report.render())
-    return code
+    return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
 
 if __name__ == "__main__":

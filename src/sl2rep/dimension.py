@@ -14,6 +14,12 @@ two degenerate-prefix candidates reaches the generic floor 3*(m-1) at
 the top step, the variety is certified reducible; otherwise
 reducibility is left undetermined (for n >= 4 it is an open problem,
 and the recursion never certifies those).
+
+The recursion is written once, in dimension_table, which evaluates
+every step for both signs: the two branches, the floor, the maximum and
+the certificate.  product_power_dim reads one sign's steps from it, and
+the oracle's sampling plan (oracle.build_plan) follows its argmax from
+the top step down.
 """
 
 from __future__ import annotations
@@ -56,20 +62,6 @@ def base_dim(p: int, sign: int) -> int:
     return 2
 
 
-def dimension_table(exponents) -> tuple[dict[int, int], ...]:
-    """D_e(m) for m = 1..n and both signs; entry m-1 maps sign -> dim."""
-    exps = validate_exponents(exponents)
-    table = [{1: base_dim(exps[0], 1), -1: base_dim(exps[0], -1)}]
-    for m in range(2, len(exps) + 1):
-        k = abs(exps[m - 1])
-        prev = table[-1]
-        row = {}
-        for sign in (1, -1):
-            row[sign] = max(prev[sign] + 2 * not_two(k), prev[-sign] + 2, 3 * (m - 1))
-        table.append(row)
-    return tuple(table)
-
-
 @dataclass(frozen=True)
 class RecursionStep:
     """One peel of the recursion at prefix length m (word length m)."""
@@ -94,6 +86,24 @@ class DimResult:
     steps: tuple[RecursionStep, ...]
 
 
+def dimension_table(exponents) -> tuple[dict[int, RecursionStep], ...]:
+    """Every step of the recursion, for m = 2..n and both signs: entry
+    m-2 maps sign -> the step D_sign(m).  One-letter words have none."""
+    exps = validate_exponents(exponents)
+    prev = {sign: base_dim(exps[0], sign) for sign in (1, -1)}
+    table = []
+    for m in range(2, len(exps) + 1):
+        lift, floor = 2 * not_two(abs(exps[m - 1])), 3 * (m - 1)
+        row = {}
+        for sign in (1, -1):
+            same, flip = prev[sign] + lift, prev[-sign] + 2
+            row[sign] = RecursionStep(m, sign, same, flip, floor,
+                                      max(same, flip, floor), max(same, flip) >= floor)
+        table.append(row)
+        prev = {sign: step.dim for sign, step in row.items()}
+    return tuple(table)
+
+
 def product_power_dim(exponents, sign: int = 1) -> DimResult:
     """Dimension of {(m1..mn) : m1^p1 ... mn^pn = sign*I} in SL2C^n.
 
@@ -104,31 +114,11 @@ def product_power_dim(exponents, sign: int = 1) -> DimResult:
     """
     _check_sign(sign)
     exps = validate_exponents(exponents)
-    table = dimension_table(exps)
-    steps = []
-    for m in range(2, len(exps) + 1):
-        k = abs(exps[m - 1])
-        prev = table[m - 2]
-        same = prev[sign] + 2 * not_two(k)
-        flip = prev[-sign] + 2
-        floor = 3 * (m - 1)
-        steps.append(
-            RecursionStep(
-                length=m,
-                sign=sign,
-                same_sign_branch=same,
-                flip_sign_branch=flip,
-                generic_floor=floor,
-                dim=max(same, flip, floor),
-                certified=max(same, flip) >= floor,
-            )
-        )
-    dim = table[-1][sign]
-    if steps and steps[-1].certified:
-        reducibility = CERTIFIED_REDUCIBLE
-    else:
-        reducibility = UNDETERMINED
-    return DimResult(dim, reducibility, tuple(steps))
+    steps = tuple(row[sign] for row in dimension_table(exps))
+    if not steps:
+        return DimResult(base_dim(exps[0], sign), UNDETERMINED, ())
+    top = steps[-1]
+    return DimResult(top.dim, CERTIFIED_REDUCIBLE if top.certified else UNDETERMINED, steps)
 
 
 def representation_dim(spec: GroupSpec) -> DimResult:

@@ -18,14 +18,14 @@ from .census import (
     consecutive_prime_triples,
     lower_bound_census,
     prime_triple,
+    split_power_factor,
     triple_group,
 )
 from .presentations import (
-    FreeGroup,
-    FreeProduct,
     GroupSpec,
     ProductPower,
     exponent_gcd,
+    format_spec,
     normalized_exponents,
     validate_exponents,
 )
@@ -80,42 +80,25 @@ class ParafreeProfile:
 def parafree_profile(spec: GroupSpec) -> ParafreeProfile:
     """Parafree invariants of an eligible one-relator group, possibly
     free-multiplied by free groups.  Raises EligibilityError with the
-    failed hypotheses listed field by field."""
-    if isinstance(spec, ProductPower):
-        checks = tuple_eligibility(spec.exponents)
-        if not checks.eligible:
-            raise EligibilityError(checks)
-        n = len(spec.exponents)
-        return ParafreeProfile(
-            rank=n - 1,
-            min_generators=n,
-            deviation=1,
-            freely_indecomposable=True,
-            hypotheses=checks,
-        )
-    if isinstance(spec, FreeProduct):
-        free_rank = 0
-        power = None
-        for f in spec.factors:
-            if isinstance(f, FreeGroup):
-                free_rank += f.rank
-            elif isinstance(f, ProductPower) and power is None:
-                power = f
-            else:
-                raise ValueError(
-                    "parafree profiles cover one product-power factor times free groups"
-                )
-        if power is None:
-            raise ValueError("free product has no product-power factor")
-        base = parafree_profile(power)
-        return ParafreeProfile(
-            rank=base.rank + free_rank,
-            min_generators=base.min_generators + free_rank,
-            deviation=1,
-            freely_indecomposable=False,
-            hypotheses=base.hypotheses,
-        )
-    raise ValueError(f"no parafree profile for {type(spec).__name__}")
+    failed hypotheses listed field by field, and ValueError for other
+    shapes."""
+    shape = split_power_factor(spec)
+    if shape is None:
+        raise ValueError("parafree profiles cover one product-power factor times free groups, "
+                         f"got {format_spec(spec)}")
+    frees, power = shape
+    checks = tuple_eligibility(power.exponents)
+    if not checks.eligible:
+        raise EligibilityError(checks)
+    free_rank = sum(f.rank for f in frees)
+    n = len(power.exponents)
+    return ParafreeProfile(
+        rank=n - 1 + free_rank,
+        min_generators=n + free_rank,
+        deviation=1,
+        freely_indecomposable=isinstance(spec, ProductPower),
+        hypotheses=checks,
+    )
 
 
 def meskin_isomorphic(a, b) -> bool:

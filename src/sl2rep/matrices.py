@@ -36,13 +36,8 @@ def mat2(a, b, c, d) -> np.ndarray:
     return np.array([[a, b], [c, d]], dtype=complex)
 
 
-# The single-matrix branches below keep scalar indexing: the samplers
-# call them per draw, and it is several times cheaper than [..., i, j].
-
 def adjugate(m: np.ndarray) -> np.ndarray:
     """[[d, -b], [-c, a]]; equals the inverse when det(m) == 1."""
-    if m.ndim == 2:
-        return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex)
     out = np.empty(m.shape, dtype=complex)
     out[..., 0, 0] = m[..., 1, 1]
     out[..., 0, 1] = -m[..., 0, 1]
@@ -53,6 +48,8 @@ def adjugate(m: np.ndarray) -> np.ndarray:
 
 def determinant(m: np.ndarray):
     """ad - bc: a complex for one matrix, shape (...) for a (..., 2, 2) stack."""
+    # one matrix keeps numpy's scalar arithmetic, whose bits
+    # test_single_matrix_kernel_is_bitwise_the_scalar_formulas pins
     if m.ndim == 2:
         return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]

@@ -46,7 +46,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dimension import dimension_table, not_two, product_power_dim
+from .dimension import dimension_table, product_power_dim
 from .matrices import IDENTITY, adjugate, branch_roots, determinant, eval_word, mat_power, mul2
 from .presentations import validate_exponents
 from .traces import (
@@ -391,29 +391,28 @@ class SamplePlan:
 
 
 def build_plan(exponents, sign: int) -> SamplePlan:
-    """Follow the dimension recursion's argmax to a sampling strategy.
+    """Follow the dimension recursion's argmax to a sampling strategy,
+    down one dimension_table from the top step.
 
     Ties prefer the generic stratum, then the sign-flip stratum; for
     words of length >= 3 the generic stratum always attains the
     maximum, so strata only appear for two-letter words.
     """
     exps = validate_exponents(exponents)
-    n = len(exps)
-    if n == 1:
-        return SamplePlan(exps, sign, "leaf")
     table = dimension_table(exps)
-    k = abs(exps[-1])
-    same = table[n - 2][sign] + 2 * not_two(k)
-    flip = table[n - 2][-sign] + 2
-    floor = 3 * (n - 1)
-    top = max(same, flip, floor)
-    if floor == top:
-        return SamplePlan(exps, sign, "generic")
-    if flip == top:
-        return SamplePlan(exps, sign, "stratum", fiber_sign=-1,
-                          prefix=build_plan(exps[:-1], -sign))
-    return SamplePlan(exps, sign, "stratum", fiber_sign=1,
-                      prefix=build_plan(exps[:-1], sign))
+
+    def plan(m: int, sign: int) -> SamplePlan:
+        if m == 1:
+            return SamplePlan(exps[:1], sign, "leaf")
+        step = table[m - 2][sign]
+        if step.generic_floor == step.dim:
+            return SamplePlan(exps[:m], sign, "generic")
+        # the flip branch puts the prefix on -sign and the last letter on -I
+        fiber = -1 if step.flip_sign_branch == step.dim else 1
+        return SamplePlan(exps[:m], sign, "stratum", fiber_sign=fiber,
+                          prefix=plan(m - 1, sign * fiber))
+
+    return plan(len(exps), sign)
 
 
 def _conjugated_diagonal(u: np.ndarray, lam: np.ndarray) -> np.ndarray:

@@ -110,15 +110,6 @@ def generator_count(spec: GroupSpec) -> int:
     raise TypeError(f"not a group spec: {spec!r}")
 
 
-def deficiency(spec: GroupSpec) -> int:
-    """Generators minus relators.  Defined for free and one-relator specs."""
-    if isinstance(spec, FreeGroup):
-        return spec.rank
-    if isinstance(spec, ProductPower):
-        return len(spec.exponents) - 1
-    raise ValueError(f"deficiency is not defined for {type(spec).__name__}")
-
-
 def contains_product_power(spec: GroupSpec) -> bool:
     if isinstance(spec, ProductPower):
         return True

@@ -1,6 +1,9 @@
 """Command line behavior: output shapes, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -162,6 +165,7 @@ def test_verify_dim_passes_and_reports(capsys):
     assert names["consensus_dimension"] == 3
     assert names["report"]["pass"] is True
     assert payload["pass"] is True
+    assert list(payload["config"]) == _SAMPLING_CONFIG
 
 
 def test_verify_dim_big_exponent_in_the_prefix(capsys):
@@ -233,9 +237,30 @@ def test_verify_omega(capsys):
     names = {r["name"]: r["value"] for r in payload["results"]}
     assert names["predicted_dimension"] == 2
     assert payload["pass"] is True
+    assert list(payload["config"]) == _SAMPLING_CONFIG
 
     code, _, _ = run(capsys, "verify", "omega", "--p", "6", "--sign", "-", "--samples", "6")
     assert code == EXIT_OK
+
+
+# one valid call of each exact subcommand
+_EXACT_COMMANDS = [
+    ("parse", "F2 * Z5"),
+    ("dim", "<a,b,c; a^3 b^5 c^7>"),
+    ("census", "Z3 * Z5"),
+    ("family", "--rank", "2", "--index", "0"),
+    ("witness", "--rank", "2", "--mirc", "2"),
+    ("isom", "3,5,7", "7,5,3"),
+    ("sequence", "--count", "1"),
+]
+_SAMPLING_CONFIG = ["seed", "samples", "tol_res", "tol_rank", "tol_trace", "output"]
+
+
+@pytest.mark.parametrize("argv", _EXACT_COMMANDS)
+def test_exact_commands_echo_only_their_output_option(capsys, argv):
+    code, payload, _ = run_json(capsys, *argv)
+    assert code == EXIT_OK
+    assert payload["config"] == {"output": "json"}
 
 
 @pytest.mark.parametrize(
@@ -252,6 +277,8 @@ def test_verify_omega(capsys):
         ("verify", "dim", "5"),
         ("nonsense",),
         (),
+        # the sampling options belong to the verify subcommands only
+        *[(*argv, "--seed", "1") for argv in _EXACT_COMMANDS],
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
@@ -264,6 +291,14 @@ def test_help_exits_clean(capsys):
     code = main(["--help"])
     capsys.readouterr()
     assert code == EXIT_OK
+
+
+def test_import_sl2rep_loads_neither_the_oracle_nor_numpy():
+    code = "import sys, sl2rep; print(sorted({'sl2rep.oracle', 'numpy'} & set(sys.modules)))"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_json_output_is_byte_identical_between_runs(capsys):

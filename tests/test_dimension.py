@@ -1,5 +1,7 @@
 """Dimension recursion, closed forms, and reducibility certificates."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from sl2rep.dimension import (
     CERTIFIED_REDUCIBLE,
     IRREDUCIBLE,
     UNDETERMINED,
+    RecursionStep,
     base_dim,
     dimension_table,
     freeness_test,
@@ -76,9 +79,32 @@ def test_recursion_steps_respect_the_ceiling():
 
 def test_dimension_table_shape():
     table = dimension_table((2, 3, 5))
-    assert len(table) == 3
-    assert table[0] == {1: 0, -1: 2}
-    assert table[-1][1] == product_power_dim((2, 3, 5), 1).dim
+    assert len(table) == 2
+    assert [sorted(row) for row in table] == [[-1, 1], [-1, 1]]
+    # D_+(1) = 0 and D_-(1) = 2 for the letter a^2
+    assert table[0][1] == RecursionStep(2, 1, 2, 4, 3, 4, True)
+    assert table[0][-1] == RecursionStep(2, -1, 4, 2, 3, 4, True)
+    assert table[1][1] == RecursionStep(3, 1, 6, 6, 6, 6, True)
+    assert dimension_table((7,)) == ()
+
+
+_ALPHABET = (2, -2, 3, -3, 4, 5)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_table_rows_are_the_prefix_dimensions(n):
+    # one table holds every prefix's dimension, for both signs; the
+    # prefixes repeat across the words, so their dimensions are kept
+    dims = {}
+    for exps in itertools.product(_ALPHABET, repeat=n):
+        table = dimension_table(exps)
+        assert len(table) == n - 1
+        for sign in (1, -1):
+            for m in range(2, n + 1):
+                step = table[m - 2][sign]
+                if (exps[:m], sign) not in dims:
+                    dims[exps[:m], sign] = product_power_dim(exps[:m], sign).dim
+                assert (step.length, step.sign, step.dim) == (m, sign, dims[exps[:m], sign])
 
 
 def test_invariance_under_permutation_and_negation():

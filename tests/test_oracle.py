@@ -1,5 +1,7 @@
 """Constraint systems, Jacobian ranks, sampling, and verification runs."""
 
+import functools
+import itertools
 import json
 import math
 
@@ -536,6 +538,33 @@ def test_build_plan_follows_the_recursion_argmax():
     assert flipped.kind == "stratum"
     assert flipped.fiber_sign == -1
     assert flipped.prefix == SamplePlan((2,), -1, "leaf")
+
+
+@functools.cache
+def _reference_dim(exps, sign):
+    if len(exps) == 1:
+        return 0 if abs(exps[0]) == 2 and sign == 1 else 2
+    return max(_reference_dim(exps[:-1], sign) + (0 if abs(exps[-1]) == 2 else 2),
+               _reference_dim(exps[:-1], -sign) + 2, 3 * (len(exps) - 1))
+
+
+def _reference_plan(exps, sign):
+    """The recursion's argmax, step by step: generic on ties, then the flip."""
+    if len(exps) == 1:
+        return SamplePlan(exps, sign, "leaf")
+    top = _reference_dim(exps, sign)
+    if 3 * (len(exps) - 1) == top:
+        return SamplePlan(exps, sign, "generic")
+    fiber = -1 if _reference_dim(exps[:-1], -sign) + 2 == top else 1
+    return SamplePlan(exps, sign, "stratum", fiber_sign=fiber,
+                      prefix=_reference_plan(exps[:-1], sign * fiber))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_build_plan_is_the_argmax_reference(n):
+    for exps in itertools.product((2, -2, 3, -3, 4, 5), repeat=n):
+        for sign in (1, -1):
+            assert build_plan(exps, sign) == _reference_plan(exps, sign)
 
 
 def test_sample_from_plan_stratum_matrices_satisfy_the_word():

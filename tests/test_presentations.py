@@ -11,7 +11,6 @@ from sl2rep.presentations import (
     ParseError,
     ProductPower,
     contains_product_power,
-    deficiency,
     exponent_gcd,
     format_spec,
     generator_count,
@@ -150,15 +149,6 @@ def test_generator_count():
     assert generator_count(CyclicFinite(7)) == 1
     assert generator_count(ProductPower((2, 3, 5))) == 3
     assert generator_count(FreeProduct((FreeGroup(2), ProductPower((2, 2))))) == 4
-
-
-def test_deficiency():
-    assert deficiency(FreeGroup(4)) == 4
-    assert deficiency(ProductPower((2, 3, 5))) == 2
-    with pytest.raises(ValueError):
-        deficiency(CyclicFinite(5))
-    with pytest.raises(ValueError):
-        deficiency(FreeProduct((FreeGroup(1), CyclicFinite(2))))
 
 
 def test_contains_product_power():
