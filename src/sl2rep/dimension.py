@@ -25,6 +25,7 @@ the top step down.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .presentations import (
     CyclicFinite,
@@ -62,8 +63,7 @@ def base_dim(p: int, sign: int) -> int:
     return 2
 
 
-@dataclass(frozen=True)
-class RecursionStep:
+class RecursionStep(NamedTuple):
     """One peel of the recursion at prefix length m (word length m)."""
 
     length: int
