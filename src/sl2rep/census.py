@@ -107,15 +107,15 @@ def split_power_factor(spec: GroupSpec):
     return None
 
 
-def lower_bound_census(spec: GroupSpec, c: int) -> CensusResult:
-    """Certified lower bound on the number of dimension-c components.
+def lower_bound_census(spec: GroupSpec) -> CensusResult:
+    """Certified lower bound on the number of components of top dimension.
 
     spec must be a product-power triple, optionally free-multiplied by
-    free groups, and c must equal its variety dimension.  The bound is
-    the exact dimension-c count for the quotient replacing the
-    one-relator factor by the free product of cyclic groups of the
-    exponent magnitudes; it is valid only when that quotient variety
-    also has dimension c, which is checked.
+    free groups.  Its variety dimension c is measured once and returned
+    as basis.dim_check.  The bound is the exact dimension-c count for
+    the quotient replacing the one-relator factor by the free product of
+    cyclic groups of the exponent magnitudes; it is valid only when that
+    quotient variety also has dimension c, which is checked.
     """
     shape = split_power_factor(spec)
     if shape is None:
@@ -129,9 +129,7 @@ def lower_bound_census(spec: GroupSpec, c: int) -> CensusResult:
             "quotient lower bounds are only valid for 3-exponent relators; "
             f"got {len(power.exponents)} exponents"
         )
-    dim_here = representation_dim(spec).dim
-    if c != dim_here:
-        raise ValueError(f"requested dimension {c} != variety dimension {dim_here}")
+    c = representation_dim(spec).dim
     cyclics = [CyclicFinite(abs(p)) for p in power.exponents]
     quotient: GroupSpec
     if frees:
@@ -214,4 +212,4 @@ def distinguishing_sequence(c: int, count: int) -> list[tuple[GroupSpec, CensusR
     if c < 6 or c % 3 != 0:
         raise ValueError(f"supported dimensions are 6, 9, 12, ...; got {c}")
     groups = (triple_group(c // 3, t) for t in islice(consecutive_prime_triples(), count))
-    return [(group, lower_bound_census(group, c)) for group in groups]
+    return [(group, lower_bound_census(group)) for group in groups]

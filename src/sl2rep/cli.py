@@ -22,13 +22,7 @@ import json
 import re
 import sys
 
-from .census import (
-    MAX_SEQUENCE_COUNT,
-    QuotientLowerBound,
-    distinguishing_sequence,
-    exact_census,
-    lower_bound_census,
-)
+from .census import MAX_SEQUENCE_COUNT, distinguishing_sequence, exact_census, lower_bound_census
 from .dimension import freeness_test, product_power_dim, representation_dim
 from .families import (
     MAX_FAMILY_INDEX,
@@ -98,11 +92,14 @@ def _add_sampling(parser: argparse.ArgumentParser):
                         help=f"verify sample count, 1 to {MAX_SAMPLES:,} (default 100; "
                              "larger counts exit 2)")
     parser.add_argument("--tol-res", type=float, default=1e-8, dest="tol_res",
-                        help="residual tolerance (default 1e-8)")
+                        help="residual tolerance, finite and > 0 (default 1e-8; other "
+                             "values exit 2)")
     parser.add_argument("--tol-rank", type=float, default=1e-8, dest="tol_rank",
-                        help="relative singular value cutoff (default 1e-8)")
+                        help="relative singular value cutoff, strictly between 0 and 1 "
+                             "(default 1e-8; other values exit 2)")
     parser.add_argument("--tol-trace", type=float, default=1e-6, dest="tol_trace",
-                        help="trace matching tolerance (default 1e-6)")
+                        help="trace matching tolerance, finite and > 0 (default 1e-6; other "
+                             "values exit 2)")
 
 
 def _command(sub, name: str, handler, **kwargs) -> argparse.ArgumentParser:
@@ -131,8 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = _command(sub, "census", _cmd_census,
                  help="component census (exact or certified lower bound)")
     p.add_argument("spec")
-    p.add_argument("--dim", type=int, default=None,
-                   help="dimension for lower bounds (default: the variety dimension)")
 
     p = _command(sub, "family", _cmd_family, help="canonical parafree family member")
     p.add_argument("--rank", type=int, required=True)
@@ -259,7 +254,7 @@ def _cmd_dim(args) -> _Report:
         report.claim("spectrum", _spectrum_json(census.spectrum), EXACT)
     else:
         try:
-            bound = lower_bound_census(spec, result.dim)
+            bound = lower_bound_census(spec)
             report.claim(
                 f"components_at_{result.dim}_at_least",
                 bound.spectrum.count(result.dim),
@@ -274,8 +269,8 @@ def _cmd_census(args) -> _Report:
     spec = parse_spec(args.spec)
     report = _Report("census", {"spec": args.spec, "group": format_spec(spec)}, args)
     if contains_product_power(spec):
-        c = args.dim if args.dim is not None else representation_dim(spec).dim
-        result = lower_bound_census(spec, c)
+        result = lower_bound_census(spec)
+        c = result.basis.dim_check
         report.claim("dimension", c, EXACT)
         report.claim(f"components_at_{c}_at_least", result.spectrum.count(c), QUOTIENT)
         report.claim("quotient", format_spec(result.basis.quotient), QUOTIENT)
@@ -301,7 +296,7 @@ def _cmd_family(args) -> _Report:
 
 def _cmd_witness(args) -> _Report:
     group, census = witness_group(args.rank, args.mirc)
-    dim = representation_dim(group).dim
+    dim = census.basis.dim_check
     report = _Report("witness", {"rank": args.rank, "mirc": args.mirc}, args)
     report.claim("group", format_spec(group), EXACT)
     report.claim("dimension", dim, EXACT)

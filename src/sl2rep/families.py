@@ -142,7 +142,7 @@ def witness_group(rank: int, min_components: int) -> tuple[GroupSpec, CensusResu
         )
     for triple in consecutive_prime_triples():
         group = triple_group(rank, triple)
-        result = lower_bound_census(group, 3 * rank)
+        result = lower_bound_census(group)
         if result.spectrum.count(3 * rank) >= min_components:
             return group, result
     raise AssertionError("unreachable")

@@ -31,10 +31,12 @@ all letters and orbit points built in one vectorised pass), prefix word
 and closed-form root of the last matrix on branch index mod count,
 Gauss-Newton polish, one residual check, one Jacobian and one SVD with
 per-sample rank cuts.  A sample is rejected at the first stage it fails:
-genericity, obstructed, residual, rank_gap.  The single-sample entry
-points (sample_from_plan, complete_point, local_dimension,
-jacobian_rank) are stacks of one through the same code, so any sample
-of a run can be replayed alone.
+genericity, obstructed, residual, rank_gap.  A census run puts its
+central points +-I through the same check stage, stacked with its orbit
+samples.  Both kinds of run turn the verdicts into a report in one
+place.  The single-sample entry points (sample_from_plan,
+complete_point, local_dimension, jacobian_rank) are stacks of one
+through the same code, so any sample of a run can be replayed alone.
 """
 
 from __future__ import annotations
@@ -67,6 +69,13 @@ class Tolerances:
     genericity: float = 1e-4    # reject generic samples with traces this close to +-2
     min_rank_gap: float = 1e3   # required s_rank / s_rank+1 ratio
     fd_step: float = 1e-6       # central difference step for cross-checks
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"tolerance {name} must be finite and > 0, got {value!r}")
+        if not self.rank_rel < 1:
+            raise ValueError(f"tolerance rank_rel must be below 1, got {self.rank_rel!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -288,6 +297,17 @@ def _local_dimensions(mats: np.ndarray, system: ConstraintSystem, tol: Tolerance
         if finite.any():
             rank[near[finite]], gap[near[finite]] = _ranks(jac[finite], tol.rank_rel)
     return res, rank, gap
+
+
+def _checked(mats: np.ndarray, system: ConstraintSystem, tol: Tolerances):
+    """The check stage as verdicts: each sample's rejection reason
+    ("residual" or "rank_gap") or else its local dimension, and each
+    sample's rank gap, at least tol.min_rank_gap exactly where accepted."""
+    res, rank, gap = _local_dimensions(mats, system, tol)
+    verdicts = np.where(res <= tol.residual, "rank_gap", "residual").astype(object)
+    good = gap >= tol.min_rank_gap
+    verdicts[good] = (system.ambient_dim - rank[good]).tolist()
+    return verdicts, gap
 
 
 def local_dimension(mats, system: ConstraintSystem, tol: Tolerances = Tolerances()) -> LocalDimension:
@@ -514,18 +534,12 @@ def _dimension_verdicts(plan: SamplePlan, system: ConstraintSystem, seed: int,
     and the rank gaps of the accepted samples."""
     mats, obstructed, witnesses = _draw_samples(
         plan, np.arange(num_samples), [sample_rng(seed, index) for index in range(num_samples)])
-    verdicts = np.full(num_samples, None, dtype=object)
+    verdicts = np.full(num_samples, "genericity", dtype=object)
     generic = ~_near_central_trace(witnesses, tol.genericity)
-    verdicts[~generic] = "genericity"
     verdicts[generic & obstructed] = "obstructed"
     checked = np.flatnonzero(generic & ~obstructed)
-    res, rank, gap = _local_dimensions(mats[checked], system, tol)
-    near = res <= tol.residual
-    good = gap >= tol.min_rank_gap
-    verdicts[checked[~near]] = "residual"
-    verdicts[checked[near & ~good]] = "rank_gap"
-    verdicts[checked[good]] = (system.ambient_dim - rank[good]).tolist()
-    return verdicts.tolist(), gap[good]
+    verdicts[checked], gap = _checked(mats[checked], system, tol)
+    return verdicts.tolist(), gap[gap >= tol.min_rank_gap]
 
 
 @dataclass
@@ -545,7 +559,7 @@ class VerificationReport:
     agreement: float
     min_rank_gap: float
     trace_class_tallies: dict[str, int]
-    central_checks: dict[str, int]
+    central_checks: dict[str, int | str]  # local dimension, or the stage's rejection reason
     passed: bool
 
     def to_dict(self) -> dict:
@@ -573,11 +587,37 @@ class VerificationReport:
         }
 
 
-def _consensus(histogram: dict[int, int]) -> Optional[int]:
-    if not histogram:
-        return None
-    best_count = max(histogram.values())
-    return min(d for d, c in histogram.items() if c == best_count)
+_REJECTIONS = ("obstructed", "genericity", "residual", "rank_gap")
+
+
+def _report(kind: str, inputs: dict, seed: int, tol: Tolerances, verdicts: list,
+            gaps: np.ndarray, predicted: int) -> VerificationReport:
+    """The report of a run from each sample's verdict and the rank gaps of
+    the accepted samples.  Passes only when at least one sample is
+    accepted, every accepted sample reports the same local dimension, and
+    that consensus equals the predicted dimension."""
+    histogram = dict(Counter(v for v in verdicts if isinstance(v, int)))
+    accepted = sum(histogram.values())
+    # the most frequent local dimension, the smallest on ties
+    best = max(histogram.values(), default=0)
+    consensus = min((d for d, c in histogram.items() if c == best), default=None)
+    return VerificationReport(
+        kind=kind,
+        inputs=inputs,
+        seed=seed,
+        tolerances=tol,
+        samples_requested=len(verdicts),
+        samples_accepted=accepted,
+        rejections={reason: verdicts.count(reason) for reason in _REJECTIONS},
+        local_dim_histogram=histogram,
+        consensus_dim=consensus,
+        predicted_dim=predicted,
+        agreement=(histogram.get(consensus, 0) / accepted) if accepted else 0.0,
+        min_rank_gap=float(np.min(gaps)) if len(gaps) else math.inf,
+        trace_class_tallies={},
+        central_checks={},
+        passed=bool(accepted > 0 and len(histogram) == 1 and consensus == predicted),
+    )
 
 
 def verify_dimension(
@@ -607,33 +647,10 @@ def verify_dimension(
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     if not 1 <= num_samples <= MAX_SAMPLES:
         raise ValueError(f"samples must be in 1..{MAX_SAMPLES}, got {num_samples}")
-    predicted = product_power_dim(exps, sign).dim
     system = ConstraintSystem(len(exps), exps, sign)
     verdicts, gaps = _dimension_verdicts(build_plan(exps, sign), system, seed, num_samples, tol)
-    rejections = {reason: verdicts.count(reason)
-                  for reason in ("obstructed", "genericity", "residual", "rank_gap")}
-    histogram = dict(Counter(v for v in verdicts if isinstance(v, int)))
-    min_gap = float(np.min(gaps)) if len(gaps) else math.inf
-    accepted = sum(histogram.values())
-    consensus = _consensus(histogram)
-    passed = bool(accepted > 0 and len(histogram) == 1 and consensus == predicted)
-    return VerificationReport(
-        kind="dimension",
-        inputs={"exponents": list(exps), "sign": sign},
-        seed=seed,
-        tolerances=tol,
-        samples_requested=num_samples,
-        samples_accepted=accepted,
-        rejections=rejections,
-        local_dim_histogram=histogram,
-        consensus_dim=consensus,
-        predicted_dim=predicted,
-        agreement=(histogram.get(consensus, 0) / accepted) if accepted else 0.0,
-        min_rank_gap=min_gap,
-        trace_class_tallies={},
-        central_checks={},
-        passed=passed,
-    )
+    return _report("dimension", {"exponents": list(exps), "sign": sign}, seed, tol,
+                   verdicts, gaps, product_power_dim(exps, sign).dim)
 
 
 def verify_central_roots(
@@ -645,12 +662,15 @@ def verify_central_roots(
 ) -> VerificationReport:
     """Check the component census of {A : A^p = sign*I} numerically.
 
-    Central members must be isolated (local dimension 0 from a
-    full-rank Jacobian).  Each eigenvalue-pair orbit is sampled at
-    random conjugates; every accepted sample must have local dimension
-    2 and a trace matching its admissible class.  Passes when all of
-    that holds and the sampled class set matches the expected census.
-    p is capped at MAX_CENTRAL_POWER and num_samples at MAX_SAMPLES.
+    The central members and random conjugates on every eigenvalue-pair
+    orbit pass the run's one check stage together.  Central members
+    must be isolated (local dimension 0 from a full-rank Jacobian); a
+    central member the stage rejects fails the run, and central_checks
+    names its rejection reason.  The orbit samples are the run's samples:
+    every accepted one must have local dimension 2 and a trace matching
+    its admissible class.  Passes when all of that holds and the sampled
+    class set matches the expected census.  p is capped at
+    MAX_CENTRAL_POWER and num_samples at MAX_SAMPLES.
     """
     if p > MAX_CENTRAL_POWER or not 1 <= num_samples <= MAX_SAMPLES:
         raise ValueError(f"need p <= {MAX_CENTRAL_POWER} and samples in 1..{MAX_SAMPLES}, "
@@ -658,64 +678,27 @@ def verify_central_roots(
     traces = admissible_traces(p, sign)
     # the orbit classes by increasing angle, as central_root_classes lists them
     orbit_rows = [row for row, cls in enumerate(traces) if not cls.central]
-    spectrum = central_root_spectrum(p, sign)
-    predicted = spectrum.dimension()
-    system = ConstraintSystem(1, (p,), sign)
-    ok = True
-    central = central_signs(p, sign)
-    central_checks: dict[str, int] = {}
-    for eta in central:
-        label = "+2" if eta == 1 else "-2"
-        local = local_dimension(np.stack([eta * IDENTITY]), system, tol)
-        central_checks[label] = local.dim
-        if local.dim != 0:
-            ok = False
-    per_class = 0
-    if orbit_rows:
-        per_class = max(1, -(-num_samples // len(orbit_rows)))
+    per_class = max(1, -(-num_samples // len(orbit_rows))) if orbit_rows else 0
     # sample index class_index * per_class + rep draws class class_index
     expected = np.repeat(np.array(orbit_rows, dtype=int), per_class)
-    total = len(expected)
-    mats = np.empty((0, 2, 2), dtype=complex)
-    if total:
-        uniforms = np.stack([sample_rng(seed, index).random(7) for index in range(total)])
-        mats = _orbit_point(np.repeat([float(traces[row].angle) for row in orbit_rows], per_class),
-                            uniforms)
-    res, rank, gap = _local_dimensions(mats[:, None], system, tol)
-    near = res <= tol.residual
-    good = gap >= tol.min_rank_gap
-    rejections = {"obstructed": 0, "genericity": 0,
-                  "residual": int(np.sum(~near)), "rank_gap": int(np.sum(near & ~good))}
-    dims = system.ambient_dim - rank
-    histogram = dict(Counter(dims[good].tolist()))
-    min_gap = float(np.min(gap[good])) if good.any() else math.inf
-    matched = match_traces(np.trace(mats[good], axis1=-2, axis2=-1), traces, tol.trace)
-    if np.any(matched != expected[good]) or np.any(dims[good] != 2):
-        ok = False
-    tallies = dict(Counter(traces[row].label() for row in matched[matched >= 0]))
-    accepted = sum(histogram.values())
-    sampled_classes = len(tallies)
+    uniforms = np.array([sample_rng(seed, index).random(7) for index in range(len(expected))])
+    orbits = _orbit_point(np.repeat([float(traces[row].angle) for row in orbit_rows], per_class),
+                          uniforms.reshape(-1, 7))
+    central = central_signs(p, sign)
+    # the central points pass the check stage ahead of the orbit samples
+    points = np.concatenate([np.multiply.outer(central, IDENTITY), orbits])
+    verdicts, gap = _checked(points[:, None], ConstraintSystem(1, (p,), sign), tol)
+    samples = slice(len(central), None)
+    accepted = gap[samples] >= tol.min_rank_gap
+    report = _report("central-roots", {"power": p, "sign": sign}, seed, tol, verdicts[samples].tolist(),
+                     gap[samples][accepted], central_root_spectrum(p, sign).dimension())
+    report.central_checks = {"+2" if eta == 1 else "-2": v for eta, v in zip(central, verdicts)}
+    matched = match_traces(np.trace(orbits[accepted], axis1=-2, axis2=-1), traces, tol.trace)
+    report.trace_class_tallies = dict(Counter(traces[row].label() for row in matched[matched >= 0]))
+    central_ok = all(v == 0 for v in report.central_checks.values())
     if orbit_rows:
-        consensus = _consensus(histogram)
-        if consensus != 2 or sampled_classes != spectrum.count(2):
-            ok = False
+        report.passed = bool(report.passed and central_ok and np.array_equal(matched, expected[accepted])
+                             and len(report.trace_class_tallies) == len(orbit_rows))
     else:
-        consensus = 0 if central else None
-    passed = bool(ok and consensus == predicted)
-    return VerificationReport(
-        kind="central-roots",
-        inputs={"power": p, "sign": sign},
-        seed=seed,
-        tolerances=tol,
-        samples_requested=total,
-        samples_accepted=accepted,
-        rejections=rejections,
-        local_dim_histogram=histogram,
-        consensus_dim=consensus,
-        predicted_dim=predicted,
-        agreement=(histogram.get(consensus, 0) / accepted) if accepted else 0.0,
-        min_rank_gap=min_gap,
-        trace_class_tallies=tallies,
-        central_checks=central_checks,
-        passed=passed,
-    )
+        report.consensus_dim, report.passed = 0, central_ok
+    return report

@@ -148,10 +148,13 @@ class TraceTable(tuple):
 
 
 def admissible_traces(p: int, sign: int) -> TraceTable:
-    """All trace values occurring on the solution set of A^p = sign*I."""
+    """All trace values occurring on the solution set of A^p = sign*I, by
+    increasing angle: +2 if +I is a solution, the orbit classes, then -2
+    if -I is one."""
     classes = central_root_classes(p, sign)
-    central = [TraceClass(Fraction(0 if eta == 1 else 1)) for eta in classes.central]
-    return TraceTable(sorted(central + list(classes.orbits)))
+    first = [TraceClass(Fraction(0))] if 1 in classes.central else []
+    last = [TraceClass(Fraction(1))] if -1 in classes.central else []
+    return TraceTable(first + list(classes.orbits) + last)
 
 
 def match_traces(values, classes: TraceTable, tol: float) -> np.ndarray:

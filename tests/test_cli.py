@@ -1,6 +1,7 @@
 """Command line behavior: output shapes, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -241,6 +242,35 @@ def test_verify_omega(capsys):
 
     code, _, _ = run(capsys, "verify", "omega", "--p", "6", "--sign", "-", "--samples", "6")
     assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_verify_omega_failed_central_check_is_a_report(capsys, output):
+    # at this cutoff the Jacobians of +-I have no clean rank cut
+    code, out, err = run(capsys, "verify", "omega", "--p", "4", "--tol-rank", "0.9",
+                         "--output", output)
+    assert (code, err) == (EXIT_VERIFY_FAIL, "")
+    if output == "json":
+        report = {r["name"]: r["value"] for r in json.loads(out)["results"]}["report"]
+        assert report["central_checks"] == {"+2": "rank_gap", "-2": "rank_gap"}
+        assert report["pass"] is False
+    else:
+        assert out.endswith("pass: false\n")
+
+
+@pytest.mark.parametrize("value", ["1e-300", "0.5", "0.9", "1", "2", "0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("option", ["--tol-res", "--tol-rank", "--tol-trace"])
+@pytest.mark.parametrize("command", [("verify", "dim", "3,5,7"), ("verify", "omega", "--p", "5")])
+def test_tolerance_values_finish_or_exit_two(capsys, command, option, value):
+    code, _, err = run(capsys, *command, "--samples", "4", option, value)
+    assert "Traceback" not in err
+    # every tolerance is finite and > 0, and the rank cutoff below 1
+    tol = float(value)
+    valid = math.isfinite(tol) and tol > 0 and (option != "--tol-rank" or tol < 1)
+    if valid:
+        assert code in (EXIT_OK, EXIT_VERIFY_FAIL) and err == ""
+    else:
+        assert code == EXIT_USAGE and err.startswith("error: ")
 
 
 # one valid call of each exact subcommand

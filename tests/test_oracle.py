@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from sl2rep import oracle
 from sl2rep.matrices import IDENTITY, adjugate, determinant, mat2, mat_power, random_sl2
 from sl2rep.oracle import (
     MAX_CENTRAL_POWER,
@@ -716,6 +717,50 @@ def test_verify_central_roots_even_sign_minus():
     assert report.passed
     assert report.central_checks == {}
     assert len(report.trace_class_tallies) == 2
+
+
+def test_verify_central_roots_reports_a_failed_central_check():
+    # at this cutoff the Jacobians of +-I have no clean rank cut: the run
+    # fails with a report instead of raising
+    report = verify_central_roots(4, 1, 4, 0, Tolerances(rank_rel=0.9))
+    assert not report.passed
+    assert report.central_checks == {"+2": "rank_gap", "-2": "rank_gap"}
+    assert json.loads(json.dumps(report.to_dict()))["pass"] is False
+
+
+@pytest.mark.parametrize("p,sign", [(2, 1), (5, 1), (6, 1), (7, -1)])
+def test_both_verify_runs_share_one_check_stage_and_report_builder(monkeypatch, p, sign):
+    # the central points and the orbit samples pass one stacked check,
+    # and both verify functions assemble their report in one place
+    calls = []
+
+    def counted(name):
+        original = getattr(oracle, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(oracle, name, wrapper)
+
+    for name in ("_local_dimensions", "local_dimension", "_report"):
+        counted(name)
+    assert verify_central_roots(p, sign, num_samples=6, seed=1).passed
+    assert sorted(calls) == ["_local_dimensions", "_report"]
+    calls.clear()
+    assert verify_dimension((2, 3), sign, num_samples=6, seed=1).passed
+    assert sorted(calls) == ["_local_dimensions", "_report"]
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [(name, value) for name in ("residual", "rank_rel", "trace", "genericity", "min_rank_gap",
+                                "fd_step")
+     for value in (0.0, -1.0, math.nan, math.inf, -math.inf)]
+    + [("rank_rel", 1.0), ("rank_rel", 2.0)],
+)
+def test_tolerances_reject_values_outside_their_domain(field, value):
+    with pytest.raises(ValueError, match=field):
+        Tolerances(**{field: value})
 
 
 def test_verification_report_dict_shape():
