@@ -87,7 +87,9 @@ def _shield_negative_tuples(argv: list[str]) -> list[str]:
 
 
 def _add_sampling(parser: argparse.ArgumentParser):
-    parser.add_argument("--seed", type=int, default=0, help="master RNG seed (default 0)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="master seed, a non-negative integer of any size (default 0; "
+                             "negative seeds exit 2)")
     parser.add_argument("--samples", type=int, default=100,
                         help=f"verify sample count, 1 to {MAX_SAMPLES:,} (default 100; "
                              "larger counts exit 2)")
@@ -178,7 +180,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _tolerances(args) -> Tolerances:
-    return Tolerances(residual=args.tol_res, rank_rel=args.tol_rank, trace=args.tol_trace)
+    """The run's tolerances; a value outside its domain is a usage error
+    that names its option."""
+    values = {"residual": args.tol_res, "rank_rel": args.tol_rank, "trace": args.tol_trace}
+    for (field, value), option in zip(values.items(), ("--tol-res", "--tol-rank", "--tol-trace")):
+        if problem := Tolerances.domain_error(field, value):
+            raise ValueError(f"{option} {problem}")
+    return Tolerances(**values)
 
 
 _CONFIG_KEYS = ("seed", "samples", "tol_res", "tol_rank", "tol_trace", "output")
@@ -335,6 +343,8 @@ def _cmd_verify(args) -> _Report:
     else:
         verify, subject = verify_central_roots, args.p
         inputs = {"p": subject}
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     result = verify(subject, args.sign, args.samples, args.seed, _tolerances(args))
     report = _Report(f"verify {args.verify_what}", {**inputs, "sign": args.sign}, args)
     report.claim("predicted_dimension", result.predicted_dim, EXACT)

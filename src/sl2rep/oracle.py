@@ -14,8 +14,9 @@ stratum (random prefix, last matrix solved by a root branch) already
 has top dimension, that is used; otherwise the sampler follows the
 dimension recursion's argmax and places the prefix on the degenerate
 locus where the prefix word is +-I, with the last matrix drawn from a
-random eigenvalue-pair orbit.  Every sample stream is derived from
-(master seed, sample index), so runs are reproducible.
+random eigenvalue-pair orbit.  Sample i of a run draws from row i of
+the run's block of counter-based uniforms(seed, rows, width), so runs
+are reproducible and any sample replays alone.
 
 Generic prefix letters of power p are C diag(lam, 1/lam) C^-1, with
 C = U diag(s, 1/s) V, U and V Haar in SU(2), |log s| <= 0.2, |p log|lam||
@@ -26,22 +27,23 @@ image contains an open subset of SU(2)^(n-1), Zariski dense in
 SL2C^(n-1), so it meets the rank-drop locus with probability 0.
 
 A run verifies all its samples at once, as stages over (S, n, 2, 2)
-stacks: draw (each sample from its own stream sample_rng(seed, index),
-all letters and orbit points built in one vectorised pass), prefix word
-and closed-form root of the last matrix on branch index mod count,
-Gauss-Newton polish, one residual check, one Jacobian and one SVD with
-per-sample rank cuts.  A sample is rejected at the first stage it fails:
-genericity, obstructed, residual, rank_gap.  A census run puts its
-central points +-I through the same check stage, stacked with its orbit
-samples.  Both kinds of run turn the verdicts into a report in one
-place.  The single-sample entry points (sample_from_plan,
-complete_point, local_dimension, jacobian_rank) are stacks of one
-through the same code, so any sample of a run can be replayed alone.
+stacks: draw (all letters and orbit points built in one vectorised pass),
+prefix word and closed-form root of the last matrix on branch index mod
+count, Gauss-Newton polish, one Jacobian whose product-rule pass also
+gives the residuals, and one SVD with per-sample rank cuts.  A sample is
+rejected at the first stage it fails: genericity, obstructed, residual,
+rank_gap.  A census run puts its central points +-I through the same
+check stage, stacked with its orbit samples.  Both kinds of run turn the
+verdicts into a report in one place.  The single-sample entry points
+(sample_from_plan, complete_point, local_dimension, jacobian_rank) are
+stacks of one through the same code, so any sample of a run can be
+replayed alone.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
@@ -56,7 +58,6 @@ from .traces import (
     central_root_spectrum,
     central_signs,
     match_traces,
-    orbit_class,
     orbit_count,
 )
 
@@ -72,10 +73,16 @@ class Tolerances:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"tolerance {name} must be finite and > 0, got {value!r}")
-        if not self.rank_rel < 1:
-            raise ValueError(f"tolerance rank_rel must be below 1, got {self.rank_rel!r}")
+            if problem := self.domain_error(name, value):
+                raise ValueError(f"tolerance {name} {problem}")
+
+    @staticmethod
+    def domain_error(name: str, value: float) -> Optional[str]:
+        """What is wrong with value for the field name, or None."""
+        if not (math.isfinite(value) and value > 0):
+            return f"must be finite and > 0, got {value!r}"
+        if name == "rank_rel" and not value < 1:
+            return f"must be below 1, got {value!r}"
 
     def to_dict(self) -> dict:
         return {
@@ -115,6 +122,9 @@ _QUAT_SHIFT = np.array([1.0, 0.0, 1.0, 0.0])
 _SU2_ENTRIES = np.array([0, 1, 5, 4, 2, 3, 7, 6])
 _SU2_SIGNS = np.array([1, 1, -1, 1, 1, 1, -1, 1])
 _RECIPROCAL = np.array([1, -1])
+# SplitMix64's increment, the golden ratio in 64 bits
+_GOLDEN = 0x9E3779B97F4A7C15
+_MASK = 2**64 - 1
 # cost bounds (a few seconds each on a 2-core VM); the CLI exits 2 above them
 MAX_SAMPLES = 1000
 MAX_CENTRAL_POWER = 10**4
@@ -188,10 +198,14 @@ class ConstraintSystem:
         minus sign*I (no word rows for a free system).  A (..., n, 2, 2)
         stack of points gives a (..., n + 4) stack of residual vectors."""
         mats = np.asarray(mats, dtype=complex)
+        return self._residuals(mats, None if self.exponents is None else eval_word(mats, self.exponents))
+
+    def _residuals(self, mats: np.ndarray, word: Optional[np.ndarray]) -> np.ndarray:
+        """The residual vectors of a stack of points and its word values."""
         dets = determinant(mats) - 1.0
-        if self.exponents is None:
+        if word is None:
             return dets
-        word = eval_word(mats, self.exponents) - self.sign * IDENTITY
+        word = word - self.sign * IDENTITY
         return np.concatenate([dets, word.reshape(word.shape[:-2] + (4,))], axis=-1)
 
     def residual_norm(self, mats) -> float:
@@ -200,7 +214,11 @@ class ConstraintSystem:
     def jacobian(self, mats) -> np.ndarray:
         """Complex Jacobian of residuals, by product-rule accumulation.  A
         (..., n, 2, 2) stack of points gives a (..., rows, 4n) stack."""
-        mats = np.asarray(mats, dtype=complex)
+        return self._jacobian_and_word(np.asarray(mats, dtype=complex))[0]
+
+    def _jacobian_and_word(self, mats: np.ndarray):
+        """The Jacobian and the word values (None for a free system): row 0
+        of the product-rule pass, bitwise eval_word at finite entries."""
         n = self.num_matrices
         lead = mats.shape[:-3]
         rows = n + (4 if self.exponents is not None else 0)
@@ -209,19 +227,20 @@ class ConstraintSystem:
         det_entries = (np.arange(n)[:, None] * (4 * n + 4) + np.arange(4)).ravel()
         jac.reshape(lead + (-1,))[..., det_entries] = \
             (mats[..., ::-1, ::-1] * _DET_SIGNS).reshape(lead + (4 * n,))
-        if self.exponents is not None:
-            # row 0 holds the word so far, rows 4i+1..4i+4 its derivatives
-            # in the entries of m_i; the word starts at its first factor,
-            # as I @ factor is factor
-            word = np.empty(lead + (1 + 4 * n, 2, 2), dtype=complex)
-            word[..., 0, :, :], word[..., 1:5, :, :] = _power_with_derivs(mats[..., 0, :, :], self.exponents[0])
-            for i, p in enumerate(self.exponents[1:], start=1):
-                factor, factor_derivs = _power_with_derivs(mats[..., i, :, :], p)
-                # the rows of later letters are not filled in yet
-                word[..., 4 * i + 1: 4 * i + 5, :, :] = mul2(word[..., :1, :, :], factor_derivs)
-                word[..., :4 * i + 1, :, :] = mul2(word[..., :4 * i + 1, :, :], factor[..., None, :, :])
-            jac[..., n:, :] = np.swapaxes(word[..., 1:, :, :].reshape(lead + (4 * n, 4)), -1, -2)
-        return jac
+        if self.exponents is None:
+            return jac, None
+        # row 0 holds the word so far, rows 4i+1..4i+4 its derivatives
+        # in the entries of m_i; the word starts at its first factor,
+        # as I @ factor is factor
+        word = np.empty(lead + (1 + 4 * n, 2, 2), dtype=complex)
+        word[..., 0, :, :], word[..., 1:5, :, :] = _power_with_derivs(mats[..., 0, :, :], self.exponents[0])
+        for i, p in enumerate(self.exponents[1:], start=1):
+            factor, factor_derivs = _power_with_derivs(mats[..., i, :, :], p)
+            # the rows of later letters are not filled in yet
+            word[..., 4 * i + 1: 4 * i + 5, :, :] = mul2(word[..., :1, :, :], factor_derivs)
+            word[..., :4 * i + 1, :, :] = mul2(word[..., :4 * i + 1, :, :], factor[..., None, :, :])
+        jac[..., n:, :] = np.swapaxes(word[..., 1:, :, :].reshape(lead + (4 * n, 4)), -1, -2)
+        return jac, word[..., 0, :, :]
 
 
 def jacobian_fd(system: ConstraintSystem, mats,
@@ -283,16 +302,18 @@ class LocalDimension:
 
 
 def _local_dimensions(mats: np.ndarray, system: ConstraintSystem, tol: Tolerances):
-    """The check stages on an (S, n, 2, 2) stack: the residual norm of
-    every sample, then for those within tol.residual one stacked Jacobian
-    and one stacked SVD.  Returns (res, rank, gap); rank is -1 and gap
-    NaN where the residual gate fails or the Jacobian is not finite."""
-    res = np.max(np.abs(system.residuals(mats)), axis=-1)
+    """The check stages on an (S, n, 2, 2) stack: one stacked Jacobian,
+    whose pass also gives every sample's residual norm, then one stacked
+    SVD of those within tol.residual.  Returns (res, rank, gap); rank is
+    -1 and gap NaN where the residual gate fails or the Jacobian is not
+    finite."""
+    jac, word = system._jacobian_and_word(mats)
+    res = np.max(np.abs(system._residuals(mats, word)), axis=-1)
     rank = np.full(len(mats), -1)
     gap = np.full(len(mats), np.nan)
     near = np.flatnonzero(res <= tol.residual)
     if near.size:
-        jac = system.jacobian(mats[near])
+        jac = jac[near]
         finite = np.all(np.isfinite(jac), axis=(-2, -1))
         if finite.any():
             rank[near[finite]], gap[near[finite]] = _ranks(jac[finite], tol.rank_rel)
@@ -322,9 +343,33 @@ def local_dimension(mats, system: ConstraintSystem, tol: Tolerances = Tolerances
     return LocalDimension(system.ambient_dim - int(rank), int(rank), float(gap))
 
 
-def sample_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent, reproducible stream for one (seed, sample index) pair."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+def _splitmix(z):
+    """SplitMix64's finaliser on a Python int or a uint64 array, mod 2^64."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+    return z ^ (z >> 31)
+
+
+def _key(seed: int) -> int:
+    """A run's 64-bit key: the finaliser folded over every 64-bit limb of
+    a non-negative seed, low limb first, so seeds of any size stay apart."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    key = 0
+    for shift in range(0, max(seed.bit_length(), 1), 64):
+        key = _splitmix(((key + _GOLDEN) & _MASK) ^ ((seed >> shift) & _MASK))
+    return key
+
+
+def uniforms(seed: int, rows, width: int) -> np.ndarray:
+    """The (len(rows), width) block of a run's uniforms in [0, 1): entry
+    (row, column) is the top 53 bits of the SplitMix64 finaliser of
+    key(seed) + (row * width + column + 1) * golden.  Integer-exact and
+    counter-based, so sample i of a run replays alone as
+    uniforms(seed, [i], width)."""
+    counters = np.asarray(rows, dtype=np.uint64)[:, None] * width + np.arange(1, width + 1, dtype=np.uint64)
+    return (_splitmix(_key(seed) + counters * _GOLDEN) >> 11) * 2.0 ** -53
 
 
 def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -466,15 +511,32 @@ def _orbit_point(angles, u: np.ndarray) -> np.ndarray:
     return _conjugated_diagonal(u, np.exp(1j * math.pi * np.asarray(angles, dtype=float)))
 
 
-def _orbit_draws(k: int, target_sign: int, rngs) -> np.ndarray:
-    """Random points on random eigenvalue-pair orbits of {A : A^k =
-    target_sign*I}, one per generator: an orbit index, then seven uniforms."""
-    count = orbit_count(k, target_sign)
-    if not count:
-        raise OracleError(f"no orbit components for power {k}, sign {target_sign}")
-    draws = [(float(orbit_class(k, target_sign, int(rng.integers(count))).angle), rng.random(7))
-             for rng in rngs]
-    return _orbit_point([angle for angle, _ in draws], np.stack([u for _, u in draws]))
+def _orbit_draws(letters, u: np.ndarray) -> np.ndarray:
+    """Random points on random eigenvalue-pair orbits of {A : A^k = sign*I},
+    one per (k, sign) in letters, from eight uniforms each: u of shape
+    (S, len(letters), 8) holds an orbit index, then seven for C."""
+    counts = np.array([orbit_count(k, sign) for k, sign in letters])
+    if not counts.all():
+        raise OracleError(f"no orbit components for some (power, sign) of {letters}")
+    k, sign = np.array(letters).T
+    index = np.minimum((u[..., 0] * counts).astype(int), counts - 1)
+    # orbit_class's angle (2 index + 2)/k at sign +1, (2 index + 1)/k at sign -1
+    return _orbit_point((2 * index + (3 + sign) // 2) / k, u[..., 1:])
+
+
+def _orbit_letters(plan: SamplePlan) -> list:
+    """The (k, sign) of {A : A^k = sign*I} for each letter of a stratum or
+    leaf plan, leaf first."""
+    if plan.kind == "leaf":
+        return [(abs(plan.exponents[0]), plan.sign)]
+    return _orbit_letters(plan.prefix) + [(abs(plan.exponents[-1]), plan.fiber_sign)]
+
+
+def _width(plan: SamplePlan) -> int:
+    """Uniforms per sample: nine per generic prefix letter, or eight per
+    letter of a stratum or leaf (an orbit index, then seven for C)."""
+    n = len(plan.exponents)
+    return 9 * (n - 1) if plan.kind == "generic" else 8 * n
 
 
 @dataclass
@@ -483,29 +545,21 @@ class Sample:
     witness_traces: list = field(default_factory=list)
 
 
-def _draw_samples(plan: SamplePlan, branches: np.ndarray, rngs):
-    """The draw, root and polish stages, one sample per generator.
+def _draw_samples(plan: SamplePlan, branches: np.ndarray, u: np.ndarray):
+    """The draw, root and polish stages, one sample per row of the
+    (S, _width(plan)) uniform block u, on root branch branches[row].
 
     Returns the (S, n, 2, 2) points, the mask of obstructed samples
     (their last matrix is NaN), and the (S, w) genericity witnesses: for a
     generic plan, the traces of each prefix letter and prefix word.
     """
-    size = len(rngs)
-    if plan.kind == "leaf":
-        k = abs(plan.exponents[0])
-        no_witness = np.empty((size, 0), dtype=complex)
-        if orbit_count(k, plan.sign):
-            return _orbit_draws(k, plan.sign, rngs)[:, None], np.zeros(size, dtype=bool), no_witness
-        central = central_signs(k, plan.sign)
-        eta = np.array([central[branch % len(central)] for branch in branches])
-        return eta[:, None, None, None] * IDENTITY, np.zeros(size, dtype=bool), no_witness
-    if plan.kind == "stratum":
-        inner, obstructed, witnesses = _draw_samples(plan.prefix, branches, rngs)
-        fiber = _orbit_draws(abs(plan.exponents[-1]), plan.fiber_sign, rngs)
-        return np.concatenate([inner, fiber[:, None]], axis=1), obstructed, witnesses
+    size = len(u)
+    if plan.kind != "generic":
+        letters = _orbit_letters(plan)
+        return (_orbit_draws(letters, u.reshape(size, len(letters), 8)), np.zeros(size, dtype=bool),
+                np.empty((size, 0), dtype=complex))
     exps = plan.exponents
-    n = len(exps)
-    letters = _letters(exps[:-1], np.stack([rng.random(9 * (n - 1)) for rng in rngs]).reshape(size, n - 1, 9))
+    letters = _letters(exps[:-1], u.reshape(size, len(exps) - 1, 9))
     word = IDENTITY
     witnesses = []
     for i, p in enumerate(exps[:-1]):
@@ -516,10 +570,11 @@ def _draw_samples(plan: SamplePlan, branches: np.ndarray, rngs):
     return np.concatenate([letters, last[:, None]], axis=1), obstructed, traces
 
 
-def sample_from_plan(plan: SamplePlan, branch: int, rng: np.random.Generator) -> Sample:
-    """One sample of a plan: the stack of one that a run with this stream
-    and branch (the sample index) draws."""
-    mats, obstructed, witnesses = _draw_samples(plan, np.array([branch]), [rng])
+def sample_from_plan(plan: SamplePlan, seed: int, index: int) -> Sample:
+    """Sample index of a run of this plan under this seed, alone: a stack
+    of one drawn from the run's uniform row index on root branch index."""
+    mats, obstructed, witnesses = _draw_samples(plan, np.array([index]),
+                                                uniforms(seed, [index], _width(plan)))
     return Sample(None if obstructed[0] else mats[0], witnesses[0].tolist())
 
 
@@ -532,8 +587,8 @@ def _dimension_verdicts(plan: SamplePlan, system: ConstraintSystem, seed: int,
     """The stages of a dimension run over samples 0..num_samples-1: each
     sample's verdict, its rejection reason or else its local dimension,
     and the rank gaps of the accepted samples."""
-    mats, obstructed, witnesses = _draw_samples(
-        plan, np.arange(num_samples), [sample_rng(seed, index) for index in range(num_samples)])
+    rows = np.arange(num_samples)
+    mats, obstructed, witnesses = _draw_samples(plan, rows, uniforms(seed, rows, _width(plan)))
     verdicts = np.full(num_samples, "genericity", dtype=object)
     generic = ~_near_central_trace(witnesses, tol.genericity)
     verdicts[generic & obstructed] = "obstructed"
@@ -681,9 +736,8 @@ def verify_central_roots(
     per_class = max(1, -(-num_samples // len(orbit_rows))) if orbit_rows else 0
     # sample index class_index * per_class + rep draws class class_index
     expected = np.repeat(np.array(orbit_rows, dtype=int), per_class)
-    uniforms = np.array([sample_rng(seed, index).random(7) for index in range(len(expected))])
     orbits = _orbit_point(np.repeat([float(traces[row].angle) for row in orbit_rows], per_class),
-                          uniforms.reshape(-1, 7))
+                          uniforms(seed, np.arange(len(expected)), 7))
     central = central_signs(p, sign)
     # the central points pass the check stage ahead of the orbit samples
     points = np.concatenate([np.multiply.outer(central, IDENTITY), orbits])
@@ -694,7 +748,8 @@ def verify_central_roots(
                      gap[samples][accepted], central_root_spectrum(p, sign).dimension())
     report.central_checks = {"+2" if eta == 1 else "-2": v for eta, v in zip(central, verdicts)}
     matched = match_traces(np.trace(orbits[accepted], axis1=-2, axis2=-1), traces, tol.trace)
-    report.trace_class_tallies = dict(Counter(traces[row].label() for row in matched[matched >= 0]))
+    tallies = Counter(matched[matched >= 0].tolist())
+    report.trace_class_tallies = {traces[row].label(): count for row, count in tallies.items()}
     central_ok = all(v == 0 for v in report.central_checks.values())
     if orbit_rows:
         report.passed = bool(report.passed and central_ok and np.array_equal(matched, expected[accepted])

@@ -270,7 +270,21 @@ def test_tolerance_values_finish_or_exit_two(capsys, command, option, value):
     if valid:
         assert code in (EXIT_OK, EXIT_VERIFY_FAIL) and err == ""
     else:
-        assert code == EXIT_USAGE and err.startswith("error: ")
+        # the message names the option, not the Tolerances field
+        assert code == EXIT_USAGE and err.startswith(f"error: {option} ")
+
+
+@pytest.mark.parametrize("seed", ["0", "7", str(2**64 + 7), str(10**30), "-1", str(-2**64)])
+@pytest.mark.parametrize("command", [("verify", "dim", "3,5,7"), ("verify", "omega", "--p", "5")])
+def test_seed_values_finish_or_exit_two(capsys, command, seed):
+    code, out, err = run(capsys, *command, "--samples", "4", "--seed", seed, "--output", "json")
+    assert "Traceback" not in err
+    if int(seed) >= 0:
+        assert (code, err) == (EXIT_OK, "")
+        report = {r["name"]: r["value"] for r in json.loads(out)["results"]}["report"]
+        assert report["seed"] == int(seed)
+    else:
+        assert code == EXIT_USAGE and err.startswith("error: --seed ")
 
 
 # one valid call of each exact subcommand

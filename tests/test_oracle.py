@@ -4,6 +4,9 @@ import functools
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,11 +28,20 @@ from sl2rep.oracle import (
     jacobian_rank,
     local_dimension,
     sample_from_plan,
-    sample_rng,
+    uniforms,
     verify_central_roots,
     verify_dimension,
 )
-from sl2rep.oracle import _dimension_verdicts, _letters, _orbit_point, _power_with_derivs
+from sl2rep.oracle import (
+    _dimension_verdicts,
+    _draw_samples,
+    _letters,
+    _local_dimensions,
+    _orbit_letters,
+    _orbit_point,
+    _power_with_derivs,
+    _width,
+)
 from sl2rep.traces import admissible_traces, classify_trace, match_traces, orbit_count
 
 
@@ -314,7 +326,7 @@ def test_stacked_jacobian_and_powers_equal_each_point():
 def _replay_verdict(plan, system, seed, index, tol):
     """One sample alone through the single-sample entry points, with the
     rejection order of a run: genericity, obstructed, residual, rank_gap."""
-    sample = sample_from_plan(plan, index, sample_rng(seed, index))
+    sample = sample_from_plan(plan, seed, index)
     if any(min(abs(w - 2), abs(w + 2)) < tol.genericity for w in sample.witness_traces):
         return "genericity"
     if sample.mats is None:
@@ -360,6 +372,8 @@ def test_run_verdicts_replay_sample_by_sample(exponents, sign, seed):
 def test_verify_dimension_near_parabolic_roots(exponents, sign, seed):
     # the polished last matrix has trace close to 2, where a power
     # recurrence in the trace loses the digits the residual gate needs
+    last = sample_from_plan(build_plan(exponents, sign), seed, 0).mats[-1]
+    assert abs(np.trace(last) - 2) < 1e-3
     report = verify_dimension(exponents, sign, num_samples=1, seed=seed)
     assert report.passed
     assert report.samples_accepted == 1
@@ -435,8 +449,8 @@ def test_generic_sample_reproducible_and_valid():
     exps = (-3, -5, -7)
     plan = build_plan(exps, 1)
     assert plan.kind == "generic"
-    first = sample_from_plan(plan, 0, sample_rng(0, 0)).mats
-    again = sample_from_plan(plan, 0, sample_rng(0, 0)).mats
+    first = sample_from_plan(plan, 0, 0).mats
+    again = sample_from_plan(plan, 0, 0).mats
     assert np.array_equal(first, again)
     system = ConstraintSystem(3, exps, 1)
     assert system.residual_norm(first) <= 1e-8
@@ -484,43 +498,133 @@ def test_orbit_points_use_a_near_unitary_conjugator():
             assert abs(np.trace(m) - 2 * math.cos(math.pi / p)) <= 1e-12
 
 
-def test_draws_take_a_fixed_number_of_uniforms():
-    # no data-dependent loop: a generic sample takes exactly nine uniforms
-    # per prefix letter, whatever it drew, in one call that is bitwise the
-    # stream of one nine-uniform call per letter
-    for n in range(2, 9):
-        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
-        assert np.array_equal(rng.random(9 * (n - 1)),
-                              np.concatenate([ref.random(9) for _ in range(n - 1)]))
-        assert rng.bit_generator.state == ref.bit_generator.state
-    exps = (9, -211, 2000, -20000, 2)
-    plan = build_plan(exps, -1)
-    assert plan.kind == "generic"
-    for index in range(20):
-        rng = np.random.default_rng(index)
-        sample_from_plan(plan, index, rng)
-        ref = np.random.default_rng(index)
-        ref.bit_generator.advance(9 * (len(exps) - 1))
-        assert rng.bit_generator.state == ref.bit_generator.state
-    # a stratum sample takes an orbit index, then seven uniforms, per letter
-    plan = build_plan((2, 5), -1)
-    for index in range(20):
-        rng, ref = np.random.default_rng(index), np.random.default_rng(index)
-        sample_from_plan(plan, index, rng)
-        for k, target_sign in ((2, -1), (5, 1)):
-            ref.integers(orbit_count(k, target_sign))
-            ref.random(7)
-        assert rng.bit_generator.state == ref.bit_generator.state
+# (exponents, sign, uniforms per sample): nine per generic prefix letter,
+# eight per orbit letter of a stratum or leaf (an orbit index, then seven
+# for C)
+_PLAN_WIDTHS = [((3, 5, 7), 1, 18), ((9, -211, 2000, -20000, 2), -1, 36), ((2, 5), -1, 16),
+                ((2, 2), 1, 16), ((3,), 1, 8)]
 
 
-def test_sample_rng_streams():
-    a = sample_rng(0, 0).standard_normal(4)
-    b = sample_rng(0, 0).standard_normal(4)
-    c = sample_rng(0, 1).standard_normal(4)
-    d = sample_rng(1, 0).standard_normal(4)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
-    assert not np.array_equal(a, d)
+def test_draws_take_a_fixed_number_of_uniforms(monkeypatch):
+    # a run reads one block of its plan's width and a replay one row of it,
+    # and every column counts: moving one moves the draw, except the orbit
+    # index of a letter with a single orbit
+    widths = []
+
+    def recorded(seed, rows, width):
+        widths.append(width)
+        return uniforms(seed, rows, width)
+    monkeypatch.setattr(oracle, "uniforms", recorded)
+    rows = np.arange(4)
+    for exps, sign, width in _PLAN_WIDTHS:
+        plan = build_plan(exps, sign)
+        assert _width(plan) == width
+        sample_from_plan(plan, 1, 3)
+        if len(exps) > 1:
+            verify_dimension(exps, sign, num_samples=4, seed=1)
+        assert set(widths) == {width}
+        widths.clear()
+        block = uniforms(1, rows, width)
+        drawn = _draw_samples(plan, rows, block)[0]
+        for col in range(width):
+            moved = block.copy()
+            moved[:, col] = (moved[:, col] + 0.5) % 1
+            changed = not np.array_equal(_draw_samples(plan, rows, moved)[0], drawn, equal_nan=True)
+            single_orbit = (plan.kind != "generic" and col % 8 == 0
+                            and orbit_count(*_orbit_letters(plan)[col // 8]) == 1)
+            assert changed != single_orbit
+    # a leaf with no orbit (A^2 = I) is not a stratum any plan of a word samples
+    with pytest.raises(oracle.OracleError):
+        sample_from_plan(build_plan((2,), 1), 0, 0)
+
+
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _splitmix_ref(z):
+    """SplitMix64's finaliser on a Python int, mod 2^64."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+    return z ^ (z >> 31)
+
+
+def _uniform_ref(seed, row, col, width):
+    """One uniform in Python integers: the key folds each 64-bit limb of
+    the seed, low first, then the counter row * width + col + 1 steps the
+    key by the golden increment."""
+    key = 0
+    while True:
+        key = _splitmix_ref(((key + _GOLDEN) % 2**64) ^ (seed % 2**64))
+        seed >>= 64
+        if not seed:
+            break
+    return (_splitmix_ref((key + (row * width + col + 1) * _GOLDEN) % 2**64) >> 11) / 2**53
+
+
+_BIG_SEEDS = (0, 1, 2, 2**63, 2**64 - 1, 2**64, 2**64 + 1, 2**64 + 2, 10**30)
+
+
+def test_uniform_rows_replay_alone_and_match_the_integer_reference():
+    for seed in _BIG_SEEDS:
+        block = uniforms(seed, np.arange(40), 9)
+        assert block.shape == (40, 9) and block.dtype == np.float64
+        assert np.all((block >= 0) & (block < 1))
+        for row in (0, 17, 39):
+            assert np.array_equal(uniforms(seed, [row], 9)[0], block[row])
+            assert block[row].tolist() == [_uniform_ref(seed, row, col, 9) for col in range(9)]
+        assert np.array_equal(uniforms(seed, [39, 2, 17], 9), block[[39, 2, 17]])
+    assert uniforms(3, [0, 1], 0).shape == (2, 0)
+
+
+def test_uniforms_are_pinned_and_distinct():
+    # integer-exact, so the same bits on every platform
+    assert uniforms(0, [0, 1], 4).tolist() == [
+        [0.6524484863740322, 0.7012121095215252, 0.3871241409757855, 0.656413707073071],
+        [0.7879284658471055, 0.14623465613318143, 0.7786519333063061, 0.26511816643428654],
+    ]
+    # no value repeats across seeds (seed and seed + 2^64 among them), rows
+    # and columns
+    blocks = np.stack([uniforms(seed, np.arange(30), 8) for seed in _BIG_SEEDS])
+    assert len(set(blocks.ravel().tolist())) == blocks.size
+    with pytest.raises(ValueError, match="non-negative"):
+        uniforms(-1, [0], 3)
+    with pytest.raises(TypeError):
+        uniforms(1.5, [0], 3)
+
+
+def test_uniforms_mean_and_variance():
+    values = uniforms(20261018, np.arange(10**4), 10).ravel()
+    assert values.size == 10**5
+    assert abs(values.mean() - 1 / 2) < 0.01 / 2
+    assert abs(values.var() - 1 / 12) < 0.01 / 12
+
+
+def test_check_stage_residuals_come_from_the_jacobian_pass(monkeypatch):
+    # the residual norms are bitwise those of the separate residual pass,
+    # which a run no longer makes
+    tol = Tolerances()
+    for system, stack in _stack_cases():
+        res, _, _ = _local_dimensions(stack, system, tol)
+        assert np.array_equal(res, np.max(np.abs(system.residuals(stack)), axis=-1))
+
+    def unused(self, mats):
+        raise AssertionError("a run called ConstraintSystem.residuals")
+    monkeypatch.setattr(ConstraintSystem, "residuals", unused)
+    assert verify_dimension((3, 5, 7), 1, num_samples=6, seed=1).passed
+    assert verify_dimension((2, 5), -1, num_samples=6, seed=1).passed
+    assert verify_central_roots(7, 1, num_samples=6, seed=1).passed
+
+
+def test_verify_commands_leave_numpy_random_unloaded():
+    code = ("import sys\n"
+            "from sl2rep.cli import main\n"
+            "codes = [main(['verify', 'dim', '3,5,7', '--samples', '12']),\n"
+            "         main(['verify', 'omega', '--p', '7'])]\n"
+            "print(codes, 'numpy.random' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "[0, 0] False"
 
 
 def test_build_plan_follows_the_recursion_argmax():
@@ -572,7 +676,7 @@ def test_sample_from_plan_stratum_matrices_satisfy_the_word():
     plan = build_plan((2, 5), -1)
     system = ConstraintSystem(2, (2, 5), -1)
     for index in range(6):
-        sample = sample_from_plan(plan, index, sample_rng(0, index))
+        sample = sample_from_plan(plan, 0, index)
         assert sample.mats is not None
         assert system.residual_norm(sample.mats) <= 1e-8
 
@@ -682,8 +786,7 @@ def test_trace_matching_equals_classify_trace_on_every_sample(p, sign, samples):
     orbits = [cls for cls in table if not cls.central]
     per_class = max(1, -(-samples // len(orbits)))
     angles = np.repeat([float(cls.angle) for cls in orbits], per_class)
-    uniforms = np.stack([sample_rng(seed, index).random(7) for index in range(len(angles))])
-    values = np.trace(_orbit_point(angles, uniforms), axis1=-2, axis2=-1)
+    values = np.trace(_orbit_point(angles, uniforms(seed, np.arange(len(angles)), 7)), axis1=-2, axis2=-1)
     assert report.passed and report.samples_accepted == len(values)
     # nudged copies miss; near +-2 at p = 10^4 neighbouring classes lie
     # closer than tol.trace, so jittered class values test the
