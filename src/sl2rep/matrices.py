@@ -7,6 +7,10 @@ root targets with one branch each.  Every 2x2 product, here and in the
 oracle, is entry-wise through mul2: three array operations over the
 whole stack, where numpy's stacked @ calls BLAS once per matrix, and
 each product is bitwise the same however many are taken together.
+Every power is taken by power_stack, one binary exponentiation for a
+stack of letters each raised to its own power: at each bit, all the
+letters that still have higher bits square in one product.  mat_power
+is its one-letter call, and eval_word powers all its letters in one.
 Inverses of determinant-1 matrices are taken with the exact adjugate
 [[d, -b], [-c, a]], which is also the polynomial continuation used off
 the determinant-1 locus, so word maps stay polynomial in the entries.
@@ -15,6 +19,7 @@ the determinant-1 locus, so word maps stay polynomial in the entries.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 from typing import Union
 
@@ -61,23 +66,79 @@ def mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
 
 
+# a step of _power_plan that covers every letter
+_ALL = slice(None)
+
+
+def _rows(positions: list, count: int):
+    """A step's letters among count: None for none, _ALL for all, a slice
+    when they are consecutive (a view, where an index array copies), or
+    an index array."""
+    if not positions or len(positions) == count:
+        return _ALL if positions else None
+    if positions[-1] - positions[0] == len(positions) - 1:
+        return slice(positions[0], positions[-1] + 1)
+    return np.array(positions)
+
+
+@functools.lru_cache(maxsize=1024)
+def _power_plan(powers: tuple):
+    """power_stack's plan for powers >= 1: the order sorting the letters
+    by decreasing bit length and its inverse (None when sorted already),
+    and per bit the sorted letters whose first set bit it is, those with
+    it set after an earlier one, and how many letters have higher bits."""
+    order = sorted(range(len(powers)), key=lambda i: -powers[i].bit_length())
+    ks = [powers[i] for i in order]
+    steps = []
+    for bit in range(max(powers, default=0).bit_length()):
+        low = 1 << bit
+        first, more, higher = [], [], 0
+        for s, k in enumerate(ks):
+            if k & low:
+                (more if k & (low - 1) else first).append(s)
+            higher += k >> bit > 1
+        steps.append((_rows(first, len(ks)), _rows(more, len(ks)), higher))
+    if order == sorted(order):
+        return None, None, steps
+    return np.array(order), np.argsort(order), steps
+
+
+def power_stack(letters, exponents, product=mul2) -> np.ndarray:
+    """letters[i] ** exponents[i] for a stack of (n, ..., 2, 2) matrices,
+    or of (n, ..., 5, 2, 2) jets with product the jet product, in one
+    binary exponentiation.  Negative powers go through the adjugate,
+    which is linear and so also maps a jet's derivatives; a matrix to
+    the power 0 is I.  The letters go by decreasing bit length, so at
+    each bit those with higher bits square in one product over the
+    leading letters, and those with the bit set multiply their results
+    in one more, taking their first factor as it is.  Each letter runs
+    exactly the arithmetic of its own binary exponentiation, so the
+    result is bitwise the same."""
+    bases = np.array(letters, dtype=complex)
+    for i, p in enumerate(exponents):
+        if not isinstance(p, int):
+            raise ValueError(f"matrix power must be an integer, got {p!r}")
+        if p <= 0:
+            bases[i] = adjugate(bases[i]) if p else IDENTITY
+    order, inverse, steps = _power_plan(tuple(abs(p) or 1 for p in exponents))
+    base = bases if order is None else bases[order]
+    result = np.empty_like(base)
+    for first, more, higher in steps:
+        if first is not None:
+            result[first] = base[first]
+        if more is _ALL:
+            result = product(result, base)
+        elif more is not None:
+            result[more] = product(result[more], base[more])
+        if higher:
+            square = base if higher == len(base) else base[:higher]
+            base = product(square, square)
+    return result if inverse is None else result[inverse]
+
+
 def mat_power(m: np.ndarray, k: int) -> np.ndarray:
     """m**k by binary exponentiation; negative k goes through the adjugate."""
-    if not isinstance(k, int):
-        raise ValueError(f"matrix power must be an integer, got {k!r}")
-    base = adjugate(m) if k < 0 else np.array(m, dtype=complex)
-    k = abs(k)
-    if not k:
-        return np.broadcast_to(IDENTITY, base.shape).copy()
-    result = None
-    while k:
-        if k & 1:
-            # the first factor is the result itself, with no product by I
-            result = base if result is None else mul2(result, base)
-        k >>= 1
-        if k:
-            base = mul2(base, base)
-    return result
+    return power_stack(np.asarray(m)[None], (k,))[0]
 
 
 def eval_word(mats, exponents) -> np.ndarray:
@@ -93,8 +154,8 @@ def eval_word(mats, exponents) -> np.ndarray:
     if len(mats) < len(exponents):
         raise ValueError(f"word needs {len(exponents)} matrices, got {len(mats)}")
     out = IDENTITY.copy()
-    for m, p in zip(mats, exponents):
-        out = mul2(out, mat_power(m, p))
+    for power in power_stack(mats[:len(exponents)], exponents):
+        out = mul2(out, power)
     return out
 
 
@@ -268,9 +329,9 @@ def random_sl2(rng: np.random.Generator) -> np.ndarray:
     """Random determinant-1 matrix: a, b, c standard complex Gaussians,
     redrawn while |a| < 0.1, then d = (1 + b*c)/a."""
     while True:
-        a, b, c = (
-            complex(rng.standard_normal(), rng.standard_normal()) for _ in range(3)
-        )
+        # one call draws the six normals of six scalar calls, in order
+        re_a, im_a, re_b, im_b, re_c, im_c = rng.standard_normal(6).tolist()
+        a, b, c = complex(re_a, im_a), complex(re_b, im_b), complex(re_c, im_c)
         if abs(a) >= 0.1:
             break
     return mat2(a, b, c, (1 + b * c) / a)

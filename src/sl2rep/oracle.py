@@ -30,14 +30,16 @@ A run verifies all its samples at once, as stages over (S, n, 2, 2)
 stacks: draw (all letters and orbit points built in one vectorised pass),
 prefix word and closed-form root of the last matrix on branch index mod
 count, Gauss-Newton polish, one Jacobian whose product-rule pass also
-gives the residuals, and one SVD with per-sample rank cuts.  A sample is
-rejected at the first stage it fails: genericity, obstructed, residual,
-rank_gap.  A census run puts its central points +-I through the same
-check stage, stacked with its orbit samples.  Both kinds of run turn the
-verdicts into a report in one place.  The single-sample entry points
-(sample_from_plan, complete_point, local_dimension, jacobian_rank) are
-stacks of one through the same code, so any sample of a run can be
-replayed alone.
+gives the residuals, and one SVD with per-sample rank cuts.  The prefix
+words and the Jacobian each raise all their letters in one power chain
+(matrices.power_stack), the Jacobian on jets of values and derivatives.
+A sample is rejected at the first stage it fails: genericity,
+obstructed, residual, rank_gap.  A census run puts its central points
++-I through the same check stage, stacked with its orbit samples.  Both
+kinds of run turn the verdicts into a report in one place.  The
+single-sample entry points (sample_from_plan, complete_point,
+local_dimension, jacobian_rank) are stacks of one through the same
+code, so any sample of a run can be replayed alone.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from typing import Optional
 import numpy as np
 
 from .dimension import dimension_table, product_power_dim
-from .matrices import IDENTITY, adjugate, branch_roots, determinant, eval_word, mat_power, mul2
+from .matrices import IDENTITY, adjugate, branch_roots, determinant, eval_word, mat_power, mul2, power_stack
 from .presentations import validate_exponents
 from .traces import (
     admissible_traces,
@@ -106,9 +108,8 @@ class RankGapError(OracleError):
     """Singular value spectrum has no clean rank cut."""
 
 
-# derivatives of m and of adj(m) in the entries (0,0), (0,1), (1,0), (1,1) of m
+# derivatives of m in its entries (0,0), (0,1), (1,0), (1,1)
 _ELEM = np.eye(4, dtype=complex).reshape(4, 2, 2)
-_ADJ_ELEM = adjugate(_ELEM)
 # d det(m) = (d, -c, -b, a) is m reversed in both axes, times these signs
 _DET_SIGNS = np.array([[1, -1], [-1, 1]])
 
@@ -140,30 +141,22 @@ def _jet_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return out
 
 
+def _letter_jets(letters: np.ndarray, exponents) -> np.ndarray:
+    """The jets [m^p, d m^p] of the powers of a (n, ..., 2, 2) stack of
+    letters, as (n, ..., 5, 2, 2): power_stack on the jets [m, dm], so
+    each value is bitwise mat_power's at finite entries and the
+    derivatives follow by the product rule in O(log |p|) products."""
+    jets = np.empty(letters.shape[:-2] + (5, 2, 2), dtype=complex)
+    jets[..., 0, :, :], jets[..., 1:, :, :] = letters, _ELEM
+    return power_stack(jets, exponents, _jet_product)
+
+
 def _power_with_derivs(m: np.ndarray, p: int):
     """m^p (adjugate route for p < 0) and its derivatives in the four
-    entries of m, for |p| >= 2 as validate_exponents requires: a
-    (..., 2, 2) stack gives (..., 2, 2) values and (..., 4, 2, 2)
-    derivatives.
-
-    Runs the binary exponentiation of mat_power on the jet [m^j, d m^j],
-    so the value is bitwise equal to mat_power(m, p) at finite entries
-    and the derivatives follow by the product rule: O(log |p|) products.
-    """
-    k = abs(p)
-    m = np.asarray(m, dtype=complex)
-    base, dbase = (m, _ELEM) if p >= 0 else (adjugate(m), _ADJ_ELEM)
-    jet = np.empty(base.shape[:-2] + (5, 2, 2), dtype=complex)
-    jet[..., 0, :, :], jet[..., 1:, :, :] = base, dbase
-    result = None
-    while k:
-        if k & 1:
-            # mat_power's first factor is the result itself, with no product by I
-            result = jet if result is None else _jet_product(result, jet)
-        k >>= 1
-        if k:
-            jet = _jet_product(jet, jet)
-    return result[..., 0, :, :], result[..., 1:, :, :]
+    entries of m: a (..., 2, 2) stack gives (..., 2, 2) values and
+    (..., 4, 2, 2) derivatives.  One letter of _letter_jets."""
+    jet = _letter_jets(np.asarray(m, dtype=complex)[None], (p,))[0]
+    return jet[..., 0, :, :], jet[..., 1:, :, :]
 
 
 @dataclass(frozen=True)
@@ -232,13 +225,13 @@ class ConstraintSystem:
         # row 0 holds the word so far, rows 4i+1..4i+4 its derivatives
         # in the entries of m_i; the word starts at its first factor,
         # as I @ factor is factor
+        jets = _letter_jets(np.moveaxis(mats, -3, 0), self.exponents)
         word = np.empty(lead + (1 + 4 * n, 2, 2), dtype=complex)
-        word[..., 0, :, :], word[..., 1:5, :, :] = _power_with_derivs(mats[..., 0, :, :], self.exponents[0])
-        for i, p in enumerate(self.exponents[1:], start=1):
-            factor, factor_derivs = _power_with_derivs(mats[..., i, :, :], p)
+        word[..., :5, :, :] = jets[0]
+        for i in range(1, n):
             # the rows of later letters are not filled in yet
-            word[..., 4 * i + 1: 4 * i + 5, :, :] = mul2(word[..., :1, :, :], factor_derivs)
-            word[..., :4 * i + 1, :, :] = mul2(word[..., :4 * i + 1, :, :], factor[..., None, :, :])
+            word[..., 4 * i + 1: 4 * i + 5, :, :] = mul2(word[..., :1, :, :], jets[i, ..., 1:, :, :])
+            word[..., :4 * i + 1, :, :] = mul2(word[..., :4 * i + 1, :, :], jets[i, ..., :1, :, :])
         jac[..., n:, :] = np.swapaxes(word[..., 1:, :, :].reshape(lead + (4 * n, 4)), -1, -2)
         return jac, word[..., 0, :, :]
 
@@ -248,12 +241,31 @@ def jacobian_fd(system: ConstraintSystem, mats,
     """Central finite differences of the residual map, for cross-checks.
 
     The 8n points base +- step * e_j, one per entry j of the 4n matrix
-    entries, go through a single stacked residual evaluation.
+    entries, are evaluated as one stack.  Point r moves one entry of
+    letter (r mod 4n) // 4 only, so one power chain raises each letter
+    and its 8 moved copies, and each point multiplies its letters'
+    powers left to right: bitwise residuals at all 8n points, but for
+    the sign of zero entries.
     """
     base = np.asarray(mats, dtype=complex)
     cols = system.ambient_dim
     offsets = (step * np.eye(cols)).reshape((cols,) + base.shape)
-    res = system.residuals(base + np.concatenate([offsets, -offsets]))
+    points = base + np.concatenate([offsets, -offsets])
+    word = None
+    if system.exponents is not None:
+        rows = np.arange(2 * cols)
+        # the letter point r moves, and its copy: 0 is the base letter,
+        # 1..4 the entries moved by +step, 5..8 those moved by -step
+        moved, copy = rows % cols // 4, rows // cols * 4 + rows % 4 + 1
+        letters = np.repeat(base[:, None], 9, axis=1)
+        letters[moved, copy] = points[rows, moved]
+        powers = power_stack(letters, system.exponents)
+        factors = np.repeat(powers[None, :, 0], 2 * cols, axis=0)
+        factors[rows, moved] = powers[moved, copy]
+        word = IDENTITY
+        for i in range(len(base)):
+            word = mul2(word, factors[:, i])
+    res = system._residuals(points, word)
     return (res[:cols] - res[cols:]).T / (2 * step)
 
 
@@ -560,11 +572,12 @@ def _draw_samples(plan: SamplePlan, branches: np.ndarray, u: np.ndarray):
                 np.empty((size, 0), dtype=complex))
     exps = plan.exponents
     letters = _letters(exps[:-1], u.reshape(size, len(exps) - 1, 9))
+    prefix = np.moveaxis(letters, 1, 0)
     word = IDENTITY
     witnesses = []
-    for i, p in enumerate(exps[:-1]):
-        word = mul2(word, mat_power(letters[:, i], p))
-        witnesses += [letters[:, i], word]
+    for letter, power in zip(prefix, power_stack(prefix, exps[:-1])):
+        word = mul2(word, power)
+        witnesses += [letter, word]
     last, obstructed = _complete(word, exps[-1], plan.sign, branches)
     traces = np.trace(np.stack(witnesses, axis=1), axis1=-2, axis2=-1)
     return np.concatenate([letters, last[:, None]], axis=1), obstructed, traces

@@ -17,8 +17,10 @@ from sl2rep.matrices import (
     mat_power,
     matrix_roots,
     mul2,
+    power_stack,
     random_sl2,
 )
+from sl2rep.oracle import _orbit_point
 
 
 def naive_power(m, k):
@@ -134,6 +136,85 @@ def test_kernel_on_stacks_matches_matrix_by_matrix():
     assert words.shape == (3, 2, 2)
     for point, word in zip(stack, words):
         assert np.allclose(word, eval_word(list(point), exps), rtol=1e-12, atol=0)
+
+
+def _loop_power(m, k):
+    """Reference for power_stack: binary exponentiation of one letter,
+    k >= 1, whose first factor is the result itself."""
+    base, result = m, None
+    while k:
+        if k & 1:
+            result = base if result is None else mul2(result, base)
+        k >>= 1
+        if k:
+            base = mul2(base, base)
+    return result
+
+
+_WORD_POWERS = tuple(range(2, 10)) + (211, 2000, 10**7)
+
+
+def _random_words(seed, count):
+    """(exponents, letters) for count random words of 1-10 letters with
+    mixed signs: letters on eigenvalue-pair orbits through a near-unitary
+    conjugator, so every power stays bounded, as (n, 3, 2, 2) stacks."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 11))
+        exps = tuple(int(p) * int(s) for p, s in zip(rng.choice(_WORD_POWERS, size=n),
+                                                      rng.choice((-1, 1), size=n)))
+        yield exps, _orbit_point(rng.uniform(0.05, 0.95, (n, 3)), rng.random((n, 3, 7)))
+
+
+def _bits(array):
+    return array.tobytes(), array.shape
+
+
+def test_power_stack_is_bitwise_each_letter_alone():
+    for exps, stack in _random_words(101, 40):
+        for letters in (stack[:, 0], stack):
+            got = power_stack(letters, exps)
+            assert got.shape == letters.shape
+            for letter, p, power in zip(letters, exps, got):
+                ref = _loop_power(adjugate(letter) if p < 0 else letter, abs(p))
+                assert _bits(power) == _bits(ref) == _bits(mat_power(letter, p))
+        # a stack of points is bitwise each point alone
+        for point in range(3):
+            assert _bits(power_stack(stack[:, point], exps)) == _bits(power_stack(stack, exps)[:, point])
+
+
+def test_power_stack_takes_no_more_products_than_the_letters_alone():
+    calls = []
+
+    def counted(a, b):
+        calls.append(len(a))
+        return mul2(a, b)
+
+    for exps, stack in _random_words(103, 40):
+        ks = tuple(map(abs, exps))
+        calls.clear()
+        power_stack(stack[:, 0], ks, counted)
+        alone = sum(k.bit_length() - 1 + bin(k).count("1") - 1 for k in ks)
+        assert len(calls) <= alone
+        # one product per bit for the squares and one for the results
+        assert len(calls) <= 2 * max(ks).bit_length()
+        assert sum(calls) == alone
+
+
+def test_power_stack_takes_every_integer_power():
+    rng = np.random.default_rng(107)
+    letters = np.stack([random_sl2(rng) for _ in range(5)])
+    kept = letters.copy()
+    exps = (0, 1, -1, 3, -4)
+    got = power_stack(letters, exps)
+    for letter, p, power in zip(letters, exps, got):
+        assert _bits(power) == _bits(mat_power(letter, p))
+    assert np.array_equal(got[0], IDENTITY) and np.array_equal(got[1], letters[1])
+    assert np.array_equal(got[2], adjugate(letters[2]))
+    # the caller's letters are left as they were
+    assert _bits(letters) == _bits(kept)
+    with pytest.raises(ValueError):
+        power_stack(letters[:2], (2, 2.0))
 
 
 def test_mat_power_matches_naive():
@@ -297,3 +378,28 @@ def test_random_sl2_properties():
     a = random_sl2(np.random.default_rng(42))
     b = random_sl2(np.random.default_rng(42))
     assert np.array_equal(a, b)
+
+
+def _scalar_random_sl2(rng):
+    """random_sl2's formula with one scalar draw per normal; returns the
+    matrix and the number of redrawn attempts."""
+    redraws = 0
+    while True:
+        a, b, c = (complex(rng.standard_normal(), rng.standard_normal()) for _ in range(3))
+        if abs(a) >= 0.1:
+            return mat2(a, b, c, (1 + b * c) / a), redraws
+        redraws += 1
+
+
+def test_random_sl2_is_the_scalar_draw():
+    redraws = 0
+    for seed in range(1500):
+        got, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            m, extra = _scalar_random_sl2(ref)
+            assert _bits(random_sl2(got)) == _bits(m)
+            redraws += extra
+        # both generators stand at the same place in the stream
+        assert got.random() == ref.random()
+    # seed 700 redraws its first attempt, so the |a| < 0.1 branch is covered
+    assert redraws > 0

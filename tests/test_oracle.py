@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from sl2rep.oracle import (
 from sl2rep.oracle import (
     _dimension_verdicts,
     _draw_samples,
+    _letter_jets,
     _letters,
     _local_dimensions,
     _orbit_letters,
@@ -321,6 +323,64 @@ def test_stacked_jacobian_and_powers_equal_each_point():
             for mats, value, deriv in zip(stack, values, derivs):
                 alone = _power_with_derivs(mats[i], p)
                 assert np.array_equal(value, alone[0]) and np.array_equal(deriv, alone[1])
+
+
+_WORD_POWERS = tuple(range(2, 10)) + (211, 2000, MAX_VERIFY_EXPONENT)
+
+
+def test_letter_jets_are_bitwise_each_letter_alone():
+    # one power chain over a whole word, on one point and on a stack of
+    # points, gives every letter the jet of the per-letter loop
+    rng = np.random.default_rng(109)
+    for _ in range(20):
+        n = int(rng.integers(1, 11))
+        exps = tuple(int(p) * int(s) for p, s in zip(rng.choice(_WORD_POWERS, size=n),
+                                                      rng.choice((-1, 1), size=n)))
+        stack = _orbit_point(rng.uniform(0.05, 0.95, (n, 3)), rng.random((n, 3, 7)))
+        for letters in (stack[:, 0], stack):
+            jets = _letter_jets(letters, exps).reshape(n, -1, 5, 2, 2)
+            for letter, p, jet in zip(letters.reshape(n, -1, 2, 2), exps, jets):
+                for m, got in zip(letter, jet):
+                    value, derivs = _loop_power_with_derivs(m, p)
+                    assert np.array_equal(got[0], value) and np.array_equal(got[1:], derivs)
+                    assert np.array_equal(got[0], mat_power(m, p))
+
+
+def _stacked_residual_fd(system, mats, step):
+    """Central differences from one residuals call on all 8n points."""
+    base = np.asarray(mats, dtype=complex)
+    cols = system.ambient_dim
+    offsets = (step * np.eye(cols)).reshape((cols,) + base.shape)
+    res = system.residuals(base + np.concatenate([offsets, -offsets]))
+    return (res[:cols] - res[cols:]).T / (2 * step)
+
+
+def test_jacobian_fd_is_bitwise_the_stacked_residual_form():
+    step = Tolerances().fd_step
+    for system, stack in _stack_cases():
+        for mats in stack:
+            got = jacobian_fd(system, mats)
+            assert got.tobytes() == _stacked_residual_fd(system, mats, step).tobytes()
+    # the acceptance corpus shape: lengths 3-10, exponents 2-9, random_sl2 points
+    rng = np.random.default_rng(113)
+    for n in range(3, 11):
+        system = ConstraintSystem(n, tuple(int(p) for p in rng.integers(2, 10, size=n)), (-1) ** n)
+        mats = np.stack([random_sl2(rng) for _ in range(n)])
+        for step in (Tolerances().fd_step, 1e-3):
+            assert jacobian_fd(system, mats, step).tobytes() == _stacked_residual_fd(system, mats, step).tobytes()
+
+
+def test_power_chains_raise_no_warning_at_the_exponent_cap():
+    rng = np.random.default_rng(127)
+    cap = MAX_VERIFY_EXPONENT
+    for exps in ((cap,), (-cap, 3), (2, cap, -9, -cap, 5)):
+        system = ConstraintSystem(len(exps), exps, 1)
+        stack = np.stack([_elliptic_point(len(exps), rng) for _ in range(3)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.isfinite(system.jacobian(stack)))
+            assert np.all(np.isfinite(system.residuals(stack)))
+            assert np.all(np.isfinite(jacobian_fd(system, stack[0])))
 
 
 def _replay_verdict(plan, system, seed, index, tol):
