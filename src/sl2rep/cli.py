@@ -341,8 +341,12 @@ def _cmd_verify(args) -> _Report:
         verify, subject = verify_dimension, args.exponents
         inputs = {"exponents": list(subject)}
     else:
+        if not 2 <= args.p <= MAX_CENTRAL_POWER:
+            raise ValueError(f"--p must be in 2..{MAX_CENTRAL_POWER}, got {args.p}")
         verify, subject = verify_central_roots, args.p
         inputs = {"p": subject}
+    if not 1 <= args.samples <= MAX_SAMPLES:
+        raise ValueError(f"--samples must be in 1..{MAX_SAMPLES}, got {args.samples}")
     if args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     result = verify(subject, args.sign, args.samples, args.seed, _tolerances(args))

@@ -1,9 +1,8 @@
-"""2x2 complex matrix kernel: powers, words, eigensplits, k-th roots.
+"""2x2 complex matrix kernel: powers, words, k-th roots.
 
 Matrices are numpy arrays of shape (2, 2), dtype complex128;
 determinant, adjugate, mat_power and eval_word also take (..., 2, 2)
-stacks and work matrix by matrix, and branch_roots takes a stack of
-root targets with one branch each.  Every 2x2 product, here and in the
+stacks and work matrix by matrix.  Every 2x2 product, here and in the
 oracle, is entry-wise through mul2: three array operations over the
 whole stack, where numpy's stacked @ calls BLAS once per matrix, and
 each product is bitwise the same however many are taken together.
@@ -11,6 +10,11 @@ Every power is taken by power_stack, one binary exponentiation for a
 stack of letters each raised to its own power: at each bit, all the
 letters that still have higher bits square in one product.  mat_power
 is its one-letter call, and eval_word powers all its letters in one.
+Every root is taken by branch_roots, one root per row of a stack of
+targets, each row classified in the same pass: an eigenbasis root away
+from trace +-2, the components of {A : A^k = +-I} at +-I (angles by
+the traces module's rule), a closed form at a parabolic target.
+matrix_roots is every branch of one matrix through it.
 Inverses of determinant-1 matrices are taken with the exact adjugate
 [[d, -b], [-c, a]], which is also the polynomial continuation used off
 the determinant-1 locus, so word maps stay polynomial in the entries.
@@ -18,18 +22,15 @@ the determinant-1 locus, so word maps stay polynomial in the entries.
 
 from __future__ import annotations
 
-import cmath
 import functools
-from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from .traces import central_signs, orbit_class, orbit_count
+from .traces import central_signs, orbit_count, orbit_numerator
 
 IDENTITY = np.eye(2, dtype=complex)
 
-# classification tolerance for |trace -+ 2| in eigen_split
+# classification tolerance for |trace -+ 2| in branch_roots
 TRACE_CLASS_TOL = 1e-7
 # tolerance for "is this matrix exactly central" within a trace class
 CENTRAL_TOL = 1e-9
@@ -159,37 +160,6 @@ def eval_word(mats, exponents) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Diagonalizable:
-    """m = basis @ diag(eigenvalue, 1/eigenvalue) @ basis^-1."""
-
-    eigenvalue: complex
-    basis: np.ndarray
-
-
-@dataclass(frozen=True)
-class Scalar:
-    """m == sign * I."""
-
-    sign: int
-
-
-@dataclass(frozen=True)
-class Jordan:
-    """m is non-central with trace 2*sign (a parabolic element)."""
-
-    sign: int
-    nilpotent: np.ndarray  # m - sign*I, nonzero with square 0
-
-
-EigenSplit = Union[Diagonalizable, Scalar, Jordan]
-
-
-def _check_order(k):
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"root order must be an integer >= 1, got {k!r}")
-
-
 def _eigenpairs(m: np.ndarray):
     """(lam, basis) for an (S, 2, 2) stack with traces away from +-2:
     lam is the quadratic root with the larger (imag, real), basis has the
@@ -220,26 +190,6 @@ def _eigenpairs(m: np.ndarray):
     return lams[:, 0], basis
 
 
-def eigen_split(m: np.ndarray, tol: float = TRACE_CLASS_TOL) -> EigenSplit:
-    """Classify a determinant-1 matrix by its eigenvalue structure.
-
-    Trace away from +-2: Diagonalizable with the eigenvalue chosen as
-    the quadratic root with nonnegative imaginary part (ties broken
-    toward nonnegative real part).  Trace within tol of 2*sign: Scalar
-    if the matrix is centrally small, else Jordan.
-    """
-    m = np.asarray(m, dtype=complex)
-    t = m[0, 0] + m[1, 1]
-    for sign in (1, -1):
-        if abs(t - 2 * sign) <= tol:
-            off = m - sign * IDENTITY
-            if np.max(np.abs(off)) <= CENTRAL_TOL:
-                return Scalar(sign)
-            return Jordan(sign, off)
-    lam, basis = _eigenpairs(m[None])
-    return Diagonalizable(complex(lam[0]), basis[0])
-
-
 def _diagonal_roots(lam: np.ndarray, basis: np.ndarray, k: int, branches: np.ndarray) -> np.ndarray:
     """basis diag(mu, 1/mu) basis^-1 with mu = exp((log(lam) + 2 pi i
     branch)/k) for stacks lam (S,), basis (S, 2, 2) and branches (S,).
@@ -251,78 +201,61 @@ def _diagonal_roots(lam: np.ndarray, basis: np.ndarray, k: int, branches: np.nda
     return mul2(scaled, adjugate(basis)) / determinant(basis)[..., None, None]
 
 
-def _root_branches(m: np.ndarray, k: int):
-    """(count, build): the number of k-th root branches of m in SL2C and
-    a function building branch j, 0 <= j < count, alone."""
-    _check_order(k)
-    m = np.asarray(m, dtype=complex)
-    if k == 1:
-        return 1, lambda branch: m.copy()
-    split = eigen_split(m)
-    if isinstance(split, Diagonalizable):
-        lam, basis = np.array([split.eigenvalue]), split.basis[None]
-        return k, lambda branch: _diagonal_roots(lam, basis, k, np.array([branch]))[0]
-    if isinstance(split, Scalar):
-        central = central_signs(k, split.sign)
+def branch_roots(m: np.ndarray, k: int, branches):
+    """One k-th root in SL2C per matrix of an (S, 2, 2) stack: row i on
+    branch branches[i] mod the row's branch count.  Returns the (S, 2, 2)
+    roots and the (S,) branch counts; a row with count 0 has no root
+    (the even-power parabolic obstruction) and is NaN.  Every row is
+    classified and built in one vectorised pass, and is bitwise the same
+    however many are built together:
 
-        def central_root(branch):
-            if branch < len(central):
-                return central[branch] * IDENTITY
-            cls = orbit_class(k, split.sign, branch - len(central))
-            zeta = cmath.exp(1j * cmath.pi * float(cls.angle))
-            return np.diag([zeta, 1 / zeta]).astype(complex)
-        return len(central) + orbit_count(k, split.sign), central_root
-    if split.sign == 1:
-        return 1, lambda branch: IDENTITY + split.nilpotent / k
-    if k % 2 == 0:
-        return 0, None
-    return 1, lambda branch: -(IDENTITY + (-m - IDENTITY) / k)
+    - trace away from +-2: k branches basis diag(mu_j, 1/mu_j) basis^-1
+      with mu_j = exp((log(lam) + 2 pi i j)/k), principal log;
+    - sign*I: one branch per component of {A : A^k = sign*I}, the
+      central roots eta*I first, then diag(zeta, 1/zeta) per orbit
+      class by increasing angle;
+    - parabolic, non-central at trace 2*sign: one root sign*I +
+      (m - sign*I)/k, and none when sign is -1 and k is even, since no
+      SL2C matrix has an even power in that class.
+    """
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"root order must be an integer >= 1, got {k!r}")
+    m = np.asarray(m, dtype=complex)
+    branches = np.asarray(branches)
+    counts = np.full(len(m), k)
+    if k == 1:
+        return m.copy(), counts
+    t = m[:, 0, 0] + m[:, 1, 1]
+    signs = np.select([abs(t - 2) <= TRACE_CLASS_TOL, abs(t + 2) <= TRACE_CLASS_TOL], [1, -1], 0)
+    roots = np.empty_like(m)
+    generic = signs == 0
+    if generic.any():
+        lam, basis = _eigenpairs(m[generic])
+        roots[generic] = _diagonal_roots(lam, basis, k, branches[generic] % k)
+    for sign in (1, -1):
+        rows = np.flatnonzero(signs == sign)
+        if not rows.size:
+            continue
+        offset = m[rows] - sign * IDENTITY
+        scalar = np.max(abs(offset), axis=(1, 2)) <= CENTRAL_TOL
+        central = central_signs(k, sign)
+        counts[rows[scalar]] = count = len(central) + orbit_count(k, sign)
+        branch = branches[rows[scalar]] % count
+        index = branch - len(central)
+        zeta = np.exp(1j * np.pi * (orbit_numerator(sign, index) / k))
+        zeta[index < 0] = np.array(central)[branch[index < 0]]
+        roots[rows[scalar]] = np.stack([zeta, 1 / zeta], axis=-1)[..., None] * IDENTITY
+        parabolic, obstructed = rows[~scalar], sign == -1 and k % 2 == 0
+        counts[parabolic] = 0 if obstructed else 1
+        roots[parabolic] = np.nan if obstructed else sign * IDENTITY + offset[~scalar] / k
+    return roots, counts
 
 
 def matrix_roots(m: np.ndarray, k: int) -> list[np.ndarray]:
-    """All k-th root branches of m in SL2C, one representative per branch.
-
-    Diagonalizable m: exactly k roots, basis @ diag(mu_j, 1/mu_j) @
-    basis^-1 with mu_j = exp((log(lam) + 2 pi i j)/k) for j = 0..k-1,
-    principal log.  Scalar m = sign*I: one representative per component
-    of the solution set (central roots first, then one diagonal point
-    per eigenvalue-pair orbit).  Jordan m with parabolic sign +1:
-    the single root I + (m - I)/k.  Jordan sign -1: single root
-    -(I + N/k) with N = -m - I when k is odd, and no roots at all when
-    k is even, since no SL2C matrix has an even power in that class.
-    """
-    count, build = _root_branches(m, k)
-    return [build(branch) for branch in range(count)]
-
-
-def branch_roots(m: np.ndarray, k: int, branches):
-    """One k-th root per matrix of an (S, 2, 2) stack: row i is
-    matrix_roots(m[i], k)[branches[i] % count], built without the other
-    branches.  Returns the (S, 2, 2) roots and the mask of rows that have
-    one; a row without a root (the even-power parabolic obstruction) is
-    NaN.  Rows with traces away from +-2 are split in one vectorised
-    pass; the rare rows at +-2 take the central and parabolic branches
-    of matrix_roots one by one."""
-    _check_order(k)
-    m = np.asarray(m, dtype=complex)
-    branches = np.asarray(branches)
-    if k == 1:
-        return m.copy(), np.ones(len(m), dtype=bool)
-    t = m[:, 0, 0] + m[:, 1, 1]
-    special = (abs(t - 2) <= TRACE_CLASS_TOL) | (abs(t + 2) <= TRACE_CLASS_TOL)
-    roots = np.empty_like(m)
-    has_root = np.ones(len(m), dtype=bool)
-    if not special.all():
-        lam, basis = _eigenpairs(m[~special])
-        roots[~special] = _diagonal_roots(lam, basis, k, branches[~special] % k)
-    for i in np.flatnonzero(special):
-        count, build = _root_branches(m[i], k)
-        if count:
-            roots[i] = build(int(branches[i]) % count)
-        else:
-            roots[i] = np.nan
-            has_root[i] = False
-    return roots, has_root
+    """All k-th root branches of m in SL2C, one representative per
+    branch, as branch_roots builds them."""
+    (count,) = branch_roots(np.asarray(m)[None], k, [0])[1]
+    return list(branch_roots(np.broadcast_to(m, (count, 2, 2)), k, np.arange(count))[0])
 
 
 def random_sl2(rng: np.random.Generator) -> np.ndarray:

@@ -61,6 +61,7 @@ from .traces import (
     central_signs,
     match_traces,
     orbit_count,
+    orbit_numerator,
 )
 
 
@@ -436,8 +437,8 @@ def _complete(word: np.ndarray, last: int, sign: int, branches):
     """Root and polish: the last matrices (S, 2, 2) for an (S, 2, 2) stack
     of prefix words, and the mask of rows whose root class is empty."""
     target = sign * (adjugate(word) if last > 0 else word)
-    root, has_root = branch_roots(target, abs(last), branches)
-    return _polish_last(word, root, last, sign), ~has_root
+    root, counts = branch_roots(target, abs(last), branches)
+    return _polish_last(word, root, last, sign), counts == 0
 
 
 def complete_point(prefix, exponents, sign: int, branch: int):
@@ -532,8 +533,7 @@ def _orbit_draws(letters, u: np.ndarray) -> np.ndarray:
         raise OracleError(f"no orbit components for some (power, sign) of {letters}")
     k, sign = np.array(letters).T
     index = np.minimum((u[..., 0] * counts).astype(int), counts - 1)
-    # orbit_class's angle (2 index + 2)/k at sign +1, (2 index + 1)/k at sign -1
-    return _orbit_point((2 * index + (3 + sign) // 2) / k, u[..., 1:])
+    return _orbit_point(orbit_numerator(sign, index) / k, u[..., 1:])
 
 
 def _orbit_letters(plan: SamplePlan) -> list:
@@ -740,17 +740,17 @@ def verify_central_roots(
     class set matches the expected census.  p is capped at
     MAX_CENTRAL_POWER and num_samples at MAX_SAMPLES.
     """
-    if p > MAX_CENTRAL_POWER or not 1 <= num_samples <= MAX_SAMPLES:
-        raise ValueError(f"need p <= {MAX_CENTRAL_POWER} and samples in 1..{MAX_SAMPLES}, "
-                         f"got p = {p}, samples = {num_samples}")
+    if p > MAX_CENTRAL_POWER:
+        raise ValueError(f"power must be at most {MAX_CENTRAL_POWER}, got {p}")
+    if not 1 <= num_samples <= MAX_SAMPLES:
+        raise ValueError(f"samples must be in 1..{MAX_SAMPLES}, got {num_samples}")
     traces = admissible_traces(p, sign)
     # the orbit classes by increasing angle, as central_root_classes lists them
-    orbit_rows = [row for row, cls in enumerate(traces) if not cls.central]
-    per_class = max(1, -(-num_samples // len(orbit_rows))) if orbit_rows else 0
+    orbit_rows = np.flatnonzero(traces.numerators % p != 0)
+    per_class = max(1, -(-num_samples // len(orbit_rows))) if len(orbit_rows) else 0
     # sample index class_index * per_class + rep draws class class_index
-    expected = np.repeat(np.array(orbit_rows, dtype=int), per_class)
-    orbits = _orbit_point(np.repeat([float(traces[row].angle) for row in orbit_rows], per_class),
-                          uniforms(seed, np.arange(len(expected)), 7))
+    expected = np.repeat(orbit_rows, per_class)
+    orbits = _orbit_point(traces.numerators[expected] / p, uniforms(seed, np.arange(len(expected)), 7))
     central = central_signs(p, sign)
     # the central points pass the check stage ahead of the orbit samples
     points = np.concatenate([np.multiply.outer(central, IDENTITY), orbits])
@@ -762,9 +762,9 @@ def verify_central_roots(
     report.central_checks = {"+2" if eta == 1 else "-2": v for eta, v in zip(central, verdicts)}
     matched = match_traces(np.trace(orbits[accepted], axis1=-2, axis2=-1), traces, tol.trace)
     tallies = Counter(matched[matched >= 0].tolist())
-    report.trace_class_tallies = {traces[row].label(): count for row, count in tallies.items()}
+    report.trace_class_tallies = {traces.label(row): count for row, count in tallies.items()}
     central_ok = all(v == 0 for v in report.central_checks.values())
-    if orbit_rows:
+    if len(orbit_rows):
         report.passed = bool(report.passed and central_ok and np.array_equal(matched, expected[accepted])
                              and len(report.trace_class_tallies) == len(orbit_rows))
     else:

@@ -1,12 +1,14 @@
 """Trace classes and the component census of {A in SL2C : A^p = +-I}.
 
 The solution set of A^p = sign*I splits into conjugation-invariant
-pieces: central points (+-I when they satisfy the equation) and, for
-each unordered eigenvalue pair {z, 1/z} with z^p = sign and z != +-1,
-the conjugation orbit of diag(z, 1/z).  Central pieces are isolated
-points; every orbit piece is 2-dimensional and carries the constant
-trace z + 1/z.  Traces are kept exact as rational multiples of pi in
-2*cos(pi * angle) form so classes compare exactly.
+pieces, one per angle k/p with 0 <= k <= p and (-1)^k = sign: the
+conjugation orbit of diag(z, 1/z), z = exp(i pi k/p), with constant
+trace 2cos(pi k/p).  k = 0 and k = p are the central points +I and -I,
+isolated; every other k indexes the 2-dimensional orbit of the
+eigenvalue pair {z, 1/z}.  orbit_numerator is that rule, the one place
+it is spelled out: the orbit classes by increasing angle, and with
+index -1 at sign +1 the central +I.  Traces are kept exact as rational
+multiples of pi in 2*cos(pi * angle) form so classes compare exactly.
 """
 
 from __future__ import annotations
@@ -32,16 +34,19 @@ class TraceClass:
     def value(self) -> float:
         return 2.0 * math.cos(math.pi * float(self.angle))
 
-    @property
-    def central(self) -> bool:
-        return self.angle == 0 or self.angle == 1
-
     def label(self) -> str:
-        if self.angle == 0:
-            return "+2"
-        if self.angle == 1:
-            return "-2"
-        return f"2cos({self.angle.numerator}pi/{self.angle.denominator})"
+        return _label(self.angle.numerator, self.angle.denominator)
+
+
+def _label(k: int, p: int) -> str:
+    """The label of the trace 2cos(pi k/p): +2, -2, or 2cos(k'pi/p') in
+    lowest terms."""
+    if k == 0:
+        return "+2"
+    if k == p:
+        return "-2"
+    g = math.gcd(k, p)
+    return f"2cos({k // g}pi/{p // g})"
 
 
 @dataclass
@@ -97,16 +102,20 @@ def orbit_count(p: int, sign: int) -> int:
     return (p - 1) // 2 if sign == 1 else p // 2
 
 
-def orbit_class(p: int, sign: int, index: int) -> TraceClass:
-    """The index-th orbit class of {A : A^p = sign*I} by increasing angle.
+def orbit_numerator(sign, index):
+    """The numerator k of the angle k/p of the index-th orbit class of
+    {A : A^p = sign*I} by increasing angle, whatever p: the k strictly
+    between 0 and p with (-1)^k = sign are 2*index + 2 (sign=+1) and
+    2*index + 1 (sign=-1), so index -1 at sign +1 is k = 0, the central
+    +I.  sign and index may be integer arrays."""
+    return 2 * index + (3 + sign) // 2
 
-    The angles are 2j/p (sign=+1) or (2j+1)/p (sign=-1) strictly
-    between 0 and 1, so the index-th one is (2*index + 2)/p or
-    (2*index + 1)/p.
-    """
+
+def orbit_class(p: int, sign: int, index: int) -> TraceClass:
+    """The index-th orbit class of {A : A^p = sign*I} by increasing angle."""
     if not 0 <= index < orbit_count(p, sign):
         raise IndexError(f"orbit index {index} out of range for power {p}, sign {sign}")
-    return TraceClass(Fraction(2 * index + (2 if sign == 1 else 1), p))
+    return TraceClass(Fraction(orbit_numerator(sign, index), p))
 
 
 def central_signs(p: int, sign: int) -> tuple[int, ...]:
@@ -135,26 +144,39 @@ def central_root_spectrum(p: int, sign: int) -> ComponentSpectrum:
     return ComponentSpectrum({0: len(central_signs(p, sign)), 2: orbits})
 
 
-class TraceTable(tuple):
-    """Trace classes with their float values, and those values sorted,
-    computed once so that match_traces matches many samples in one pass."""
+class TraceTable:
+    """Trace classes 2cos(pi k/p) held as arrays: the angle numerators k
+    over the power p, the float values, and the order sorting them,
+    computed once so that match_traces matches many samples in one pass.
+    Indexing a row builds its TraceClass; label reads a row's label alone."""
 
-    def __new__(cls, classes):
-        table = super().__new__(cls, classes)
-        table.values = np.array([c.value for c in table], dtype=float)
-        table.order = np.argsort(table.values, kind="stable")
-        table.sorted_values = table.values[table.order]
-        return table
+    def __init__(self, numerators, power: int):
+        self.numerators = np.asarray(numerators, dtype=int)
+        self.power = power
+        # k / p rounds as float(Fraction(k, p)) and 2cos(pi x) as
+        # TraceClass.value; only the cos is numpy's array loop
+        self.values = 2.0 * np.cos(np.pi * (self.numerators / power))
+        self.order = np.argsort(self.values, kind="stable")
+        self.sorted_values = self.values[self.order]
+
+    def __len__(self) -> int:
+        return len(self.numerators)
+
+    def __getitem__(self, row) -> TraceClass:
+        return TraceClass(Fraction(int(self.numerators[row]), self.power))
+
+    def label(self, row) -> str:
+        """self[row].label(), without building the class."""
+        return _label(int(self.numerators[row]), self.power)
 
 
 def admissible_traces(p: int, sign: int) -> TraceTable:
     """All trace values occurring on the solution set of A^p = sign*I, by
     increasing angle: +2 if +I is a solution, the orbit classes, then -2
-    if -I is one."""
-    classes = central_root_classes(p, sign)
-    first = [TraceClass(Fraction(0))] if 1 in classes.central else []
-    last = [TraceClass(Fraction(1))] if -1 in classes.central else []
-    return TraceTable(first + list(classes.orbits) + last)
+    if -I is one.  Closed form: no class is built until a row is read."""
+    central = central_signs(p, sign)
+    rows = np.arange(-(1 in central), orbit_count(p, sign) + (-1 in central))
+    return TraceTable(orbit_numerator(sign, rows), p)
 
 
 def match_traces(values, classes: TraceTable, tol: float) -> np.ndarray:

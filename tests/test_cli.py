@@ -287,6 +287,23 @@ def test_seed_values_finish_or_exit_two(capsys, command, seed):
         assert code == EXIT_USAGE and err.startswith("error: --seed ")
 
 
+@pytest.mark.parametrize("argv,option", [
+    (("verify", "omega", "--p", str(MAX_CENTRAL_POWER + 1)), "--p"),
+    (("verify", "omega", "--p", "1"), "--p"),
+    (("verify", "omega", "--p", "-4"), "--p"),
+    (("verify", "omega", "--p", "5", "--samples", "0"), "--samples"),
+    (("verify", "omega", "--p", "5", "--samples", str(MAX_SAMPLES + 1)), "--samples"),
+    (("verify", "dim", "3,5,7", "--samples", "0"), "--samples"),
+    (("verify", "dim", "3,5,7", "--samples", "-2"), "--samples"),
+    (("verify", "dim", "3,5,7", "--samples", str(MAX_SAMPLES + 1)), "--samples"),
+])
+def test_verify_range_errors_name_their_option(capsys, argv, option):
+    # each input is checked on its own, and the message names its option
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith(f"error: {option} must be in ")
+
+
 # one valid call of each exact subcommand
 _EXACT_COMMANDS = [
     ("parse", "F2 * Z5"),

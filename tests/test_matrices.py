@@ -1,17 +1,13 @@
-"""Matrix kernel: powers, words, eigensplits, k-th root branches."""
+"""Matrix kernel: powers, words, k-th root branches."""
 
 import numpy as np
 import pytest
 
 from sl2rep.matrices import (
     IDENTITY,
-    Diagonalizable,
-    Jordan,
-    Scalar,
     adjugate,
     branch_roots,
     determinant,
-    eigen_split,
     eval_word,
     mat2,
     mat_power,
@@ -21,6 +17,7 @@ from sl2rep.matrices import (
     random_sl2,
 )
 from sl2rep.oracle import _orbit_point
+from sl2rep.traces import central_signs, orbit_count
 
 
 def naive_power(m, k):
@@ -255,38 +252,15 @@ def test_eval_word_is_the_product_of_powers():
         eval_word(mats[:1], (2, 2))
 
 
-def test_eigen_split_diagonalizable():
-    rng = np.random.default_rng(13)
-    for _ in range(10):
-        m = random_sl2(rng)
-        split = eigen_split(m)
-        if not isinstance(split, Diagonalizable):
-            continue
-        lam = split.eigenvalue
-        diag = np.diag([lam, 1 / lam])
-        rebuilt = split.basis @ diag @ (adjugate(split.basis) / determinant(split.basis))
-        assert np.allclose(rebuilt, m, atol=1e-8)
-        # chosen root has the larger imaginary part, tie toward real
-        assert (lam.imag, lam.real) >= ((1 / lam).imag, (1 / lam).real)
-
-
-def test_eigen_split_central_and_parabolic():
-    assert eigen_split(np.eye(2, dtype=complex)) == Scalar(1)
-    assert eigen_split(-np.eye(2, dtype=complex)) == Scalar(-1)
-    up = eigen_split(mat2(1, 1, 0, 1))
-    assert isinstance(up, Jordan) and up.sign == 1
-    assert np.allclose(up.nilpotent, mat2(0, 1, 0, 0))
-    down = eigen_split(mat2(-1, 3, 0, -1))
-    assert isinstance(down, Jordan) and down.sign == -1
-    assert np.allclose(down.nilpotent @ down.nilpotent, np.zeros((2, 2)), atol=1e-12)
-
-
-def test_eigen_split_huge_trace_does_not_cancel():
+def test_branch_roots_huge_trace_keeps_the_small_eigenvalue():
     # the naive quadratic formula loses the small eigenvalue here
     m = mat2(1e12, 0, 0, 1e-12)
-    split = eigen_split(m)
-    assert isinstance(split, Diagonalizable)
-    assert abs(split.eigenvalue) == pytest.approx(1e12, rel=1e-9)
+    for k in (1, 2, 3):
+        roots, counts = branch_roots(np.broadcast_to(m, (k, 2, 2)), k, np.arange(k))
+        assert counts.tolist() == [k] * k
+        for root in roots:
+            # entry-wise relative: the 1e-12 entry comes back to 9 digits
+            assert np.allclose(mat_power(root, k), m, rtol=1e-9, atol=0)
 
 
 def test_matrix_roots_diagonalizable_branches():
@@ -343,23 +317,57 @@ def test_matrix_roots_parabolic_minus_even_obstruction():
         assert np.allclose(mat_power(root, k), b, atol=1e-10)
 
 
-def test_matrix_root_builds_one_branch_of_matrix_roots():
-    rng = np.random.default_rng(19)
-    targets = [(random_sl2(rng), k) for k in (1, 2, 5)]
-    targets += [(sign * np.eye(2, dtype=complex), k) for sign in (1, -1) for k in (2, 3, 8, 9)]
-    targets += [(mat2(1, 1, 0, 1), 3), (mat2(-1, 1, 0, -1), 3), (mat2(-1, 1, 0, -1), 4)]
-    for m, k in targets:
-        roots = matrix_roots(m, k)
-        # every branch in one stack, and each branch alone
-        branches = np.arange(2 * len(roots) + 1)
-        stacked, has_root = branch_roots(np.broadcast_to(m, (len(branches), 2, 2)), k, branches)
-        for branch in branches:
-            alone, alone_has_root = branch_roots(m[None], k, [branch])
-            for root, ok in ((stacked[branch], has_root[branch]), (alone[0], alone_has_root[0])):
-                if not roots:
-                    assert not ok and np.all(np.isnan(root))
-                else:
-                    assert ok and np.array_equal(root, roots[branch % len(roots)])
+def _root_targets(rng):
+    """Root targets of every kind branch_roots tells apart, with their
+    sign at trace +-2 (0 for generic) and whether they are central."""
+    targets = [(random_sl2(rng), 0, False) for _ in range(3)]
+    targets += [(sign * IDENTITY, sign, True) for sign in (1, -1)]
+    # parabolic, and within CENTRAL_TOL of central
+    targets += [(sign * mat2(1, 1, 0, 1), sign, False) for sign in (1, -1)]
+    targets += [(sign * mat2(1, 0, -2 + 1j, 1), sign, False) for sign in (1, -1)]
+    targets += [(sign * IDENTITY + 1e-10 * mat2(0, 1, 0, 0), sign, True) for sign in (1, -1)]
+    return targets
+
+
+def _branch_count(k, sign, central):
+    """The branch count branch_roots documents: k for a trace away from
+    +-2, one per component of {A : A^k = sign*I} at sign*I, 1 for a
+    parabolic target, and 0 for a parabolic one at -2 with k even."""
+    if k == 1 or not sign:
+        return k
+    if central:
+        return len(central_signs(k, sign)) + orbit_count(k, sign)
+    return 0 if sign == -1 and k % 2 == 0 else 1
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_branch_roots_on_mixed_stacks(k):
+    targets = _root_targets(np.random.default_rng(19 + k))
+    # every target on every branch up to twice its count, shuffled
+    picks = [(i, branch) for i, (_, sign, central) in enumerate(targets)
+             for branch in range(2 * _branch_count(k, sign, central) + 1)]
+    picks = [picks[j] for j in np.random.default_rng(k).permutation(len(picks))]
+    stack = np.array([targets[i][0] for i, _ in picks])
+    roots, counts = branch_roots(stack, k, [branch for _, branch in picks])
+    for (i, branch), root, count in zip(picks, roots, counts):
+        m, sign, central = targets[i]
+        assert count == _branch_count(k, sign, central)
+        alone, (alone_count,) = branch_roots(m[None], k, [branch])
+        assert alone_count == count and _bits(alone[0]) == _bits(root)
+        if count:
+            assert determinant(root) == pytest.approx(1.0, abs=1e-9)
+            assert np.allclose(mat_power(root, k), m, atol=1e-8)
+            # a branch and the branch count above it are the same root
+            if branch >= count:
+                assert _bits(root) == _bits(roots[picks.index((i, branch % count))])
+        else:
+            assert np.all(np.isnan(root))
+    # distinct branches are distinct roots
+    for i, (m, sign, central) in enumerate(targets):
+        built = [roots[picks.index((i, b))] for b in range(_branch_count(k, sign, central))]
+        for a in range(len(built)):
+            for b in range(a + 1, len(built)):
+                assert not np.allclose(built[a], built[b], atol=1e-6)
 
 
 def test_matrix_roots_order_one_and_validation():

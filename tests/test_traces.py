@@ -21,6 +21,7 @@ from sl2rep.traces import (
     central_root_classes,
     central_root_spectrum,
     classify_trace,
+    match_traces,
     orbit_class,
     orbit_count,
 )
@@ -112,19 +113,52 @@ def test_trace_class_values_and_labels():
     assert TraceClass(Fraction(0)).label() == "+2"
     assert TraceClass(Fraction(1)).label() == "-2"
     assert TraceClass(Fraction(2, 5)).label() == "2cos(2pi/5)"
-    assert TraceClass(Fraction(0)).central and TraceClass(Fraction(1)).central
-    assert not TraceClass(Fraction(1, 2)).central
     with pytest.raises(ValueError):
         TraceClass(Fraction(3, 2))
 
 
 def test_admissible_traces_are_sorted_and_complete():
     traces = admissible_traces(6, 1)
-    # centrals +-2 plus the two orbit classes
+    # centrals +-2 plus the two orbit classes, by increasing angle
     assert len(traces) == 4
-    assert traces == tuple(sorted(traces))
-    values = [t.value for t in traces]
-    assert values == sorted(values, reverse=True)
+    assert traces.numerators.tolist() == [0, 2, 4, 6] and traces.power == 6
+    assert [traces[row] for row in range(4)] == [TraceClass(Fraction(k, 3)) for k in range(4)]
+    assert traces.values.tolist() == sorted(traces.values, reverse=True)
+    assert traces.order.tolist() == [3, 2, 1, 0]
+    assert traces.sorted_values.tolist() == sorted(traces.values)
+    assert [traces.label(row) for row in range(4)] == ["+2", "2cos(1pi/3)", "2cos(2pi/3)", "-2"]
+
+
+def _bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_trace_table_is_the_enumerated_classes(sign):
+    # the closed-form table against the classes central_root_classes builds
+    mismatches = 0
+    for p in [*range(2, 601), 10**4]:
+        classes = central_root_classes(p, sign)
+        expected = ([TraceClass(Fraction(0))] if 1 in classes.central else []) + list(classes.orbits)
+        expected += [TraceClass(Fraction(1))] if -1 in classes.central else []
+        table = admissible_traces(p, sign)
+        assert [table[row] for row in range(len(table))] == expected
+        assert [table.label(row) for row in range(len(table))] == [c.label() for c in expected]
+        mismatches += sum(_bits(v) != _bits(c.value) for v, c in zip(table.values.tolist(), expected))
+    assert mismatches == 0
+
+
+def test_admissible_traces_builds_no_class(monkeypatch):
+    built = []
+    check = TraceClass.__post_init__
+    monkeypatch.setattr(TraceClass, "__post_init__", lambda self: (built.append(self), check(self)))
+    table = admissible_traces(10**4, 1)
+    match_traces(table.values, table, 1e-6)
+    assert len(table) == 5001 and table.label(7) == "2cos(7pi/5000)"
+    assert built == []
+    # a class is built only for a row that is read
+    assert classify_trace(table.values[7], table, 1e-9) == TraceClass(Fraction(7, 5000))
+    assert len(built) == 2
 
 
 def test_classify_trace():
@@ -167,11 +201,11 @@ def test_classify_trace_matches_the_reference_loop():
 def test_classify_trace_ties_and_edge_cases():
     plus, minus = TraceClass(Fraction(0)), TraceClass(Fraction(1))
     # 0 is exactly 2 away from +2 and -2: the later class wins
-    assert classify_trace(0.0, TraceTable([plus, minus]), 3.0) == minus
-    assert classify_trace(0.0, TraceTable([minus, plus]), 3.0) == plus
-    assert classify_trace(0.0, TraceTable([plus, minus]), 1.5) is None
-    assert classify_trace(0.0, TraceTable([]), 1.0) is None
-    assert classify_trace(float("nan"), TraceTable([plus]), 1.0) is None
+    assert classify_trace(0.0, TraceTable([0, 1], 1), 3.0) == minus
+    assert classify_trace(0.0, TraceTable([1, 0], 1), 3.0) == plus
+    assert classify_trace(0.0, TraceTable([0, 1], 1), 1.5) is None
+    assert classify_trace(0.0, TraceTable([], 1), 1.0) is None
+    assert classify_trace(float("nan"), TraceTable([0], 1), 1.0) is None
 
 
 def test_component_spectrum_bookkeeping():
