@@ -131,11 +131,7 @@ def lower_bound_census(spec: GroupSpec) -> CensusResult:
         )
     c = representation_dim(spec).dim
     cyclics = [CyclicFinite(abs(p)) for p in power.exponents]
-    quotient: GroupSpec
-    if frees:
-        quotient = FreeProduct(tuple(frees) + tuple(cyclics))
-    else:
-        quotient = FreeProduct(tuple(cyclics))
+    quotient = FreeProduct(tuple(frees) + tuple(cyclics))
     quotient_spectrum = _exact_spectrum(quotient)
     if quotient_spectrum.dimension() != c:
         raise ValueError(

@@ -23,7 +23,7 @@ import re
 import sys
 
 from .census import MAX_SEQUENCE_COUNT, distinguishing_sequence, exact_census, lower_bound_census
-from .dimension import freeness_test, product_power_dim, representation_dim
+from .dimension import freeness_test, representation_dim
 from .families import (
     MAX_FAMILY_INDEX,
     MAX_WITNESS_TARGET,
@@ -367,10 +367,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         report = args.handler(args)
+        # an integer past the int-to-str digit limit fails in render
+        text = report.render()
     except ValueError as exc:  # ParseError and EligibilityError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(report.render())
+    print(text)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
 

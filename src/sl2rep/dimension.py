@@ -4,10 +4,13 @@ For exponents (p1, ..., pn) and a sign e, write D_e(m) for the
 dimension of the solution set of x1^p1 ... xm^pm = e*I inside SL2C^m.
 The recursion peels off the last letter:
 
-    D_e(1) = 0 if |p1| == 2 and e == +1 else 2
-    D_e(m) = max(D_e(m-1) + 2*not_two(|pm|),   last letter lands on +I
-                 D_-e(m-1) + 2,                last letter lands on -I
-                 3*(m-1))                      generic prefix, finite fiber
+    D_e(1) = d(p1, e)
+    D_e(m) = max(D_e(m-1) + d(pm, +1),    last letter lands on +I
+                 D_-e(m-1) + d(pm, -1),   last letter lands on -I
+                 3*(m-1))                 generic prefix, finite fiber
+
+where d(p, e) = dim {A : A^|p| = e*I} (base_dim, from
+traces.orbit_count): 2, but 0 for (|p|, e) = (2, +1).
 
 Each step's maximum is bounded by 3*(m-1) + 1.  Whenever one of the
 two degenerate-prefix candidates reaches the generic floor 3*(m-1) at
@@ -35,16 +38,11 @@ from .presentations import (
     ProductPower,
     validate_exponents,
 )
-from .traces import central_root_spectrum
+from .traces import central_root_spectrum, orbit_count
 
 CERTIFIED_REDUCIBLE = "certified-reducible"
 IRREDUCIBLE = "irreducible"
 UNDETERMINED = "undetermined"
-
-
-def not_two(x: int) -> int:
-    """0 if x == 2 else 1; half the dimension of {A : A^|x| = I} for |x| >= 2."""
-    return 0 if x == 2 else 1
 
 
 def _check_sign(sign: int):
@@ -53,14 +51,9 @@ def _check_sign(sign: int):
 
 
 def base_dim(p: int, sign: int) -> int:
-    """Dimension of {A : A^p = sign*I}: 0 only for (|p|, sign) == (2, +1)."""
-    _check_sign(sign)
-    k = abs(p)
-    if k < 2:
-        raise ValueError(f"exponent {p} has absolute value < 2")
-    if sign == 1:
-        return 2 * not_two(k)
-    return 2
+    """Dimension of {A : A^p = sign*I}: 2 if it has an orbit component,
+    else 0 (only (|p|, sign) == (2, +1))."""
+    return 2 if orbit_count(abs(p), sign) else 0
 
 
 class RecursionStep(NamedTuple):
@@ -68,8 +61,8 @@ class RecursionStep(NamedTuple):
 
     length: int
     sign: int
-    same_sign_branch: int  # D_e(m-1) + 2*not_two(|pm|)
-    flip_sign_branch: int  # D_-e(m-1) + 2
+    same_sign_branch: int  # D_e(m-1) + d(pm, +1)
+    flip_sign_branch: int  # D_-e(m-1) + d(pm, -1)
     generic_floor: int     # 3*(m-1)
     dim: int
     certified: bool        # max of the two branches >= generic floor
@@ -93,10 +86,12 @@ def dimension_table(exponents) -> tuple[dict[int, RecursionStep], ...]:
     prev = {sign: base_dim(exps[0], sign) for sign in (1, -1)}
     table = []
     for m in range(2, len(exps) + 1):
-        lift, floor = 2 * not_two(abs(exps[m - 1])), 3 * (m - 1)
+        # the last letter's fiber over each of +I and -I
+        plus, minus = base_dim(exps[m - 1], 1), base_dim(exps[m - 1], -1)
+        floor = 3 * (m - 1)
         row = {}
         for sign in (1, -1):
-            same, flip = prev[sign] + lift, prev[-sign] + 2
+            same, flip = prev[sign] + plus, prev[-sign] + minus
             row[sign] = RecursionStep(m, sign, same, flip, floor,
                                       max(same, flip, floor), max(same, flip) >= floor)
         table.append(row)

@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -72,7 +72,6 @@ class Tolerances:
     trace: float = 1e-6         # numeric trace vs admissible class matching
     genericity: float = 1e-4    # reject generic samples with traces this close to +-2
     min_rank_gap: float = 1e3   # required s_rank / s_rank+1 ratio
-    fd_step: float = 1e-6       # central difference step for cross-checks
 
     def __post_init__(self):
         for name, value in vars(self).items():
@@ -88,13 +87,11 @@ class Tolerances:
             return f"must be below 1, got {value!r}"
 
     def to_dict(self) -> dict:
-        return {
-            "residual": self.residual,
-            "rank_rel": self.rank_rel,
-            "trace": self.trace,
-            "genericity": self.genericity,
-            "min_rank_gap": self.min_rank_gap,
-        }
+        return asdict(self)
+
+
+# jacobian_fd's central difference step
+FD_STEP = 1e-6
 
 
 class OracleError(RuntimeError):
@@ -237,8 +234,7 @@ class ConstraintSystem:
         return jac, word[..., 0, :, :]
 
 
-def jacobian_fd(system: ConstraintSystem, mats,
-                step: float = Tolerances().fd_step) -> np.ndarray:
+def jacobian_fd(system: ConstraintSystem, mats, step: float = FD_STEP) -> np.ndarray:
     """Central finite differences of the residual map, for cross-checks.
 
     The 8n points base +- step * e_j, one per entry j of the 4n matrix

@@ -211,14 +211,14 @@ class _Parser:
         self.expect(">")
         if not terms:
             return FreeGroup(len(gens))
-        seen: list[str] = []
+        declared, seen = set(gens), set()
         exponents: list[int] = []
         for name, exp in terms:
-            if name not in gens:
+            if name not in declared:
                 raise ParseError(f"unknown generator {name!r} in relator")
             if name in seen:
                 raise ParseError(f"generator {name!r} appears more than once in the relator")
-            seen.append(name)
+            seen.add(name)
             exponents.append(exp)
         missing = [g for g in gens if g not in seen]
         if missing:

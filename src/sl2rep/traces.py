@@ -7,46 +7,19 @@ trace 2cos(pi k/p).  k = 0 and k = p are the central points +I and -I,
 isolated; every other k indexes the 2-dimensional orbit of the
 eigenvalue pair {z, 1/z}.  orbit_numerator is that rule, the one place
 it is spelled out: the orbit classes by increasing angle, and with
-index -1 at sign +1 the central +I.  Traces are kept exact as rational
-multiples of pi in 2*cos(pi * angle) form so classes compare exactly.
+index -1 at sign +1 the central +I.  orbit_count is the one statement
+of how many orbits there are, and so of the set's dimension: 2 when it
+has an orbit, else 0.  A trace class is a row of a TraceTable, its
+integer numerator k over the power p, so classes compare exactly; the
+float trace 2cos(pi k/p) is derived from that row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
-
-
-@dataclass(frozen=True, order=True)
-class TraceClass:
-    """Exact trace value 2*cos(pi * angle) with angle in [0, 1]."""
-
-    angle: Fraction
-
-    def __post_init__(self):
-        if not (0 <= self.angle <= 1):
-            raise ValueError(f"trace angle {self.angle} outside [0, 1]")
-
-    @property
-    def value(self) -> float:
-        return 2.0 * math.cos(math.pi * float(self.angle))
-
-    def label(self) -> str:
-        return _label(self.angle.numerator, self.angle.denominator)
-
-
-def _label(k: int, p: int) -> str:
-    """The label of the trace 2cos(pi k/p): +2, -2, or 2cos(k'pi/p') in
-    lowest terms."""
-    if k == 0:
-        return "+2"
-    if k == p:
-        return "-2"
-    g = math.gcd(k, p)
-    return f"2cos({k // g}pi/{p // g})"
 
 
 @dataclass
@@ -80,13 +53,13 @@ class CentralRootClasses:
     """Component data for {A : A^p = sign*I}.
 
     central: signs eta with (eta*I)^p = sign*I, each an isolated point.
-    orbits:  one TraceClass per 2-dimensional conjugation orbit.
+    orbits:  one TraceTable row per 2-dimensional conjugation orbit.
     """
 
     power: int
     sign: int
     central: tuple[int, ...]
-    orbits: tuple[TraceClass, ...]
+    orbits: TraceTable
 
 
 def _check_power_sign(p: int, sign: int):
@@ -111,13 +84,6 @@ def orbit_numerator(sign, index):
     return 2 * index + (3 + sign) // 2
 
 
-def orbit_class(p: int, sign: int, index: int) -> TraceClass:
-    """The index-th orbit class of {A : A^p = sign*I} by increasing angle."""
-    if not 0 <= index < orbit_count(p, sign):
-        raise IndexError(f"orbit index {index} out of range for power {p}, sign {sign}")
-    return TraceClass(Fraction(orbit_numerator(sign, index), p))
-
-
 def central_signs(p: int, sign: int) -> tuple[int, ...]:
     """Signs eta with (eta*I)^p = sign*I, each an isolated central point."""
     if sign == 1:
@@ -130,9 +96,9 @@ def central_root_classes(p: int, sign: int) -> CentralRootClasses:
 
     Solutions other than +-I are conjugates of diag(z, 1/z) with
     z^p = sign; the unordered pair {z, 1/z} indexes one orbit, listed
-    by increasing angle as orbit_class gives them.
+    by increasing angle as orbit_numerator gives them.
     """
-    orbits = tuple(orbit_class(p, sign, i) for i in range(orbit_count(p, sign)))
+    orbits = TraceTable(orbit_numerator(sign, np.arange(orbit_count(p, sign))), p)
     return CentralRootClasses(p, sign, central_signs(p, sign), orbits)
 
 
@@ -148,13 +114,13 @@ class TraceTable:
     """Trace classes 2cos(pi k/p) held as arrays: the angle numerators k
     over the power p, the float values, and the order sorting them,
     computed once so that match_traces matches many samples in one pass.
-    Indexing a row builds its TraceClass; label reads a row's label alone."""
+    A row is one class: its numerator k is exact, label names it."""
 
     def __init__(self, numerators, power: int):
         self.numerators = np.asarray(numerators, dtype=int)
         self.power = power
-        # k / p rounds as float(Fraction(k, p)) and 2cos(pi x) as
-        # TraceClass.value; only the cos is numpy's array loop
+        # k / p is the correctly rounded quotient of the two integers;
+        # only the cos is numpy's array loop
         self.values = 2.0 * np.cos(np.pi * (self.numerators / power))
         self.order = np.argsort(self.values, kind="stable")
         self.sorted_values = self.values[self.order]
@@ -162,18 +128,22 @@ class TraceTable:
     def __len__(self) -> int:
         return len(self.numerators)
 
-    def __getitem__(self, row) -> TraceClass:
-        return TraceClass(Fraction(int(self.numerators[row]), self.power))
-
     def label(self, row) -> str:
-        """self[row].label(), without building the class."""
-        return _label(int(self.numerators[row]), self.power)
+        """The label of row's trace 2cos(pi k/p): +2, -2, or
+        2cos(k'pi/p') in lowest terms."""
+        k, p = int(self.numerators[row]), self.power
+        if k == 0:
+            return "+2"
+        if k == p:
+            return "-2"
+        g = math.gcd(k, p)
+        return f"2cos({k // g}pi/{p // g})"
 
 
 def admissible_traces(p: int, sign: int) -> TraceTable:
     """All trace values occurring on the solution set of A^p = sign*I, by
     increasing angle: +2 if +I is a solution, the orbit classes, then -2
-    if -I is one.  Closed form: no class is built until a row is read."""
+    if -I is one.  Closed form, one array pass."""
     central = central_signs(p, sign)
     rows = np.arange(-(1 in central), orbit_count(p, sign) + (-1 in central))
     return TraceTable(orbit_numerator(sign, rows), p)
@@ -198,7 +168,7 @@ def match_traces(values, classes: TraceTable, tol: float) -> np.ndarray:
     return np.where(np.minimum(errs[0], errs[1]) <= tol, np.where(right, near[1], near[0]), -1)
 
 
-def classify_trace(value: complex, classes: TraceTable, tol: float) -> TraceClass | None:
-    """match_traces for one value: the matched class, or None."""
-    (index,) = match_traces([value], classes, tol)
-    return classes[index] if index >= 0 else None
+def classify_trace(value: complex, classes: TraceTable, tol: float) -> int | None:
+    """match_traces for one value: the matched row of classes, or None."""
+    (row,) = match_traces([value], classes, tol)
+    return int(row) if row >= 0 else None

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -368,3 +370,42 @@ def test_json_output_is_byte_identical_between_runs(capsys):
     code2, out2, _ = run(capsys, *argv)
     assert code1 == code2 == EXIT_OK
     assert out1 == out2
+
+
+@pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+                    reason="needs the interpreter's default int-to-str digit limit")
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_a_count_past_the_digit_limit_exits_two(capsys, output):
+    # 800 factors Z1000001 have (500000 + 1)^800 top components, ~4560 digits
+    spec = " * ".join(["Z1000001"] * 800)
+    code, out, err = run(capsys, "census", spec, "--output", output)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and "4300 digits" in err
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+_EXACT_EXAMPLES = ("dim", "census", "witness", "sequence", "isom")
+
+
+def _readme_transcripts():
+    """(argv, output) for each "$ sl2rep ..." example of the README: the
+    output is the lines up to the next blank line or code fence."""
+    examples, lines = [], README.read_text().splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith("$ sl2rep "):
+            out = []
+            for follow in lines[i + 1:]:
+                if not follow or follow.startswith("```"):
+                    break
+                out.append(follow)
+            examples.append((shlex.split(line)[2:], "\n".join(out) + "\n"))
+    return examples
+
+
+def test_readme_transcripts_match_the_cli(capsys):
+    exact = [(argv, out) for argv, out in _readme_transcripts() if argv[0] in _EXACT_EXAMPLES]
+    assert sorted(argv[0] for argv, _ in exact) == sorted(_EXACT_EXAMPLES)
+    for argv, expected in exact:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert out == expected, argv

@@ -13,11 +13,11 @@ from sl2rep.dimension import (
     base_dim,
     dimension_table,
     freeness_test,
-    not_two,
     product_power_dim,
     representation_dim,
 )
 from sl2rep.presentations import CyclicFinite, FreeGroup, FreeProduct, ProductPower
+from sl2rep.traces import orbit_count
 
 
 def test_base_dimensions():
@@ -31,12 +31,13 @@ def test_base_dimensions():
         base_dim(1, 1)
     with pytest.raises(ValueError):
         base_dim(3, 0)
-
-
-def test_not_two():
-    assert not_two(2) == 0
-    assert not_two(3) == 1
-    assert not_two(9) == 1
+    # {A : A^p = sign*I} is central points only, dimension 0, exactly
+    # when it has no orbit: for p = +-2 at sign +1
+    for p in range(2, 40):
+        for sign in (1, -1):
+            expected = 0 if (p, sign) == (2, 1) else 2
+            assert base_dim(p, sign) == base_dim(-p, sign) == expected
+            assert (expected == 0) == (orbit_count(p, sign) == 0)
 
 
 def test_two_letter_dimensions_split_three_four():

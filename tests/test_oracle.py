@@ -15,6 +15,7 @@ import pytest
 from sl2rep import oracle
 from sl2rep.matrices import IDENTITY, adjugate, determinant, mat2, mat_power, random_sl2
 from sl2rep.oracle import (
+    FD_STEP,
     MAX_CENTRAL_POWER,
     MAX_SAMPLES,
     MAX_VERIFY_EXPONENT,
@@ -54,14 +55,11 @@ def test_tolerance_defaults():
     assert tol.trace == 1e-6
     assert tol.genericity == 1e-4
     assert tol.min_rank_gap == 1e3
-    assert tol.fd_step == 1e-6
-    assert set(tol.to_dict()) == {
-        "residual",
-        "rank_rel",
-        "trace",
-        "genericity",
-        "min_rank_gap",
-    }
+    assert FD_STEP == 1e-6
+    # the report's JSON lists the fields in declaration order
+    assert json.dumps(tol.to_dict()) == (
+        '{"residual": 1e-08, "rank_rel": 1e-08, "trace": 1e-06, "genericity": 0.0001, '
+        '"min_rank_gap": 1000.0}')
 
 
 def test_constraint_system_validation():
@@ -141,7 +139,7 @@ def _column_loop_fd(system, mats, step):
 
 def test_stacked_jacobian_fd_matches_the_column_loop():
     rng = np.random.default_rng(47)
-    step = Tolerances().fd_step
+    step = FD_STEP
     for n in range(1, 11):
         for sign in (1, -1):
             exps = tuple(int(x) for x in rng.choice((2, 9, 211, -2, -9, -211), size=n))
@@ -156,10 +154,8 @@ def test_stacked_jacobian_fd_matches_the_column_loop():
 def test_jacobian_fd_defaults_to_the_tolerance_step():
     system = ConstraintSystem(2, (3, -5), 1)
     mats = _elliptic_point(2, np.random.default_rng(53))
-    assert np.array_equal(jacobian_fd(system, mats),
-                          jacobian_fd(system, mats, step=Tolerances().fd_step))
-    assert not np.array_equal(jacobian_fd(system, mats),
-                              jacobian_fd(system, mats, step=2 * Tolerances().fd_step))
+    assert np.array_equal(jacobian_fd(system, mats), jacobian_fd(system, mats, step=FD_STEP))
+    assert not np.array_equal(jacobian_fd(system, mats), jacobian_fd(system, mats, step=2 * FD_STEP))
 
 
 def test_free_systems_keep_their_shapes():
@@ -356,7 +352,7 @@ def _stacked_residual_fd(system, mats, step):
 
 
 def test_jacobian_fd_is_bitwise_the_stacked_residual_form():
-    step = Tolerances().fd_step
+    step = FD_STEP
     for system, stack in _stack_cases():
         for mats in stack:
             got = jacobian_fd(system, mats)
@@ -366,7 +362,7 @@ def test_jacobian_fd_is_bitwise_the_stacked_residual_form():
     for n in range(3, 11):
         system = ConstraintSystem(n, tuple(int(p) for p in rng.integers(2, 10, size=n)), (-1) ** n)
         mats = np.stack([random_sl2(rng) for _ in range(n)])
-        for step in (Tolerances().fd_step, 1e-3):
+        for step in (FD_STEP, 1e-3):
             assert jacobian_fd(system, mats, step).tobytes() == _stacked_residual_fd(system, mats, step).tobytes()
 
 
@@ -834,7 +830,7 @@ def _classify_against_every_class(value, table, tol):
     within tol."""
     errs = np.abs(complex(value) - table.values)
     hits = np.flatnonzero(errs <= min(tol, errs.min(initial=math.inf)))
-    return table[hits[-1]] if len(hits) else None
+    return int(hits[-1]) if len(hits) else None
 
 
 @pytest.mark.parametrize("p,sign,samples", [(7, 1, 24), (600, -1, 1000), (MAX_CENTRAL_POWER, 1, 10)])
@@ -843,9 +839,9 @@ def test_trace_matching_equals_classify_trace_on_every_sample(p, sign, samples):
     report = verify_central_roots(p, sign, samples, seed, tol)
     # the samples of the run, rebuilt: per_class draws of each orbit class
     table = admissible_traces(p, sign)
-    orbits = [table[row] for row in range(len(table)) if table.numerators[row] % p]
+    orbits = np.flatnonzero(table.numerators % p)
     per_class = max(1, -(-samples // len(orbits)))
-    angles = np.repeat([float(cls.angle) for cls in orbits], per_class)
+    angles = np.repeat(table.numerators[orbits] / p, per_class)
     values = np.trace(_orbit_point(angles, uniforms(seed, np.arange(len(angles)), 7)), axis1=-2, axis2=-1)
     assert report.passed and report.samples_accepted == len(values)
     # nudged copies miss; near +-2 at p = 10^4 neighbouring classes lie
@@ -856,12 +852,12 @@ def test_trace_matching_equals_classify_trace_on_every_sample(p, sign, samples):
         rng.standard_normal(len(values)) + 1j * rng.standard_normal(len(values)))
     jittered = table.values + rng.uniform(-2, 2, len(table)) * tol.trace
     for batch in (values, nudged, jittered):
-        matched = [table[row] if row >= 0 else None for row in match_traces(batch, table, tol.trace)]
+        matched = [row if row >= 0 else None for row in match_traces(batch, table, tol.trace).tolist()]
         assert matched == [classify_trace(value, table, tol.trace) for value in batch]
         assert matched == [_classify_against_every_class(value, table, tol.trace) for value in batch]
     tallies = {}
     for value in values:
-        label = classify_trace(value, table, tol.trace).label()
+        label = table.label(classify_trace(value, table, tol.trace))
         tallies[label] = tallies.get(label, 0) + 1
     assert report.trace_class_tallies == tallies
 
@@ -916,8 +912,7 @@ def test_both_verify_runs_share_one_check_stage_and_report_builder(monkeypatch, 
 
 @pytest.mark.parametrize(
     "field,value",
-    [(name, value) for name in ("residual", "rank_rel", "trace", "genericity", "min_rank_gap",
-                                "fd_step")
+    [(name, value) for name in ("residual", "rank_rel", "trace", "genericity", "min_rank_gap")
      for value in (0.0, -1.0, math.nan, math.inf, -math.inf)]
     + [("rank_rel", 1.0), ("rank_rel", 2.0)],
 )

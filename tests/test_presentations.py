@@ -1,6 +1,7 @@
 """Grammar, normal form, and validation of group specifications."""
 
 import random
+import time
 
 import pytest
 
@@ -75,6 +76,33 @@ def test_free_products_parse_and_flatten():
 def test_parse_rejects_malformed_input(text):
     with pytest.raises(ParseError):
         parse_spec(text)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # term order decides between an unknown and a repeated generator
+        ("<a,b; x^2 a^2 a^3>", "unknown generator 'x' in relator"),
+        ("<a,b; a^2 a^3 x^2>", "generator 'a' appears more than once in the relator"),
+        # the first generator missing in declaration order is named
+        ("<a,b,c,d; d^2 b^3>", "generator 'a' does not appear in the relator"),
+        ("<a,b,c,d; a^2 d^3>", "generator 'b' does not appear in the relator"),
+    ],
+)
+def test_relator_errors_name_the_first_offender(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_spec(text)
+    assert str(info.value) == message
+
+
+def test_long_relator_parses_in_linear_time():
+    names = [f"g{i}" for i in range(10**5)]
+    text = f"<{','.join(names)}; {' '.join(f'{name}^3' for name in names)}>"
+    start = time.perf_counter()
+    spec = parse_spec(text)
+    elapsed = time.perf_counter() - start
+    assert spec == ProductPower((3,) * 10**5)
+    assert elapsed < 2.0
 
 
 def test_parse_error_is_a_value_error():

@@ -15,14 +15,11 @@ import pytest
 from sl2rep.matrices import mat_power, random_sl2
 from sl2rep.traces import (
     ComponentSpectrum,
-    TraceClass,
     TraceTable,
     admissible_traces,
     central_root_classes,
     central_root_spectrum,
     classify_trace,
-    match_traces,
-    orbit_class,
     orbit_count,
 )
 
@@ -49,13 +46,10 @@ def test_census_matches_unit_root_enumeration(p, sign):
     classes = central_root_classes(p, sign)
     n_central, traces = unit_root_census(p, sign)
     assert len(classes.central) == n_central
-    assert len(classes.orbits) == len(traces)
-    got = sorted((c.value for c in classes.orbits), reverse=True)
-    assert got == pytest.approx(traces, abs=1e-9)
-    assert orbit_count(p, sign) == len(traces)
-    picked = [orbit_class(p, sign, i).value for i in range(orbit_count(p, sign))]
+    assert len(classes.orbits) == orbit_count(p, sign) == len(traces)
+    assert classes.orbits.power == p
     # increasing angle means decreasing trace
-    assert picked == pytest.approx(traces, abs=1e-9)
+    assert classes.orbits.values.tolist() == pytest.approx(traces, abs=1e-9)
 
 
 def test_orbit_count_closed_forms():
@@ -79,17 +73,12 @@ def test_central_membership_by_parity():
 
 
 def test_small_orbit_angles():
-    assert [c.angle for c in central_root_classes(5, 1).orbits] == [
-        Fraction(2, 5),
-        Fraction(4, 5),
-    ]
-    assert [c.angle for c in central_root_classes(6, -1).orbits] == [
-        Fraction(1, 6),
-        Fraction(1, 2),
-        Fraction(5, 6),
-    ]
-    assert central_root_classes(2, 1).orbits == ()
-    assert [c.angle for c in central_root_classes(2, -1).orbits] == [Fraction(1, 2)]
+    # the orbits' angles k/p as numerators k over p
+    assert central_root_classes(5, 1).orbits.numerators.tolist() == [2, 4]
+    assert central_root_classes(6, -1).orbits.numerators.tolist() == [1, 3, 5]
+    assert len(central_root_classes(2, 1).orbits) == 0
+    assert central_root_classes(2, -1).orbits.numerators.tolist() == [1]
+    assert [central_root_classes(p, 1).orbits.power for p in (2, 5, 6)] == [2, 5, 6]
 
 
 def test_census_input_validation():
@@ -99,22 +88,18 @@ def test_census_input_validation():
         central_root_classes(5, 0)
     with pytest.raises(ValueError):
         orbit_count(1, -1)
-    for p, sign in ((5, 1), (6, 1), (6, -1), (2, 1)):
-        with pytest.raises(IndexError):
-            orbit_class(p, sign, orbit_count(p, sign))
-        with pytest.raises(IndexError):
-            orbit_class(p, sign, -1)
+    with pytest.raises(ValueError):
+        orbit_count(5, 0)
 
 
 def test_trace_class_values_and_labels():
-    assert TraceClass(Fraction(0)).value == pytest.approx(2.0)
-    assert TraceClass(Fraction(1)).value == pytest.approx(-2.0)
-    assert TraceClass(Fraction(1, 3)).value == pytest.approx(1.0)
-    assert TraceClass(Fraction(0)).label() == "+2"
-    assert TraceClass(Fraction(1)).label() == "-2"
-    assert TraceClass(Fraction(2, 5)).label() == "2cos(2pi/5)"
-    with pytest.raises(ValueError):
-        TraceClass(Fraction(3, 2))
+    # a trace class is a table row: numerator k over the power p
+    table = TraceTable([0, 3, 1, 2], 3)
+    assert table.values.tolist() == pytest.approx([2.0, -2.0, 1.0, -1.0])
+    assert [table.label(row) for row in range(4)] == ["+2", "-2", "2cos(1pi/3)", "2cos(2pi/3)"]
+    # labels are in lowest terms
+    assert TraceTable([2, 4], 6).label(0) == "2cos(1pi/3)"
+    assert TraceTable([2], 5).label(0) == "2cos(2pi/5)"
 
 
 def test_admissible_traces_are_sorted_and_complete():
@@ -122,50 +107,47 @@ def test_admissible_traces_are_sorted_and_complete():
     # centrals +-2 plus the two orbit classes, by increasing angle
     assert len(traces) == 4
     assert traces.numerators.tolist() == [0, 2, 4, 6] and traces.power == 6
-    assert [traces[row] for row in range(4)] == [TraceClass(Fraction(k, 3)) for k in range(4)]
-    assert traces.values.tolist() == sorted(traces.values, reverse=True)
+    assert traces.values.tolist() == pytest.approx([2.0, 1.0, -1.0, -2.0])
     assert traces.order.tolist() == [3, 2, 1, 0]
     assert traces.sorted_values.tolist() == sorted(traces.values)
     assert [traces.label(row) for row in range(4)] == ["+2", "2cos(1pi/3)", "2cos(2pi/3)", "-2"]
+    big = admissible_traces(10**4, 1)
+    assert len(big) == 5001 and big.label(7) == "2cos(7pi/5000)"
 
 
 def _bits(value: float) -> bytes:
     return np.float64(value).tobytes()
 
 
+def _reference_label(k, p):
+    angle = Fraction(k, p)
+    if angle in (0, 1):
+        return "+2" if angle == 0 else "-2"
+    return f"2cos({angle.numerator}pi/{angle.denominator})"
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 def test_trace_table_is_the_enumerated_classes(sign):
-    # the closed-form table against the classes central_root_classes builds
+    # the closed-form table against the census central_root_classes
+    # gives, its values bitwise against a scalar math.cos reference
     mismatches = 0
     for p in [*range(2, 601), 10**4]:
         classes = central_root_classes(p, sign)
-        expected = ([TraceClass(Fraction(0))] if 1 in classes.central else []) + list(classes.orbits)
-        expected += [TraceClass(Fraction(1))] if -1 in classes.central else []
+        expected = [0] * (1 in classes.central) + classes.orbits.numerators.tolist()
+        expected += [p] * (-1 in classes.central)
         table = admissible_traces(p, sign)
-        assert [table[row] for row in range(len(table))] == expected
-        assert [table.label(row) for row in range(len(table))] == [c.label() for c in expected]
-        mismatches += sum(_bits(v) != _bits(c.value) for v, c in zip(table.values.tolist(), expected))
+        assert table.numerators.tolist() == expected and table.power == p
+        assert [table.label(row) for row in range(len(table))] == [_reference_label(k, p) for k in expected]
+        reference = [2 * math.cos(math.pi * float(Fraction(k, p))) for k in expected]
+        mismatches += sum(_bits(v) != _bits(r) for v, r in zip(table.values.tolist(), reference))
     assert mismatches == 0
-
-
-def test_admissible_traces_builds_no_class(monkeypatch):
-    built = []
-    check = TraceClass.__post_init__
-    monkeypatch.setattr(TraceClass, "__post_init__", lambda self: (built.append(self), check(self)))
-    table = admissible_traces(10**4, 1)
-    match_traces(table.values, table, 1e-6)
-    assert len(table) == 5001 and table.label(7) == "2cos(7pi/5000)"
-    assert built == []
-    # a class is built only for a row that is read
-    assert classify_trace(table.values[7], table, 1e-9) == TraceClass(Fraction(7, 5000))
-    assert len(built) == 2
 
 
 def test_classify_trace():
     classes = admissible_traces(5, 1)
     exact = 2 * math.cos(2 * math.pi / 5)
     hit = classify_trace(exact, classes, 1e-6)
-    assert hit is not None and hit.angle == Fraction(2, 5)
+    assert hit == 1 and classes.numerators[hit] == 2
     assert classify_trace(exact + 1e-8, classes, 1e-6) == hit
     assert classify_trace(exact + 1e-3, classes, 1e-6) is None
     # imaginary offsets count toward the distance
@@ -174,12 +156,12 @@ def test_classify_trace():
 
 
 def classify_loop(value, classes, tol):
-    """Reference matcher: the last class at the smallest distance within tol."""
+    """Reference matcher: the last row at the smallest distance within tol."""
     best, best_err = None, tol
-    for cls in classes:
-        err = abs(complex(value) - cls.value)
+    for row, class_value in enumerate(classes.values.tolist()):
+        err = abs(complex(value) - class_value)
         if err <= best_err:
-            best, best_err = cls, err
+            best, best_err = row, err
     return best
 
 
@@ -190,7 +172,7 @@ def test_classify_trace_matches_the_reference_loop():
             table = admissible_traces(p, sign)
             assert isinstance(table, TraceTable)
             for _ in range(40):
-                target = table[int(rng.integers(len(table)))].value
+                target = table.values[int(rng.integers(len(table)))]
                 scale = 10.0 ** rng.uniform(-9, -1)
                 value = complex(target + scale * rng.standard_normal(),
                                 scale * rng.standard_normal())
@@ -199,10 +181,10 @@ def test_classify_trace_matches_the_reference_loop():
 
 
 def test_classify_trace_ties_and_edge_cases():
-    plus, minus = TraceClass(Fraction(0)), TraceClass(Fraction(1))
-    # 0 is exactly 2 away from +2 and -2: the later class wins
-    assert classify_trace(0.0, TraceTable([0, 1], 1), 3.0) == minus
-    assert classify_trace(0.0, TraceTable([1, 0], 1), 3.0) == plus
+    # 0 is exactly 2 away from +2 and -2: the later row wins, whichever
+    # of the two it holds
+    assert classify_trace(0.0, TraceTable([0, 1], 1), 3.0) == 1
+    assert classify_trace(0.0, TraceTable([1, 0], 1), 3.0) == 1
     assert classify_trace(0.0, TraceTable([0, 1], 1), 1.5) is None
     assert classify_trace(0.0, TraceTable([], 1), 1.0) is None
     assert classify_trace(float("nan"), TraceTable([0], 1), 1.0) is None
