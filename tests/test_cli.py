@@ -381,6 +381,8 @@ def test_a_count_past_the_digit_limit_exits_two(capsys, output):
     code, out, err = run(capsys, "census", spec, "--output", output)
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("error: ") and "4300 digits" in err
+    # Python's own advice names an interpreter call, not a CLI option
+    assert "set_int_max_str_digits" not in err
 
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"

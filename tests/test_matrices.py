@@ -263,6 +263,35 @@ def test_branch_roots_huge_trace_keeps_the_small_eigenvalue():
             assert np.allclose(mat_power(root, k), m, rtol=1e-9, atol=0)
 
 
+def test_branch_roots_of_an_ill_conditioned_row_leave_the_stack_whole():
+    # its unit eigenvectors are ~2e-15 apart, so no eigenbasis of them is
+    # numerically invertible; the closed form needs none
+    bad = mat2(1.001, 1e12, 0, 1 / 1.001)
+    good = random_sl2(np.random.default_rng(23))
+    roots, counts = branch_roots(np.stack([bad, good]), 3, [0, 2])
+    assert counts.tolist() == [3, 3]
+    for root, target in zip(roots, (bad, good)):
+        assert np.all(np.isfinite(root))
+        assert np.linalg.norm(mat_power(root, 3) - target) <= 1e-6 * np.linalg.norm(target)
+    assert _bits(roots[1]) == _bits(branch_roots(good[None], 3, [2])[0][0])
+
+
+@pytest.mark.parametrize("k", [2, 3, 9, 10**6])
+def test_generic_branch_j_takes_lam_to_mu_j(k):
+    # branch j has eigenvalue exp((log(lam) + 2 pi i j)/k) on the
+    # eigenvector of lam, the eigenvalue with the larger (imag, real)
+    m = random_sl2(np.random.default_rng(k))
+    values, vectors = np.linalg.eig(m)
+    first = max((0, 1), key=lambda i: (values[i].imag, values[i].real))
+    lam, v = values[first], vectors[:, first]
+    branches = np.array([0, 1, k // 2, k - 1])
+    roots, counts = branch_roots(np.broadcast_to(m, (4, 2, 2)), k, branches)
+    assert counts.tolist() == [k] * 4
+    for branch, root in zip(branches, roots):
+        mu = np.exp((np.log(lam) + 2j * np.pi * branch) / k)
+        assert np.allclose(root @ v, mu * v, rtol=0, atol=1e-9)
+
+
 def test_matrix_roots_diagonalizable_branches():
     rng = np.random.default_rng(17)
     for k in (2, 3, 5):
