@@ -18,8 +18,10 @@ from sl2rep.census import (
     lower_bound_census,
     prime_triple,
     product_spectrum,
+    triple_bound,
+    triple_group,
 )
-from sl2rep.families import witness_group
+from sl2rep.families import MAX_FAMILY_INDEX, witness_group
 from sl2rep.presentations import CyclicFinite, FreeGroup, FreeProduct, ProductPower
 from sl2rep.traces import ComponentSpectrum, central_root_spectrum
 
@@ -178,11 +180,21 @@ def odd_primes_below(n):
 
 
 def test_prime_triple_walk_matches_a_sieve():
-    primes = odd_primes_below(5000)
-    reference = [tuple(primes[3 * i:3 * i + 3]) for i in range(200)]
-    walk = list(itertools.islice(consecutive_prime_triples(), 200))
+    # every triple family_member accepts; the last is (350411, 350423, 350429)
+    count = MAX_FAMILY_INDEX + 1
+    primes = odd_primes_below(350430)
+    reference = [tuple(primes[3 * i:3 * i + 3]) for i in range(count)]
+    walk = list(itertools.islice(consecutive_prime_triples(), count))
     assert walk == reference
-    assert [prime_triple(i) for i in range(200)] == reference
+    assert [prime_triple(i) for i in range(200)] == reference[:200]
+    assert prime_triple(MAX_FAMILY_INDEX) == reference[-1]
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_triple_bound_is_the_certified_count(rank):
+    for triple in itertools.islice(consecutive_prime_triples(), 2000):
+        census = lower_bound_census(triple_group(rank, triple))
+        assert triple_bound(triple) == census.spectrum.count(3 * rank)
 
 
 def test_distinguishing_sequence_and_witness_regression():

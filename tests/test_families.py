@@ -1,9 +1,13 @@
 """Parafree profiles, the isomorphism test, and witness searches."""
 
+import time
+
 import pytest
 
+from sl2rep.census import consecutive_prime_triples, lower_bound_census, triple_group
 from sl2rep.families import (
     MAX_FAMILY_INDEX,
+    MAX_WITNESS_TARGET,
     EligibilityError,
     family_member,
     meskin_isomorphic,
@@ -121,6 +125,35 @@ def test_witness_group_spot_values():
     tall, tall_census = witness_group(3, 7)
     assert tall == FreeProduct((FreeGroup(1), ProductPower((11, 13, 17))))
     assert tall_census.spectrum.count(9) == 240
+
+
+WITNESS_TARGETS = [
+    target
+    for target in [*range(1, 1995, 7), *(10**k + d for k in range(3, 16) for d in (-1, 0, 1))]
+    if target <= MAX_WITNESS_TARGET
+]
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_witness_group_matches_a_certified_walk(rank):
+    # the search certifies every triple it passes and stops at the first
+    # whose certified count reaches the target; over increasing targets
+    # one walk serves them all, since no earlier triple reaches a larger one
+    triples = consecutive_prime_triples()
+    current = None
+    for target in sorted(WITNESS_TARGETS):
+        while current is None or current[1].spectrum.count(3 * rank) < target:
+            group = triple_group(rank, next(triples))
+            current = group, lower_bound_census(group)
+        assert witness_group(rank, target) == current
+
+
+def test_witness_search_at_its_cap_is_quick():
+    start = time.perf_counter()
+    group, _ = witness_group(2, MAX_WITNESS_TARGET)
+    elapsed = time.perf_counter() - start
+    assert group == ProductPower((199999, 200003, 200009))
+    assert elapsed < 0.2
 
 
 def test_witness_group_validation():
