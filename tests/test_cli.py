@@ -14,6 +14,7 @@ from sl2rep import census, oracle
 from sl2rep.census import MAX_SEQUENCE_COUNT
 from sl2rep.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
 from sl2rep.oracle import MAX_CENTRAL_POWER, MAX_SAMPLES, MAX_VERIFY_EXPONENT
+from sl2rep.presentations import MAX_FACTORS
 
 
 def run(capsys, *argv):
@@ -207,6 +208,24 @@ def test_input_caps(capsys, monkeypatch, module, costly, argv, cap):
     assert code == EXIT_USAGE
     assert out == ""
     assert str(cap) in err
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_factor_cap(capsys, output):
+    # at the cap the census convolves 1,000 spectra and prints 2^1000 in full
+    spec = " * ".join(["Z3"] * MAX_FACTORS)
+    code, out, _ = run(capsys, "census", spec, "--output", output)
+    assert code == EXIT_OK
+    if output == "json":
+        results = {r["name"]: r["value"] for r in json.loads(out)["results"]}
+        assert results["dimension"] == 2 * MAX_FACTORS
+        assert results["total_components"] == 2 ** MAX_FACTORS
+    else:
+        assert f"dimension: {2 * MAX_FACTORS}   [exact]" in out.splitlines()
+    code, out, err = run(capsys, "census", spec + " * Z3", "--output", output)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert str(MAX_FACTORS) in err
 
 
 @pytest.mark.parametrize("word", ["{},3,5", "3,5,{}", "{},3"])
