@@ -12,8 +12,10 @@ inside a distinct dimension-c component upstairs.
 
 from __future__ import annotations
 
+import operator
+import sys
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Iterator, Union
 
 from .dimension import base_dim, representation_dim
@@ -49,14 +51,31 @@ class CensusResult:
     basis: CensusBasis
 
 
+def digit_limit_error() -> ValueError:
+    """The error for a result with an integer past the int-to-str digit limit."""
+    return ValueError(f"a result exceeds the limit ({sys.get_int_max_str_digits()} digits) "
+                      "for printing an integer")
+
+
 def product_spectrum(factors) -> ComponentSpectrum:
-    """Convolve component spectra: counts multiply, dimensions add."""
+    """Convolve component spectra: counts multiply, dimensions add.
+
+    Raises digit_limit_error() before convolving once the running product
+    of the factors' totals passes slots * 10^limit, limit being the
+    int-to-str digit limit (0 turns this off): the product has at most
+    slots = 1 + (the sum of the factors' dimension spans) entries, so its
+    largest entry would have more digits than any command can print.
+    """
     factors = list(factors)
     if not factors:
         raise ValueError("need at least one spectrum")
-    for s in factors:
-        if not s.exact:
-            raise ValueError("product_spectrum needs exact factor spectra")
+    limit = sys.get_int_max_str_digits()
+    if limit and all(s.entries for s in factors):
+        slots = 1 + sum(max(s.entries) - min(s.entries) for s in factors)
+        running = accumulate((s.total() for s in factors), operator.mul)
+        # a number below 2^(3 limit) is below 10^limit, so most checks skip the power of ten
+        if any(r.bit_length() > 3 * limit and r > slots * 10**limit for r in running):
+            raise digit_limit_error()
     entries = {0: 1}
     for s in factors:
         nxt: dict[int, int] = {}
@@ -150,7 +169,7 @@ def _quotient_bound(frees, orders, c: int) -> CensusResult:
     if dim != c:
         raise ValueError(f"quotient variety has dimension {dim} != {c}; the lower bound does not apply")
     quotient = FreeProduct(tuple(frees) + tuple(CyclicFinite(p) for p in orders))
-    return CensusResult(ComponentSpectrum({c: bound}, exact=False), QuotientLowerBound(quotient, c))
+    return CensusResult(ComponentSpectrum({c: bound}), QuotientLowerBound(quotient, c))
 
 
 def _odd_primes() -> Iterator[int]:

@@ -22,7 +22,13 @@ import json
 import re
 import sys
 
-from .census import MAX_SEQUENCE_COUNT, distinguishing_sequence, exact_census, lower_bound_census
+from .census import (
+    MAX_SEQUENCE_COUNT,
+    digit_limit_error,
+    distinguishing_sequence,
+    exact_census,
+    lower_bound_census,
+)
 from .dimension import freeness_test, representation_dim
 from .families import (
     MAX_FAMILY_INDEX,
@@ -241,8 +247,7 @@ class _Report:
             lines.append(f"pass: {str(self.passed).lower()}")
             return "\n".join(lines)
         except ValueError:  # an integer past the interpreter's int-to-str digit limit
-            raise ValueError(f"a result exceeds the limit ({sys.get_int_max_str_digits()} digits) "
-                             "for printing an integer") from None
+            raise digit_limit_error() from None
 
 
 def _cmd_parse(args) -> _Report:

@@ -20,9 +20,8 @@ and the recursion never certifies those).
 
 The recursion is written once, in dimension_table, which evaluates
 every step for both signs: the two branches, the floor, the maximum and
-the certificate.  product_power_dim reads one sign's steps from it, and
-the oracle's sampling plan (oracle.build_plan) follows its argmax from
-the top step down.
+the certificate.  product_power_dim reads its top step, and the
+oracle's sampling plan (oracle.build_plan) follows that step's argmax.
 """
 
 from __future__ import annotations
@@ -67,16 +66,11 @@ class RecursionStep(NamedTuple):
     dim: int
     certified: bool        # max of the two branches >= generic floor
 
-    @property
-    def candidates(self) -> tuple[int, int, int]:
-        return (self.same_sign_branch, self.flip_sign_branch, self.generic_floor)
-
 
 @dataclass(frozen=True)
 class DimResult:
     dim: int
     reducibility: str
-    steps: tuple[RecursionStep, ...]
 
 
 def dimension_table(exponents) -> tuple[dict[int, RecursionStep], ...]:
@@ -109,11 +103,11 @@ def product_power_dim(exponents, sign: int = 1) -> DimResult:
     """
     _check_sign(sign)
     exps = validate_exponents(exponents)
-    steps = tuple(row[sign] for row in dimension_table(exps))
-    if not steps:
-        return DimResult(base_dim(exps[0], sign), UNDETERMINED, ())
-    top = steps[-1]
-    return DimResult(top.dim, CERTIFIED_REDUCIBLE if top.certified else UNDETERMINED, steps)
+    table = dimension_table(exps)
+    if not table:
+        return DimResult(base_dim(exps[0], sign), UNDETERMINED)
+    top = table[-1][sign]
+    return DimResult(top.dim, CERTIFIED_REDUCIBLE if top.certified else UNDETERMINED)
 
 
 def representation_dim(spec: GroupSpec) -> DimResult:
@@ -124,29 +118,24 @@ def representation_dim(spec: GroupSpec) -> DimResult:
     recursion; free products add dimensions factorwise.
     """
     if isinstance(spec, FreeGroup):
-        return DimResult(3 * spec.rank, IRREDUCIBLE, ())
+        return DimResult(3 * spec.rank, IRREDUCIBLE)
     if isinstance(spec, CyclicFinite):
         spectrum = central_root_spectrum(spec.order, 1)
         # the variety is a disjoint union of at least two closed pieces
-        return DimResult(spectrum.dimension(), CERTIFIED_REDUCIBLE, ())
+        return DimResult(spectrum.dimension(), CERTIFIED_REDUCIBLE)
     if isinstance(spec, ProductPower):
         return product_power_dim(spec.exponents, 1)
     if isinstance(spec, FreeProduct):
-        dim = 0
-        statuses = []
-        steps: tuple[RecursionStep, ...] = ()
-        for f in spec.factors:
-            sub = representation_dim(f)
-            dim += sub.dim
-            statuses.append(sub.reducibility)
-            steps = steps + sub.steps
+        subs = [representation_dim(f) for f in spec.factors]
+        dim = sum(sub.dim for sub in subs)
+        statuses = [sub.reducibility for sub in subs]
         if CERTIFIED_REDUCIBLE in statuses:
             reducibility = CERTIFIED_REDUCIBLE
         elif all(s == IRREDUCIBLE for s in statuses):
             reducibility = IRREDUCIBLE
         else:
             reducibility = UNDETERMINED
-        return DimResult(dim, reducibility, steps)
+        return DimResult(dim, reducibility)
     raise TypeError(f"not a group spec: {spec!r}")
 
 

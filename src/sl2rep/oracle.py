@@ -12,9 +12,10 @@ reject the sample rather than guess).
 Samples are drawn on a stratum of maximal dimension.  When the generic
 stratum (random prefix, last matrix solved by a root branch) already
 has top dimension, that is used; otherwise the sampler follows the
-dimension recursion's argmax and places the prefix on the degenerate
-locus where the prefix word is +-I, with the last matrix drawn from a
-random eigenvalue-pair orbit.  Sample i of a run draws from row i of
+dimension recursion's argmax and draws every letter from a random
+eigenvalue-pair orbit of {A : A^k = +-I}.  The generic floor is the
+maximum at every step of length >= 3, so such orbit plans arise only
+for one- or two-letter words.  Sample i of a run draws from row i of
 the run's block of counter-based uniforms(seed, rows, width), so runs
 are reproducible and any sample replays alone.
 
@@ -149,34 +150,20 @@ def _letter_jets(letters: np.ndarray, exponents) -> np.ndarray:
     return power_stack(jets, exponents, _jet_product)
 
 
-def _power_with_derivs(m: np.ndarray, p: int):
-    """m^p (adjugate route for p < 0) and its derivatives in the four
-    entries of m: a (..., 2, 2) stack gives (..., 2, 2) values and
-    (..., 4, 2, 2) derivatives.  One letter of _letter_jets."""
-    jet = _letter_jets(np.asarray(m, dtype=complex)[None], (p,))[0]
-    return jet[..., 0, :, :], jet[..., 1:, :, :]
-
-
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """Polynomial equations cutting the variety out of C^(4n).
-
-    exponents None means no word equation (free group): only the n
-    determinant constraints remain.
-    """
+    """Polynomial equations cutting the variety of m1^p1 ... mn^pn =
+    sign*I out of C^(4n)."""
 
     num_matrices: int
-    exponents: Optional[tuple[int, ...]] = None
+    exponents: tuple[int, ...]
     sign: int = 1
 
     def __post_init__(self):
-        if self.num_matrices < 1:
-            raise ValueError("need at least one matrix")
-        if self.exponents is not None:
-            exps = validate_exponents(self.exponents)
-            if len(exps) != self.num_matrices:
-                raise ValueError("exponent count must match matrix count")
-            object.__setattr__(self, "exponents", exps)
+        exps = validate_exponents(self.exponents)
+        if len(exps) != self.num_matrices:
+            raise ValueError("exponent count must match matrix count")
+        object.__setattr__(self, "exponents", exps)
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
 
@@ -186,16 +173,14 @@ class ConstraintSystem:
 
     def residuals(self, mats) -> np.ndarray:
         """det(m_i) - 1 for each matrix, then the four entries of the word
-        minus sign*I (no word rows for a free system).  A (..., n, 2, 2)
-        stack of points gives a (..., n + 4) stack of residual vectors."""
+        minus sign*I.  A (..., n, 2, 2) stack of points gives a
+        (..., n + 4) stack of residual vectors."""
         mats = np.asarray(mats, dtype=complex)
-        return self._residuals(mats, None if self.exponents is None else eval_word(mats, self.exponents))
+        return self._residuals(mats, eval_word(mats, self.exponents))
 
-    def _residuals(self, mats: np.ndarray, word: Optional[np.ndarray]) -> np.ndarray:
+    def _residuals(self, mats: np.ndarray, word: np.ndarray) -> np.ndarray:
         """The residual vectors of a stack of points and its word values."""
         dets = determinant(mats) - 1.0
-        if word is None:
-            return dets
         word = word - self.sign * IDENTITY
         return np.concatenate([dets, word.reshape(word.shape[:-2] + (4,))], axis=-1)
 
@@ -208,18 +193,15 @@ class ConstraintSystem:
         return self._jacobian_and_word(np.asarray(mats, dtype=complex))[0]
 
     def _jacobian_and_word(self, mats: np.ndarray):
-        """The Jacobian and the word values (None for a free system): row 0
-        of the product-rule pass, bitwise eval_word at finite entries."""
+        """The Jacobian and the word values: row 0 of the product-rule
+        pass, bitwise eval_word at finite entries."""
         n = self.num_matrices
         lead = mats.shape[:-3]
-        rows = n + (4 if self.exponents is not None else 0)
-        jac = np.zeros(lead + (rows, 4 * n), dtype=complex)
+        jac = np.zeros(lead + (n + 4, 4 * n), dtype=complex)
         # row i holds d det(m_i) = (d, -c, -b, a) at columns 4i..4i+3
         det_entries = (np.arange(n)[:, None] * (4 * n + 4) + np.arange(4)).ravel()
         jac.reshape(lead + (-1,))[..., det_entries] = \
             (mats[..., ::-1, ::-1] * _DET_SIGNS).reshape(lead + (4 * n,))
-        if self.exponents is None:
-            return jac, None
         # row 0 holds the word so far, rows 4i+1..4i+4 its derivatives
         # in the entries of m_i; the word starts at its first factor,
         # as I @ factor is factor
@@ -248,20 +230,18 @@ def jacobian_fd(system: ConstraintSystem, mats, step: float = FD_STEP) -> np.nda
     cols = system.ambient_dim
     offsets = (step * np.eye(cols)).reshape((cols,) + base.shape)
     points = base + np.concatenate([offsets, -offsets])
-    word = None
-    if system.exponents is not None:
-        rows = np.arange(2 * cols)
-        # the letter point r moves, and its copy: 0 is the base letter,
-        # 1..4 the entries moved by +step, 5..8 those moved by -step
-        moved, copy = rows % cols // 4, rows // cols * 4 + rows % 4 + 1
-        letters = np.repeat(base[:, None], 9, axis=1)
-        letters[moved, copy] = points[rows, moved]
-        powers = power_stack(letters, system.exponents)
-        factors = np.repeat(powers[None, :, 0], 2 * cols, axis=0)
-        factors[rows, moved] = powers[moved, copy]
-        word = IDENTITY
-        for i in range(len(base)):
-            word = mul2(word, factors[:, i])
+    rows = np.arange(2 * cols)
+    # the letter point r moves, and its copy: 0 is the base letter,
+    # 1..4 the entries moved by +step, 5..8 those moved by -step
+    moved, copy = rows % cols // 4, rows // cols * 4 + rows % 4 + 1
+    letters = np.repeat(base[:, None], 9, axis=1)
+    letters[moved, copy] = points[rows, moved]
+    powers = power_stack(letters, system.exponents)
+    factors = np.repeat(powers[None, :, 0], 2 * cols, axis=0)
+    factors[rows, moved] = powers[moved, copy]
+    word = IDENTITY
+    for i in range(len(base)):
+        word = mul2(word, factors[:, i])
     res = system._residuals(points, word)
     return (res[:cols] - res[cols:]).T / (2 * step)
 
@@ -425,8 +405,8 @@ def _polish_last(prefix_word: np.ndarray, root: np.ndarray, power: int, sign: in
         # most rows stop at the first check, so derivatives wait until here
         jac = np.empty((len(m), 5, 4), dtype=complex)
         jac[:, 0] = (m[:, ::-1, ::-1] * _DET_SIGNS).reshape(-1, 4)
-        jac[:, 1:] = np.swapaxes(mul2(word[:, None], _power_with_derivs(m, power)[1]).reshape(-1, 4, 4),
-                                 -1, -2)
+        derivs = _letter_jets(m[None], (power,))[0, :, 1:]
+        jac[:, 1:] = np.swapaxes(mul2(word[:, None], derivs).reshape(-1, 4, 4), -1, -2)
         m = m + _lstsq(jac, -fvec).reshape(-1, 2, 2)
     return best
 
@@ -457,38 +437,31 @@ def complete_point(prefix, exponents, sign: int, branch: int):
 
 @dataclass(frozen=True)
 class SamplePlan:
-    """Where to draw samples so they land on a top-dimensional stratum."""
+    """Where to draw samples so they land on a top-dimensional stratum:
+    orbits None for a generic prefix and a solved last letter, else one
+    (k, s) of {A : A^k = s*I} per letter, first letter first."""
 
     exponents: tuple[int, ...]
     sign: int
-    kind: str  # "generic" | "stratum" | "leaf"
-    fiber_sign: Optional[int] = None      # stratum: last matrix solves x^k = fiber_sign*I
-    prefix: Optional["SamplePlan"] = None
+    orbits: Optional[tuple[tuple[int, int], ...]]
 
 
 def build_plan(exponents, sign: int) -> SamplePlan:
-    """Follow the dimension recursion's argmax to a sampling strategy,
-    down one dimension_table from the top step.
-
-    Ties prefer the generic stratum, then the sign-flip stratum; for
-    words of length >= 3 the generic stratum always attains the
-    maximum, so strata only appear for two-letter words.
-    """
+    """The sampling strategy at the argmax of dimension_table's top step;
+    ties prefer the generic stratum, then the sign-flip stratum.  Both
+    degenerate branches stay below the generic floor 3(m-1) at every
+    step m >= 3, as D(m-1) <= 3(m-2) + 1, so only one- and two-letter
+    words get orbit plans."""
     exps = validate_exponents(exponents)
-    table = dimension_table(exps)
-
-    def plan(m: int, sign: int) -> SamplePlan:
-        if m == 1:
-            return SamplePlan(exps[:1], sign, "leaf")
-        step = table[m - 2][sign]
-        if step.generic_floor == step.dim:
-            return SamplePlan(exps[:m], sign, "generic")
-        # the flip branch puts the prefix on -sign and the last letter on -I
-        fiber = -1 if step.flip_sign_branch == step.dim else 1
-        return SamplePlan(exps[:m], sign, "stratum", fiber_sign=fiber,
-                          prefix=plan(m - 1, sign * fiber))
-
-    return plan(len(exps), sign)
+    if len(exps) == 1:
+        return SamplePlan(exps, sign, ((abs(exps[0]), sign),))
+    step = dimension_table(exps)[-1][sign]
+    if step.generic_floor == step.dim:
+        return SamplePlan(exps, sign, None)
+    first, last = exps
+    # the flip branch puts the first letter on -sign and the last on -I
+    fiber = -1 if step.flip_sign_branch == step.dim else 1
+    return SamplePlan(exps, sign, ((abs(first), sign * fiber), (abs(last), fiber)))
 
 
 def _conjugated_diagonal(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -522,31 +495,11 @@ def _orbit_point(angles, u: np.ndarray) -> np.ndarray:
     return _conjugated_diagonal(u, np.exp(1j * math.pi * np.asarray(angles, dtype=float)))
 
 
-def _orbit_draws(letters, u: np.ndarray) -> np.ndarray:
-    """Random points on random eigenvalue-pair orbits of {A : A^k = sign*I},
-    one per (k, sign) in letters, from eight uniforms each: u of shape
-    (S, len(letters), 8) holds an orbit index, then seven for C."""
-    counts = np.array([orbit_count(k, sign) for k, sign in letters])
-    if not counts.all():
-        raise OracleError(f"no orbit components for some (power, sign) of {letters}")
-    k, sign = np.array(letters).T
-    index = np.minimum((u[..., 0] * counts).astype(int), counts - 1)
-    return _orbit_point(orbit_numerator(sign, index) / k, u[..., 1:])
-
-
-def _orbit_letters(plan: SamplePlan) -> list:
-    """The (k, sign) of {A : A^k = sign*I} for each letter of a stratum or
-    leaf plan, leaf first."""
-    if plan.kind == "leaf":
-        return [(abs(plan.exponents[0]), plan.sign)]
-    return _orbit_letters(plan.prefix) + [(abs(plan.exponents[-1]), plan.fiber_sign)]
-
-
 def _width(plan: SamplePlan) -> int:
     """Uniforms per sample: nine per generic prefix letter, or eight per
-    letter of a stratum or leaf (an orbit index, then seven for C)."""
+    orbit letter (an orbit index, then seven for C)."""
     n = len(plan.exponents)
-    return 9 * (n - 1) if plan.kind == "generic" else 8 * n
+    return 9 * (n - 1) if plan.orbits is None else 8 * n
 
 
 @dataclass
@@ -561,13 +514,20 @@ def _draw_samples(plan: SamplePlan, branches: np.ndarray, u: np.ndarray):
 
     Returns the (S, n, 2, 2) points, the mask of obstructed samples
     (their last matrix is NaN), and the (S, w) genericity witnesses: for a
-    generic plan, the traces of each prefix letter and prefix word.
+    generic plan, the traces of each prefix letter and prefix word.  An
+    orbit plan puts each letter on a random eigenvalue-pair orbit of its
+    {A : A^k = s*I}, from an orbit index and then seven uniforms for C.
     """
     size = len(u)
-    if plan.kind != "generic":
-        letters = _orbit_letters(plan)
-        return (_orbit_draws(letters, u.reshape(size, len(letters), 8)), np.zeros(size, dtype=bool),
-                np.empty((size, 0), dtype=complex))
+    if plan.orbits is not None:
+        counts = np.array([orbit_count(k, s) for k, s in plan.orbits])
+        if not counts.all():
+            raise OracleError(f"no orbit components for some (power, sign) of {plan.orbits}")
+        k, s = np.array(plan.orbits).T
+        u = u.reshape(size, len(counts), 8)
+        index = np.minimum((u[..., 0] * counts).astype(int), counts - 1)
+        return (_orbit_point(orbit_numerator(s, index) / k, u[..., 1:]),
+                np.zeros(size, dtype=bool), np.empty((size, 0), dtype=complex))
     exps = plan.exponents
     letters = _letters(exps[:-1], u.reshape(size, len(exps) - 1, 9))
     prefix = np.moveaxis(letters, 1, 0)

@@ -27,7 +27,6 @@ class ComponentSpectrum:
     """Map dimension -> number of maximal components of that dimension."""
 
     entries: dict[int, int]
-    exact: bool = True
 
     def __post_init__(self):
         cleaned = {int(d): int(c) for d, c in self.entries.items() if c}

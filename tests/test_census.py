@@ -6,6 +6,7 @@ itertools, independently of the accumulator in the package.
 
 import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -78,11 +79,32 @@ def test_exact_census_of_a_huge_cyclic_group_is_closed_form():
     assert exact_census(CyclicFinite(10**9)).spectrum.entries == {0: 2, 2: 499999999}
 
 
-def test_product_spectrum_requires_exact_factors():
-    with pytest.raises(ValueError):
-        product_spectrum([ComponentSpectrum({6: 1}, exact=False)])
+def test_product_spectrum_needs_a_factor():
     with pytest.raises(ValueError):
         product_spectrum([])
+
+
+def test_product_spectrum_stops_only_on_an_unprintable_result(monkeypatch):
+    # with a 3-digit limit, product_spectrum raises before convolving
+    # exactly when the convolution, run with the limit off, has an entry
+    # of 4 digits or more; it never raises on one it can print
+    rng = random.Random(20261018)
+    raised = 0
+    for _ in range(300):
+        factors = [ComponentSpectrum({d: rng.randint(1, 40)
+                                      for d in rng.sample(range(7), rng.randint(1, 3))})
+                   for _ in range(rng.randint(1, 4))]
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        largest = max(product_spectrum(factors).entries.values())
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 3)
+        try:
+            product_spectrum(factors)
+        except ValueError as exc:
+            assert str(exc) == "a result exceeds the limit (3 digits) for printing an integer"
+            assert largest >= 1000
+            raised += 1
+    # 128 of the 157 unprintable cases stop early; render catches the rest
+    assert raised == 128
 
 
 def test_exact_census_of_an_odd_cyclic_triple():
@@ -98,6 +120,7 @@ def test_exact_census_with_an_even_order_factor():
     result = exact_census(spec)
     assert result.spectrum.entries == {0: 2, 2: 6, 4: 4}
     assert result.spectrum.dimension() == 4
+    assert result.basis == ExactBasis(spec)
 
 
 def test_exact_census_of_free_groups():
@@ -133,7 +156,6 @@ def test_odd_triple_top_count_formula():
 def test_lower_bound_census_values(exponents, bound):
     result = lower_bound_census(ProductPower(exponents))
     assert result.spectrum.count(6) == bound
-    assert not result.spectrum.exact
     assert isinstance(result.basis, QuotientLowerBound)
     assert result.basis.dim_check == 6
 
@@ -188,8 +210,7 @@ def bound_by_quotient_spectrum(spec):
             f"quotient variety has dimension {spectrum.dimension()} != {c}; "
             "the lower bound does not apply"
         )
-    return CensusResult(ComponentSpectrum({c: spectrum.count(c)}, exact=False),
-                        QuotientLowerBound(quotient, c))
+    return CensusResult(ComponentSpectrum({c: spectrum.count(c)}), QuotientLowerBound(quotient, c))
 
 
 def outcome(bound, spec):
@@ -291,7 +312,7 @@ def test_distinguishing_sequence_and_witness_regression():
         33178560, 35393820,
     ]
     for group, census in entries:
-        assert census.spectrum.entries.keys() == {9} and not census.spectrum.exact
+        assert census.spectrum.entries.keys() == {9}
         cyclics = tuple(CyclicFinite(p) for p in group.factors[1].exponents)
         assert census.basis == QuotientLowerBound(FreeProduct((FreeGroup(1),) + cyclics), 9)
 

@@ -7,6 +7,7 @@ import pathlib
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -402,6 +403,36 @@ def test_a_count_past_the_digit_limit_exits_two(capsys, output):
     assert err.startswith("error: ") and "4300 digits" in err
     # Python's own advice names an interpreter call, not a CLI option
     assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+                    reason="needs the interpreter's default int-to-str digit limit")
+@pytest.mark.parametrize("command,output", [("census", "text"), ("census", "json"), ("dim", "text")])
+def test_huge_cyclic_orders_exit_two_before_the_convolution(capsys, command, output):
+    # 100 factors of a 4,000-digit order: the product of the totals passes
+    # the limit at the second factor, so nothing of ~400,000 digits is built
+    spec = " * ".join([f"Z{10**3999 + 7}"] * 100)
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, spec, "--output", output)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: a result exceeds the limit (4300 digits) for printing an integer\n"
+
+
+@pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+                    reason="needs the interpreter's default int-to-str digit limit")
+def test_a_product_just_under_the_digit_limit_still_prints(capsys):
+    # Z(2a + 1) has one central point and a orbits, so its square has
+    # (a + 1)^2 components: 4,300 digits at a = 10^2150 - 2, 4,301 at
+    # the next a
+    a = 10**2150 - 2
+    code, out, err = run(capsys, "census", f"Z{2 * a + 1} * Z{2 * a + 1}")
+    assert (code, err) == (EXIT_OK, "")
+    assert f"total_components: {(a + 1) ** 2}   [exact]" in out.splitlines()
+    assert f'"4": {a * a}' in out
+    a += 1
+    code, out, err = run(capsys, "census", f"Z{2 * a + 1} * Z{2 * a + 1}")
+    assert code == EXIT_USAGE and out == "" and "4300 digits" in err
 
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"

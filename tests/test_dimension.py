@@ -70,12 +70,12 @@ def test_recursion_steps_respect_the_ceiling():
     for _ in range(25):
         n = int(rng.integers(2, 9))
         exps = tuple(int(x) for x in rng.integers(2, 10, size=n))
+        table = dimension_table(exps)
         for sign in (1, -1):
-            result = product_power_dim(exps, sign)
-            for step in result.steps:
-                assert step.dim == max(step.candidates)
+            for step in (row[sign] for row in table):
+                assert step.dim == max(step.same_sign_branch, step.flip_sign_branch, step.generic_floor)
                 assert step.dim <= 3 * (step.length - 1) + 1
-            assert result.steps[-1].dim == result.dim
+            assert table[-1][sign].dim == product_power_dim(exps, sign).dim
 
 
 def test_dimension_table_shape():
@@ -158,7 +158,6 @@ def test_single_letter_words_stay_undetermined():
     result = product_power_dim((5,), 1)
     assert result.dim == 2
     assert result.reducibility == UNDETERMINED
-    assert result.steps == ()
     assert product_power_dim((2,), 1).dim == 0
     assert product_power_dim((2,), -1).dim == 2
 

@@ -40,9 +40,7 @@ from sl2rep.oracle import (
     _letter_jets,
     _letters,
     _local_dimensions,
-    _orbit_letters,
     _orbit_point,
-    _power_with_derivs,
     _width,
 )
 from sl2rep.traces import admissible_traces, classify_trace, match_traces, orbit_count
@@ -64,7 +62,9 @@ def test_tolerance_defaults():
 
 def test_constraint_system_validation():
     with pytest.raises(ValueError):
-        ConstraintSystem(0)
+        ConstraintSystem(0, ())
+    with pytest.raises(TypeError):
+        ConstraintSystem(2)  # every system has a word equation
     with pytest.raises(ValueError):
         ConstraintSystem(2, (2, 2, 2))
     with pytest.raises(ValueError):
@@ -87,8 +87,6 @@ def test_residual_layout():
     mats = [mat2(2, 1, 1, 1), mat2(1, 1, 0, 1)]
     res = system.residuals(mats)
     assert res.shape == (6,)
-    free = ConstraintSystem(3)
-    assert free.residuals([mat2(1, 0, 0, 1)] * 3).shape == (3,)
 
 
 @pytest.mark.parametrize("exponents,sign", [((2, 2), 1), ((-3, -5, -7), 1), ((2, 3, 4), -1)])
@@ -111,14 +109,13 @@ def _elliptic_point(n, rng):
 
 def test_residuals_of_a_stack_equal_the_residuals_of_each_point():
     rng = np.random.default_rng(43)
-    for exps, sign in [((2, -9, 3), 1), ((211,), -1), ((9, 2, -2, 5, 7), -1), (None, 1)]:
-        n = 3 if exps is None else len(exps)
+    for exps, sign in [((2, -9, 3), 1), ((211,), -1), ((9, 2, -2, 5, 7), -1)]:
+        n = len(exps)
         system = ConstraintSystem(n, exps, sign)
         stack = np.stack([_elliptic_point(n, rng) * (1 + 1e-3 * rng.standard_normal())
                           for _ in range(6)]).reshape(2, 3, n, 2, 2)
         got = system.residuals(stack)
-        rows = n if exps is None else n + 4
-        assert got.shape == (2, 3, rows)
+        assert got.shape == (2, 3, n + 4)
         for index in np.ndindex(2, 3):
             ref = system.residuals(stack[index])
             assert np.max(np.abs(got[index] - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1.0)
@@ -158,17 +155,6 @@ def test_jacobian_fd_defaults_to_the_tolerance_step():
     assert not np.array_equal(jacobian_fd(system, mats), jacobian_fd(system, mats, step=2 * FD_STEP))
 
 
-def test_free_systems_keep_their_shapes():
-    rng = np.random.default_rng(59)
-    for n in (1, 3):
-        system = ConstraintSystem(n)
-        mats = np.stack([random_sl2(rng) for _ in range(n)])
-        assert system.residuals(mats).shape == (n,)
-        numeric = jacobian_fd(system, mats)
-        assert numeric.shape == (n, 4 * n)
-        assert np.allclose(numeric, system.jacobian(mats), rtol=0, atol=1e-8)
-
-
 def _linear_power_derivs(m, p):
     """Entry derivatives of m^p as the O(|p|) sum of b^j dB b^(k-1-j),
     b = m (or adj m for p < 0), dB the derivative of b in one entry."""
@@ -201,17 +187,25 @@ def _power_test_points():
 _TEST_POWERS = (2, 9, 211, 2000, -2, -9, -211, -2000)
 
 
+def _power_jet(m, p):
+    """m^p (adjugate route for p < 0) and its derivatives in the four
+    entries of m, as one letter of _letter_jets: a (..., 2, 2) stack
+    gives (..., 2, 2) values and (..., 4, 2, 2) derivatives."""
+    jet = _letter_jets(np.asarray(m, dtype=complex)[None], (p,))[0]
+    return jet[..., 0, :, :], jet[..., 1:, :, :]
+
+
 def test_power_value_is_bitwise_mat_power():
     for m in _power_test_points():
         for p in _TEST_POWERS:
-            assert np.array_equal(_power_with_derivs(m, p)[0], mat_power(m, p))
+            assert np.array_equal(_power_jet(m, p)[0], mat_power(m, p))
 
 
 def test_power_derivatives_match_sum_and_differences():
     step = 1e-6
     for m in _power_test_points():
         for p in _TEST_POWERS:
-            derivs = _power_with_derivs(m, p)[1]
+            derivs = _power_jet(m, p)[1]
             assert derivs.shape == (4, 2, 2)
             assert _rel_err(derivs, _linear_power_derivs(m, p)) < 1e-10
             if abs(p) > 211:
@@ -234,7 +228,7 @@ def test_stacked_power_derivatives_match_differences():
     step = 1e-6
     stack = np.stack(_power_test_points()[:3] * 2).reshape(2, 3, 2, 2)
     for p in (2, 9, 211, -2, -9, -211):
-        values, derivs = _power_with_derivs(stack, p)
+        values, derivs = _power_jet(stack, p)
         assert values.shape == (2, 3, 2, 2) and derivs.shape == (2, 3, 4, 2, 2)
         assert np.array_equal(values, mat_power(stack, p))
         for e in range(4):
@@ -245,8 +239,8 @@ def test_stacked_power_derivatives_match_differences():
                 assert _rel_err(got, ref) < 1e-5
 
 
-def _loop_power_with_derivs(m, p):
-    """Reference for _power_with_derivs: the same binary exponentiation on
+def _loop_power_jet(m, p):
+    """Reference for _power_jet: the same binary exponentiation on
     one matrix, starting from I, which the stacked code matches bit for
     bit at finite entries."""
     k = abs(p)
@@ -269,31 +263,29 @@ def _loop_jacobian(system, mats):
     """Reference for ConstraintSystem.jacobian: the per-letter loop on one
     point, which the single-point call matches bit for bit."""
     n = system.num_matrices
-    jac = np.zeros((n + (4 if system.exponents is not None else 0), 4 * n), dtype=complex)
+    jac = np.zeros((n + 4, 4 * n), dtype=complex)
     for i in range(n):
         a, b, c, d = mats[i].ravel()
         jac[i, 4 * i: 4 * i + 4] = (d, -c, -b, a)
-    if system.exponents is not None:
-        value = IDENTITY.copy()
-        word_derivs = np.zeros((4 * n, 2, 2), dtype=complex)
-        for i, p in enumerate(system.exponents):
-            factor, factor_derivs = _loop_power_with_derivs(mats[i], p)
-            word_derivs = _product(word_derivs, factor)
-            word_derivs[4 * i: 4 * i + 4] += _product(value, factor_derivs)
-            value = _product(value, factor)
-        jac[n:] = word_derivs.reshape(4 * n, 4).T
+    value = IDENTITY.copy()
+    word_derivs = np.zeros((4 * n, 2, 2), dtype=complex)
+    for i, p in enumerate(system.exponents):
+        factor, factor_derivs = _loop_power_jet(mats[i], p)
+        word_derivs = _product(word_derivs, factor)
+        word_derivs[4 * i: 4 * i + 4] += _product(value, factor_derivs)
+        value = _product(value, factor)
+    jac[n:] = word_derivs.reshape(4 * n, 4).T
     return jac
 
 
 def _stack_cases():
     """(system, three points stacked) on lengths 1-10, both central signs,
-    exponents +-{2, 9, 211, 2000}, and a free system."""
+    exponents +-{2, 9, 211, 2000}."""
     rng = np.random.default_rng(73)
     for n in range(1, 11):
         for sign in (1, -1):
             exps = tuple(int(x) for x in rng.choice(_TEST_POWERS, size=n))
             yield ConstraintSystem(n, exps, sign), np.stack([_elliptic_point(n, rng) for _ in range(3)])
-    yield ConstraintSystem(3), np.stack([_elliptic_point(3, rng) for _ in range(3)])
 
 
 def test_single_point_jacobian_equals_the_loop():
@@ -302,7 +294,7 @@ def test_single_point_jacobian_equals_the_loop():
             assert np.array_equal(system.jacobian(mats), _loop_jacobian(system, mats))
     for m in _power_test_points():
         for p in _TEST_POWERS:
-            for got, ref in zip(_power_with_derivs(m, p), _loop_power_with_derivs(m, p)):
+            for got, ref in zip(_power_jet(m, p), _loop_power_jet(m, p)):
                 assert np.array_equal(got, ref)
 
 
@@ -313,11 +305,11 @@ def test_stacked_jacobian_and_powers_equal_each_point():
         assert got.shape == (3, len(system.residuals(stack[0])), 4 * n)
         for mats, jac in zip(stack, got):
             assert np.array_equal(jac, system.jacobian(mats))
-        for i, p in enumerate(system.exponents or ()):
-            values, derivs = _power_with_derivs(stack[:, i], p)
+        for i, p in enumerate(system.exponents):
+            values, derivs = _power_jet(stack[:, i], p)
             assert derivs.shape == (3, 4, 2, 2)
             for mats, value, deriv in zip(stack, values, derivs):
-                alone = _power_with_derivs(mats[i], p)
+                alone = _power_jet(mats[i], p)
                 assert np.array_equal(value, alone[0]) and np.array_equal(deriv, alone[1])
 
 
@@ -337,7 +329,7 @@ def test_letter_jets_are_bitwise_each_letter_alone():
             jets = _letter_jets(letters, exps).reshape(n, -1, 5, 2, 2)
             for letter, p, jet in zip(letters.reshape(n, -1, 2, 2), exps, jets):
                 for m, got in zip(letter, jet):
-                    value, derivs = _loop_power_with_derivs(m, p)
+                    value, derivs = _loop_power_jet(m, p)
                     assert np.array_equal(got[0], value) and np.array_equal(got[1:], derivs)
                     assert np.array_equal(got[0], mat_power(m, p))
 
@@ -400,8 +392,8 @@ def _replay_verdict(plan, system, seed, index, tol):
     [
         ((3, 5, 7), 1, 0),
         ((-3, 9, -211, 2000), -1, 4),
-        ((2, 5), -1, 1),   # stratum: the prefix letter on -I
-        ((2, 2), 1, 2),    # stratum: sign flip
+        ((2, 5), -1, 1),   # orbit plan: the first letter on -I
+        ((2, 2), 1, 2),    # orbit plan: sign flip
         ((-3, 9, 211), 1, 1140749727),   # near-parabolic last matrices
         ((9, 6, 271), -1, 177841464),
     ],
@@ -433,17 +425,6 @@ def test_verify_dimension_near_parabolic_roots(exponents, sign, seed):
     report = verify_dimension(exponents, sign, num_samples=1, seed=seed)
     assert report.passed
     assert report.samples_accepted == 1
-
-
-def test_free_group_local_dimension():
-    # no word equation: the variety is all of (SL2C)^n, dimension 3n
-    rng = np.random.default_rng(33)
-    for n in (1, 2, 4):
-        system = ConstraintSystem(n)
-        mats = np.stack([random_sl2(rng) for _ in range(n)])
-        local = local_dimension(mats, system)
-        assert local.dim == 3 * n
-        assert local.rank == n
 
 
 def test_jacobian_rank_gap_behavior():
@@ -504,7 +485,7 @@ def test_complete_point_even_parabolic_obstruction():
 def test_generic_sample_reproducible_and_valid():
     exps = (-3, -5, -7)
     plan = build_plan(exps, 1)
-    assert plan.kind == "generic"
+    assert plan.orbits is None
     first = sample_from_plan(plan, 0, 0).mats
     again = sample_from_plan(plan, 0, 0).mats
     assert np.array_equal(first, again)
@@ -555,8 +536,7 @@ def test_orbit_points_use_a_near_unitary_conjugator():
 
 
 # (exponents, sign, uniforms per sample): nine per generic prefix letter,
-# eight per orbit letter of a stratum or leaf (an orbit index, then seven
-# for C)
+# eight per orbit letter (an orbit index, then seven for C)
 _PLAN_WIDTHS = [((3, 5, 7), 1, 18), ((9, -211, 2000, -20000, 2), -1, 36), ((2, 5), -1, 16),
                 ((2, 2), 1, 16), ((3,), 1, 8)]
 
@@ -586,10 +566,11 @@ def test_draws_take_a_fixed_number_of_uniforms(monkeypatch):
             moved = block.copy()
             moved[:, col] = (moved[:, col] + 0.5) % 1
             changed = not np.array_equal(_draw_samples(plan, rows, moved)[0], drawn, equal_nan=True)
-            single_orbit = (plan.kind != "generic" and col % 8 == 0
-                            and orbit_count(*_orbit_letters(plan)[col // 8]) == 1)
+            single_orbit = (plan.orbits is not None and col % 8 == 0
+                            and orbit_count(*plan.orbits[col // 8]) == 1)
             assert changed != single_orbit
-    # a leaf with no orbit (A^2 = I) is not a stratum any plan of a word samples
+    # a one-letter plan with no orbit (A^2 = I) has nothing to draw; no
+    # plan of a word of two or more letters has such a letter
     with pytest.raises(oracle.OracleError):
         sample_from_plan(build_plan((2,), 1), 0, 0)
 
@@ -684,21 +665,15 @@ def test_verify_commands_leave_numpy_random_unloaded():
 
 
 def test_build_plan_follows_the_recursion_argmax():
-    generic = build_plan((3, 5, 7), 1)
-    assert generic.kind == "generic"
-    assert build_plan((2, 2), -1).kind == "generic"
+    assert build_plan((3, 5, 7), 1) == SamplePlan((3, 5, 7), 1, None)
+    assert build_plan((2, 2), -1).orbits is None
 
-    # (2, 5) with sign -1 peaks on the same-sign branch: the prefix
+    # (2, 5) with sign -1 peaks on the same-sign branch: the first
     # letter lands on -I and the last letter on +I
-    stratum = build_plan((2, 5), -1)
-    assert stratum.kind == "stratum"
-    assert stratum.fiber_sign == 1
-    assert stratum.prefix == SamplePlan((2,), -1, "leaf")
-
-    flipped = build_plan((2, 2), 1)
-    assert flipped.kind == "stratum"
-    assert flipped.fiber_sign == -1
-    assert flipped.prefix == SamplePlan((2,), -1, "leaf")
+    assert build_plan((2, 5), -1) == SamplePlan((2, 5), -1, ((2, -1), (5, 1)))
+    # (2, 2) with sign +1 peaks on the flip branch: both letters on -I
+    assert build_plan((2, 2), 1) == SamplePlan((2, 2), 1, ((2, -1), (2, -1)))
+    assert build_plan((-3,), -1) == SamplePlan((-3,), -1, ((3, -1),))
 
 
 @functools.cache
@@ -709,23 +684,45 @@ def _reference_dim(exps, sign):
                _reference_dim(exps[:-1], -sign) + 2, 3 * (len(exps) - 1))
 
 
-def _reference_plan(exps, sign):
-    """The recursion's argmax, step by step: generic on ties, then the flip."""
+def _reference_orbits(exps, sign):
+    """The recursion's argmax, step by step: None for the generic stratum
+    (preferred on ties), else the flip before the same-sign branch, with
+    the (k, s) of each letter's orbit set, first letter first.  A generic
+    prefix under an orbit letter has no flat plan: the tuple sum fails."""
     if len(exps) == 1:
-        return SamplePlan(exps, sign, "leaf")
+        return ((abs(exps[0]), sign),)
     top = _reference_dim(exps, sign)
     if 3 * (len(exps) - 1) == top:
-        return SamplePlan(exps, sign, "generic")
+        return None
     fiber = -1 if _reference_dim(exps[:-1], -sign) + 2 == top else 1
-    return SamplePlan(exps, sign, "stratum", fiber_sign=fiber,
-                      prefix=_reference_plan(exps[:-1], sign * fiber))
+    return _reference_orbits(exps[:-1], sign * fiber) + ((abs(exps[-1]), fiber),)
+
+
+_PLAN_LETTERS = (2, -2, 3, -3, 4, 5)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_build_plan_is_the_argmax_reference(n):
-    for exps in itertools.product((2, -2, 3, -3, 4, 5), repeat=n):
+    for exps in itertools.product(_PLAN_LETTERS, repeat=n):
         for sign in (1, -1):
-            assert build_plan(exps, sign) == _reference_plan(exps, sign)
+            assert build_plan(exps, sign) == SamplePlan(exps, sign, _reference_orbits(exps, sign))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_orbit_plans_are_short_and_land_on_the_relator(n):
+    # every letter A_i of an orbit plan has A_i^k_i = s_i I, so the word
+    # is the product of the s_i times I
+    for exps in itertools.product(_PLAN_LETTERS, repeat=n):
+        for sign in (1, -1):
+            plan = build_plan(exps, sign)
+            if n >= 3:
+                assert plan.orbits is None
+            if plan.orbits is None:
+                continue
+            assert [k for k, _ in plan.orbits] == [abs(p) for p in exps]
+            assert math.prod(s for _, s in plan.orbits) == sign
+            if n >= 2:
+                assert all(orbit_count(k, s) >= 1 for k, s in plan.orbits)
 
 
 def test_sample_from_plan_stratum_matrices_satisfy_the_word():
