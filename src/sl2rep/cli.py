@@ -4,8 +4,10 @@ Subcommands: parse, dim, census, family, witness, isom, sequence,
 verify dim, verify omega.  Output is plain text or JSON; JSON reports
 carry {command, inputs, config, results, provenance, pass} with one
 provenance basis per numeric claim ("exact", "quotient-lower-bound",
-or "numeric-consensus").  Exit codes: 0 success / verification pass,
-1 verification failure, 2 usage or domain errors.
+or "numeric-consensus").  indented_json prints a report: the bytes of
+json.dumps(report, indent=2), without the pure-Python encoder that json
+takes whenever indent is set.  Exit codes: 0 success / verification
+pass, 1 verification failure, 2 usage or domain errors.
 
 Every subcommand takes --output; only verify dim and verify omega take
 the sampling options (--seed, --samples, --tol-res, --tol-rank,
@@ -21,6 +23,7 @@ import functools
 import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .census import (
     MAX_SEQUENCE_COUNT,
@@ -210,6 +213,68 @@ def _spectrum_json(spectrum) -> dict:
     return {str(d): c for d, c in spectrum.entries.items()}
 
 
+def _json_key(key) -> str:
+    """json's coercion of a dict key to a string."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _put_json(value, out: list, newline: str):
+    """Append the pieces of json.dumps(value, indent=2) to out, value
+    indented at newline.  Containers are laid out here; leaves of the
+    exact builtin types go through the C primitives json itself uses,
+    and the rest (non-finite floats, subclasses, unsupported objects)
+    through json.dumps, so the bytes and the errors are json's."""
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is int:
+        out.append(int.__repr__(value))  # ValueError past the digit limit, as json
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif value is None:
+        out.append("null")
+    elif kind is float and value - value == 0:
+        out.append(float.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if type(key) is not str:
+                key = _json_key(key)
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            sep = "," + inner
+            _put_json(item, out, inner)
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            sep = "," + inner
+            _put_json(item, out, inner)
+        out.append(newline + "]")
+    else:
+        out.append(json.dumps(value))
+
+
+def indented_json(value) -> str:
+    """json.dumps(value, indent=2), byte for byte, without the
+    pure-Python encoder that json falls back to whenever indent is set."""
+    out = []
+    _put_json(value, out, "\n")
+    return "".join(out)
+
+
 class _Report:
     """Accumulates claims with provenance and renders text or JSON."""
 
@@ -236,7 +301,7 @@ class _Report:
                     "provenance": self.provenance,
                     "pass": self.passed,
                 }
-                return json.dumps(payload, indent=2)
+                return indented_json(payload)
             lines = []
             basis_by_name = {p["name"]: p["basis"] for p in self.provenance}
             for item in self.results:

@@ -385,15 +385,22 @@ def _polish_last(prefix_word: np.ndarray, root: np.ndarray, power: int, sign: in
     branch.  A row stops once its residual is below 1e-13 or not finite
     and keeps its best iterate; the others step together through a
     stacked SVD solve, which, unlike normal equations, does not square
-    the magnitude spread of the word rows.
+    the magnitude spread of the word rows.  Most rows stop at the first
+    check, so it takes the value power alone; from the second check on,
+    one jet power gives the residual's power and the derivatives.
     """
     m, word, target = root, prefix_word, sign * IDENTITY
     best, best_res = root.copy(), np.full(len(root), math.inf)
     rows = np.arange(len(root))  # where the stepping rows sit in best
     for step in range(steps + 1):
+        if step:
+            jets = _letter_jets(m[None], (power,))[0]
+            powered = jets[:, 0]
+        else:
+            powered = mat_power(m, power)
         fvec = np.empty((len(m), 5), dtype=complex)
         fvec[:, 0] = determinant(m) - 1.0
-        fvec[:, 1:] = (mul2(word, mat_power(m, power)) - target).reshape(-1, 4)
+        fvec[:, 1:] = (mul2(word, powered) - target).reshape(-1, 4)
         res = np.max(abs(fvec), axis=1)
         better = res < best_res[rows]
         best[rows[better]], best_res[rows[better]] = m[better], res[better]
@@ -402,11 +409,13 @@ def _polish_last(prefix_word: np.ndarray, root: np.ndarray, power: int, sign: in
             break
         if not go.all():
             m, word, fvec, rows = m[go], word[go], fvec[go], rows[go]
-        # most rows stop at the first check, so derivatives wait until here
+            if step:
+                jets = jets[go]
+        if not step:
+            jets = _letter_jets(m[None], (power,))[0]
         jac = np.empty((len(m), 5, 4), dtype=complex)
         jac[:, 0] = (m[:, ::-1, ::-1] * _DET_SIGNS).reshape(-1, 4)
-        derivs = _letter_jets(m[None], (power,))[0, :, 1:]
-        jac[:, 1:] = np.swapaxes(mul2(word[:, None], derivs).reshape(-1, 4, 4), -1, -2)
+        jac[:, 1:] = np.swapaxes(mul2(word[:, None], jets[:, 1:]).reshape(-1, 4, 4), -1, -2)
         m = m + _lstsq(jac, -fvec).reshape(-1, 2, 2)
     return best
 

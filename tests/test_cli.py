@@ -1,9 +1,12 @@
 """Command line behavior: output shapes, exit codes, determinism."""
 
+import collections
+import enum
 import json
 import math
 import os
 import pathlib
+import random
 import shlex
 import subprocess
 import sys
@@ -13,7 +16,7 @@ import pytest
 
 from sl2rep import census, oracle
 from sl2rep.census import MAX_SEQUENCE_COUNT
-from sl2rep.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
+from sl2rep.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, indented_json, main
 from sl2rep.oracle import MAX_CENTRAL_POWER, MAX_SAMPLES, MAX_VERIFY_EXPONENT
 from sl2rep.presentations import MAX_FACTORS
 
@@ -390,6 +393,92 @@ def test_json_output_is_byte_identical_between_runs(capsys):
     code2, out2, _ = run(capsys, *argv)
     assert code1 == code2 == EXIT_OK
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (("parse", "<a,b,c; a^-3 b^-5 = c^7>"), EXIT_OK),
+        (("dim", "<a,b,c; a^3 b^5 c^7>"), EXIT_OK),
+        (("census", "Z3 * Z5 * Z7"), EXIT_OK),
+        (("census", "<a,b,c; a^11 b^13 c^17>"), EXIT_OK),
+        (("family", "--rank", "2", "--index", "3"), EXIT_OK),
+        (("witness", "--rank", "2", "--mirc", "100"), EXIT_OK),
+        (("isom", "-3,-5,-7", "7,5,3"), EXIT_OK),
+        (("sequence", "--dim", "9", "--count", "4"), EXIT_OK),
+        (("verify", "dim", "2,3,5", "--samples", "12", "--seed", "7"), EXIT_OK),
+        # nothing accepted: a null consensus, an "inf" gap and empty mappings
+        (("verify", "dim", "2,2", "--samples", "5", "--tol-res", "1e-300"), EXIT_VERIFY_FAIL),
+        (("verify", "omega", "--p", "6", "--sign", "-", "--samples", "6"), EXIT_OK),
+    ],
+)
+def test_json_reports_are_the_bytes_of_json_dumps_indent_two(capsys, argv, code):
+    got, out, err = run(capsys, *argv, "--output", "json")
+    assert (got, err) == (code, "")
+    # parsing back keeps the key order, so this is the report's own layout
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+class _Level(enum.IntEnum):
+    LOW = 3
+
+
+class _Text(str):
+    pass
+
+
+_STRINGS = ("", "a", "\"", "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "caf\u00e9", "\u2211\U0001d11e",
+            "\ud800", "</script>", "1e9", "null")
+_FLOATS = (0.0, -0.0, 1e-08, 1e300, -2.5, 5e-324, math.pi, math.inf, -math.inf, math.nan)
+_INTS = (0, -1, 7, 2**63, -(10**40), 10**300)
+
+
+def _random_leaf(rng: random.Random):
+    kind = rng.randrange(9)
+    if kind == 0:
+        return rng.choice(_STRINGS) + "".join(chr(rng.randrange(0x3000)) for _ in range(rng.randrange(4)))
+    if kind == 1:
+        return rng.choice(_INTS) + rng.randrange(-3, 4)
+    if kind == 2:
+        return rng.choice(_FLOATS) if rng.random() < 0.5 else rng.uniform(-1e6, 1e6)
+    if kind == 3:
+        return rng.choice((True, False, None))
+    if kind == 4:
+        return rng.choice((_Level.LOW, _Text("sub"), collections.OrderedDict(b=1, a=[])))
+    return rng.choice(_STRINGS)
+
+
+def _random_key(rng: random.Random):
+    if rng.random() < 0.7:
+        return rng.choice(_STRINGS) + str(rng.randrange(100))
+    return rng.choice((-3, 10**20, 0.5, -0.0, math.nan, math.inf, True, False, None, _Level.LOW))
+
+
+def _random_payload(rng: random.Random, depth: int = 0):
+    kind = rng.randrange(6) if depth < 4 else 0
+    if kind <= 2:
+        return _random_leaf(rng)
+    size = rng.randrange(5)
+    items = [_random_payload(rng, depth + 1) for _ in range(size)]
+    if kind == 3:
+        return {_random_key(rng): item for item in items}
+    return items if kind == 4 else tuple(items)
+
+
+def test_the_printer_is_json_dumps_indent_two_on_random_payloads():
+    rng = random.Random(20261018)
+    for _ in range(10_000):
+        value = _random_payload(rng)
+        assert indented_json(value) == json.dumps(value, indent=2), value
+
+
+@pytest.mark.parametrize("value", [{"a": object()}, [1, {2j}], {(1, 2): 3}, {"a": {b"k": 1}}])
+def test_the_printer_raises_jsons_type_errors(value):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError) as got:
+        indented_json(value)
+    assert str(got.value) == str(expected.value)
 
 
 @pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from sl2rep import oracle
-from sl2rep.matrices import IDENTITY, adjugate, determinant, mat2, mat_power, random_sl2
+from sl2rep.matrices import IDENTITY, adjugate, determinant, mat2, mat_power, mul2, random_sl2
 from sl2rep.oracle import (
     FD_STEP,
     MAX_CENTRAL_POWER,
@@ -480,6 +480,65 @@ def test_complete_point_even_parabolic_obstruction():
     assert mats is not None
     system = ConstraintSystem(2, (3, 2), -1)
     assert system.residual_norm(mats) <= 1e-8
+
+
+def _polish_two_chains(word, root, power, sign, steps=4):
+    """The polish with two power chains per Gauss-Newton step: the value
+    power for every residual, then jets of the stepping rows for the
+    derivatives."""
+    m, target = root, sign * IDENTITY
+    best, best_res = root.copy(), np.full(len(root), math.inf)
+    rows = np.arange(len(root))
+    for step in range(steps + 1):
+        fvec = np.empty((len(m), 5), dtype=complex)
+        fvec[:, 0] = determinant(m) - 1.0
+        fvec[:, 1:] = (mul2(word, mat_power(m, power)) - target).reshape(-1, 4)
+        res = np.max(abs(fvec), axis=1)
+        better = res < best_res[rows]
+        best[rows[better]], best_res[rows[better]] = m[better], res[better]
+        go = (res >= 1e-13) & (res < math.inf)
+        if step == steps or not go.any():
+            break
+        m, word, fvec, rows = m[go], word[go], fvec[go], rows[go]
+        jac = np.empty((len(m), 5, 4), dtype=complex)
+        jac[:, 0] = (m[:, ::-1, ::-1] * oracle._DET_SIGNS).reshape(-1, 4)
+        derivs = _letter_jets(m[None], (power,))[0, :, 1:]
+        jac[:, 1:] = np.swapaxes(mul2(word[:, None], derivs).reshape(-1, 4, 4), -1, -2)
+        m = m + oracle._lstsq(jac, -fvec).reshape(-1, 2, 2)
+    return best
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_polish_takes_one_power_chain_per_step(monkeypatch, seed):
+    # 10 to 12 rows of each of these draws take a Gauss-Newton step, and
+    # at seed 1 one row goes on to the step limit
+    plan, rows = build_plan((-3, 700, 5), -1), np.arange(12)
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_polish_last", lambda *args: calls.append(args) or args[1])
+        _draw_samples(plan, rows, uniforms(seed, rows, _width(plan)))
+    (args,) = calls
+    reference = _polish_two_chains(*args)
+
+    counts = {"mat_power": 0, "_letter_jets": 0, "_lstsq": 0}
+
+    def counted(name):
+        original = getattr(oracle, name)
+
+        def call(*a):
+            counts[name] += 1
+            return original(*a)
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(oracle, name, counted(name))
+    polished = oracle._polish_last(*args)
+    assert polished.tobytes() == reference.tobytes()
+    steps = counts.pop("_lstsq")
+    assert steps >= 1 and (seed != 1 or steps == 4)
+    # the first check's value power and its stepping rows' jets, then one
+    # jet power per later check
+    assert counts == {"mat_power": 1, "_letter_jets": 1 + steps}
 
 
 def test_generic_sample_reproducible_and_valid():
