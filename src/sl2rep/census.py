@@ -7,7 +7,10 @@ groups the census at top dimension is bounded below through the
 quotient that kills each generator's power: a surjection G -> Q induces
 a closed embedding of varieties, and when both varieties share the
 dimension c, every dimension-c component of the quotient variety lands
-inside a distinct dimension-c component upstairs.
+inside a distinct dimension-c component upstairs.  The spectra start
+from the closed forms of the dimension module: F_n is one component of
+dimension 3n, and Z_p has its central points at dimension 0 and its
+orbit_count(p, 1) orbits at dimension 2.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from itertools import accumulate, islice
 from typing import Iterator, Union
 
-from .dimension import base_dim, representation_dim
+from .dimension import base_dim, central_signs, orbit_count, representation_dim
 from .presentations import (
     CyclicFinite,
     FreeGroup,
@@ -28,7 +31,38 @@ from .presentations import (
     contains_product_power,
     format_spec,
 )
-from .traces import ComponentSpectrum, central_root_spectrum, central_signs, orbit_count
+
+
+@dataclass
+class ComponentSpectrum:
+    """Map dimension -> number of maximal components of that dimension."""
+
+    entries: dict[int, int]
+
+    def __post_init__(self):
+        cleaned = {int(d): int(c) for d, c in self.entries.items() if c}
+        for d, c in cleaned.items():
+            if d < 0 or c < 0:
+                raise ValueError(f"invalid spectrum entry {d}: {c}")
+        self.entries = dict(sorted(cleaned.items()))
+
+    def dimension(self) -> int:
+        if not self.entries:
+            raise ValueError("empty spectrum has no dimension")
+        return max(self.entries)
+
+    def count(self, dim: int) -> int:
+        return self.entries.get(dim, 0)
+
+    def total(self) -> int:
+        return sum(self.entries.values())
+
+
+def central_root_spectrum(p: int, sign: int) -> ComponentSpectrum:
+    """Component spectrum of {A : A^p = sign*I}: isolated centers at
+    dimension 0, one 2-dimensional component per eigenvalue-pair orbit.
+    Closed form, O(1) in p."""
+    return ComponentSpectrum({2: orbit_count(p, sign), 0: len(central_signs(p, sign))})
 
 
 @dataclass(frozen=True)

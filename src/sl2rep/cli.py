@@ -13,7 +13,8 @@ Every subcommand takes --output; only verify dim and verify omega take
 the sampling options (--seed, --samples, --tol-res, --tol-rank,
 --tol-trace), and the JSON config echoes the options the command has.
 Each subparser carries its handler, a handler returns its report, and
-the exit code follows from the report's pass flag.
+the exit code follows from the report's pass flag.  Only the verify
+handler loads the oracle, and with it numpy.
 """
 
 from __future__ import annotations
@@ -41,16 +42,11 @@ from .families import (
     parafree_profile,
     witness_group,
 )
-from .oracle import (
+from .presentations import (
     MAX_CENTRAL_POWER,
+    MAX_FACTORS,
     MAX_SAMPLES,
     MAX_VERIFY_EXPONENT,
-    Tolerances,
-    verify_central_roots,
-    verify_dimension,
-)
-from .presentations import (
-    MAX_FACTORS,
     ProductPower,
     contains_product_power,
     format_spec,
@@ -189,16 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_sampling(v)
 
     return parser
-
-
-def _tolerances(args) -> Tolerances:
-    """The run's tolerances; a value outside its domain is a usage error
-    that names its option."""
-    values = {"residual": args.tol_res, "rank_rel": args.tol_rank, "trace": args.tol_trace}
-    for (field, value), option in zip(values.items(), ("--tol-res", "--tol-rank", "--tol-trace")):
-        if problem := Tolerances.domain_error(field, value):
-            raise ValueError(f"{option} {problem}")
-    return Tolerances(**values)
 
 
 _CONFIG_KEYS = ("seed", "samples", "tol_res", "tol_rank", "tol_trace", "output")
@@ -413,6 +399,9 @@ def _cmd_sequence(args) -> _Report:
 
 
 def _cmd_verify(args) -> _Report:
+    # the one handler that needs numpy, so the only one that loads the oracle
+    from .oracle import Tolerances, verify_central_roots, verify_dimension
+
     # verify dim and verify omega differ only in the subject they sample
     if args.verify_what == "dim":
         verify, subject = verify_dimension, args.exponents
@@ -426,7 +415,12 @@ def _cmd_verify(args) -> _Report:
         raise ValueError(f"--samples must be in 1..{MAX_SAMPLES}, got {args.samples}")
     if args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
-    result = verify(subject, args.sign, args.samples, args.seed, _tolerances(args))
+    # a tolerance outside its domain is a usage error that names its option
+    values = {"residual": args.tol_res, "rank_rel": args.tol_rank, "trace": args.tol_trace}
+    for (field, value), option in zip(values.items(), ("--tol-res", "--tol-rank", "--tol-trace")):
+        if problem := Tolerances.domain_error(field, value):
+            raise ValueError(f"{option} {problem}")
+    result = verify(subject, args.sign, args.samples, args.seed, Tolerances(**values))
     report = _Report(f"verify {args.verify_what}", {**inputs, "sign": args.sign}, args)
     report.claim("predicted_dimension", result.predicted_dim, EXACT)
     report.claim("consensus_dimension", result.consensus_dim, NUMERIC)

@@ -9,8 +9,15 @@ The recursion peels off the last letter:
                  D_-e(m-1) + d(pm, -1),   last letter lands on -I
                  3*(m-1))                 generic prefix, finite fiber
 
-where d(p, e) = dim {A : A^|p| = e*I} (base_dim, from
-traces.orbit_count): 2, but 0 for (|p|, e) = (2, +1).
+where d(p, e) = dim {A : A^|p| = e*I} (base_dim): 2, but 0 for
+(|p|, e) = (2, +1).  That set splits into one piece per angle k/p with
+0 <= k <= p and (-1)^k = e: the conjugation orbit of diag(z, 1/z),
+z = exp(i pi k/p), of trace 2cos(pi k/p).  k = 0 and k = p are the
+isolated central points +I and -I (central_signs); every other k is a
+2-dimensional orbit.  orbit_numerator is that rule, the one place it is
+spelled out (index -1 at sign +1 is the central +I), and orbit_count the
+one count of the orbits, so of the set's dimension.  These closed forms
+are exact; the numeric layer (matrices, traces, oracle) reads them here.
 
 Each step's maximum is bounded by 3*(m-1) + 1.  Whenever one of the
 two degenerate-prefix candidates reaches the generic floor 3*(m-1) at
@@ -37,16 +44,40 @@ from .presentations import (
     ProductPower,
     validate_exponents,
 )
-from .traces import central_root_spectrum, orbit_count
 
 CERTIFIED_REDUCIBLE = "certified-reducible"
 IRREDUCIBLE = "irreducible"
 UNDETERMINED = "undetermined"
 
 
-def _check_sign(sign: int):
+def _check_sign(sign: int, power: int = 2):
+    """Reject a sign other than +-1, and a power that is not an integer >= 2."""
+    if not isinstance(power, int) or power < 2:
+        raise ValueError(f"power must be an integer >= 2, got {power!r}")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+
+
+def orbit_count(p: int, sign: int) -> int:
+    """Number of 2-dimensional orbit components of {A : A^p = sign*I}."""
+    _check_sign(sign, p)
+    return (p - 1) // 2 if sign == 1 else p // 2
+
+
+def orbit_numerator(sign, index):
+    """The numerator k of the angle k/p of the index-th orbit class of
+    {A : A^p = sign*I} by increasing angle, whatever p: the k strictly
+    between 0 and p with (-1)^k = sign are 2*index + 2 (sign=+1) and
+    2*index + 1 (sign=-1), so index -1 at sign +1 is k = 0, the central
+    +I.  sign and index may be integer arrays."""
+    return 2 * index + (3 + sign) // 2
+
+
+def central_signs(p: int, sign: int) -> tuple[int, ...]:
+    """Signs eta with (eta*I)^p = sign*I, each an isolated central point."""
+    if sign == 1:
+        return (1, -1) if p % 2 == 0 else (1,)
+    return (-1,) if p % 2 == 1 else ()
 
 
 def base_dim(p: int, sign: int) -> int:
@@ -113,16 +144,15 @@ def product_power_dim(exponents, sign: int = 1) -> DimResult:
 def representation_dim(spec: GroupSpec) -> DimResult:
     """Dimension of the full representation variety Hom(G, SL2C).
 
-    Free groups give the irreducible ambient power 3n; cyclic and
-    one-relator product-power groups come from the census and the
-    recursion; free products add dimensions factorwise.
+    Free groups give the irreducible ambient power 3n; cyclic groups
+    the base case, and one-relator product-power groups the recursion;
+    free products add dimensions factorwise.
     """
     if isinstance(spec, FreeGroup):
         return DimResult(3 * spec.rank, IRREDUCIBLE)
     if isinstance(spec, CyclicFinite):
-        spectrum = central_root_spectrum(spec.order, 1)
         # the variety is a disjoint union of at least two closed pieces
-        return DimResult(spectrum.dimension(), CERTIFIED_REDUCIBLE)
+        return DimResult(base_dim(spec.order, 1), CERTIFIED_REDUCIBLE)
     if isinstance(spec, ProductPower):
         return product_power_dim(spec.exponents, 1)
     if isinstance(spec, FreeProduct):

@@ -13,8 +13,8 @@ is its one-letter call, and eval_word powers all its letters in one.
 Every root is taken by branch_roots, one root per row of a stack of
 targets, each row classified in the same pass: Sylvester's closed form
 a*m + b*I away from trace +-2, the components of {A : A^k = +-I} at +-I
-(angles by the traces module's rule), its confluent case at a parabolic
-target.
+(angles by the dimension module's closed forms), its confluent case at
+a parabolic target.
 matrix_roots is every branch of one matrix through it.
 Inverses of determinant-1 matrices are taken with the exact adjugate
 [[d, -b], [-c, a]], which is also the polynomial continuation used off
@@ -27,7 +27,7 @@ import functools
 
 import numpy as np
 
-from .traces import central_signs, orbit_count, orbit_numerator
+from .dimension import central_signs, orbit_count, orbit_numerator
 
 IDENTITY = np.eye(2, dtype=complex)
 

@@ -15,7 +15,7 @@ has top dimension, that is used; otherwise the sampler follows the
 dimension recursion's argmax and draws every letter from a random
 eigenvalue-pair orbit of {A : A^k = +-I}.  The generic floor is the
 maximum at every step of length >= 3, so such orbit plans arise only
-for one- or two-letter words.  Sample i of a run draws from row i of
+for two-letter words.  Sample i of a run draws from row i of
 the run's block of counter-based uniforms(seed, rows, width), so runs
 are reproducible and any sample replays alone.
 
@@ -41,6 +41,9 @@ kinds of run turn the verdicts into a report in one place.  The
 single-sample entry points (sample_from_plan, complete_point,
 local_dimension, jacobian_rank) are stacks of one through the same
 code, so any sample of a run can be replayed alone.
+
+The exact values a run is checked against come from the dimension
+module and the caps from presentations, which load no numpy.
 """
 
 from __future__ import annotations
@@ -53,17 +56,17 @@ from typing import Optional
 
 import numpy as np
 
-from .dimension import dimension_table, product_power_dim
-from .matrices import IDENTITY, adjugate, branch_roots, determinant, eval_word, mat_power, mul2, power_stack
-from .presentations import validate_exponents
-from .traces import (
-    admissible_traces,
-    central_root_spectrum,
+from .dimension import (
+    base_dim,
     central_signs,
-    match_traces,
+    dimension_table,
     orbit_count,
     orbit_numerator,
+    product_power_dim,
 )
+from .matrices import IDENTITY, adjugate, branch_roots, determinant, eval_word, mat_power, mul2, power_stack
+from .presentations import MAX_CENTRAL_POWER, MAX_SAMPLES, MAX_VERIFY_EXPONENT, validate_exponents
+from .traces import admissible_traces, match_traces
 
 
 @dataclass(frozen=True)
@@ -125,11 +128,6 @@ _RECIPROCAL = np.array([1, -1])
 # SplitMix64's increment, the golden ratio in 64 bits
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = 2**64 - 1
-# cost bounds (a few seconds each on a 2-core VM); the CLI exits 2 above them
-MAX_SAMPLES = 1000
-MAX_CENTRAL_POWER = 10**4
-# accuracy bound: float64 checks m^p to the residual gate up to here
-MAX_VERIFY_EXPONENT = 10**7
 
 
 def _jet_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -459,11 +457,12 @@ def build_plan(exponents, sign: int) -> SamplePlan:
     """The sampling strategy at the argmax of dimension_table's top step;
     ties prefer the generic stratum, then the sign-flip stratum.  Both
     degenerate branches stay below the generic floor 3(m-1) at every
-    step m >= 3, as D(m-1) <= 3(m-2) + 1, so only one- and two-letter
-    words get orbit plans."""
+    step m >= 3, as D(m-1) <= 3(m-2) + 1, so only two-letter words get
+    orbit plans.  A one-letter word has no plan: verify_central_roots
+    samples its orbits."""
     exps = validate_exponents(exponents)
-    if len(exps) == 1:
-        return SamplePlan(exps, sign, ((abs(exps[0]), sign),))
+    if len(exps) < 2:
+        raise ValueError(f"sampling plans cover words of 2 or more letters, got {len(exps)}")
     step = dimension_table(exps)[-1][sign]
     if step.generic_floor == step.dim:
         return SamplePlan(exps, sign, None)
@@ -725,7 +724,7 @@ def verify_central_roots(
     samples = slice(len(central), None)
     accepted = gap[samples] >= tol.min_rank_gap
     report = _report("central-roots", {"power": p, "sign": sign}, seed, tol, verdicts[samples].tolist(),
-                     gap[samples][accepted], central_root_spectrum(p, sign).dimension())
+                     gap[samples][accepted], base_dim(p, sign))
     report.central_checks = {"+2" if eta == 1 else "-2": v for eta, v in zip(central, verdicts)}
     matched = match_traces(np.trace(orbits[accepted], axis1=-2, axis2=-1), traces, tol.trace)
     tallies = Counter(matched[matched >= 0].tolist())

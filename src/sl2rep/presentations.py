@@ -120,6 +120,12 @@ def contains_product_power(spec: GroupSpec) -> bool:
 
 # a cost bound: a census of N cyclic factors prints Theta(N^2) digits (1,000 Z3s: ~0.4 s)
 MAX_FACTORS = 1000
+# the verifier's caps, here so that the CLI states them without the oracle:
+# cost bounds (a few seconds each on a 2-core VM; the CLI exits 2 above)
+MAX_SAMPLES = 1000
+MAX_CENTRAL_POWER = 10**4
+# an accuracy bound: float64 checks m^p to the residual gate up to here
+MAX_VERIFY_EXPONENT = 10**7
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<punct>[<>,;=*^-])|(?P<bad>\S))")

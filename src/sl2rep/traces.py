@@ -1,17 +1,12 @@
-"""Trace classes and the component census of {A in SL2C : A^p = +-I}.
+"""Trace classes of {A in SL2C : A^p = +-I}, the oracle's float layer.
 
-The solution set of A^p = sign*I splits into conjugation-invariant
-pieces, one per angle k/p with 0 <= k <= p and (-1)^k = sign: the
-conjugation orbit of diag(z, 1/z), z = exp(i pi k/p), with constant
-trace 2cos(pi k/p).  k = 0 and k = p are the central points +I and -I,
-isolated; every other k indexes the 2-dimensional orbit of the
-eigenvalue pair {z, 1/z}.  orbit_numerator is that rule, the one place
-it is spelled out: the orbit classes by increasing angle, and with
-index -1 at sign +1 the central +I.  orbit_count is the one statement
-of how many orbits there are, and so of the set's dimension: 2 when it
-has an orbit, else 0.  A trace class is a row of a TraceTable, its
-integer numerator k over the power p, so classes compare exactly; the
-float trace 2cos(pi k/p) is derived from that row.
+The components of the solution set of A^p = sign*I, and the angle k/p
+of each, are the exact closed forms of the dimension module
+(central_signs, orbit_count, orbit_numerator).  A trace class is a row
+of a TraceTable, its integer numerator k over the power p, so classes
+compare exactly; the float trace 2cos(pi k/p) is derived from that row,
+and match_traces matches sampled traces against those values.  In the
+package only the oracle imports this module.
 """
 
 from __future__ import annotations
@@ -21,30 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-@dataclass
-class ComponentSpectrum:
-    """Map dimension -> number of maximal components of that dimension."""
-
-    entries: dict[int, int]
-
-    def __post_init__(self):
-        cleaned = {int(d): int(c) for d, c in self.entries.items() if c}
-        for d, c in cleaned.items():
-            if d < 0 or c < 0:
-                raise ValueError(f"invalid spectrum entry {d}: {c}")
-        self.entries = dict(sorted(cleaned.items()))
-
-    def dimension(self) -> int:
-        if not self.entries:
-            raise ValueError("empty spectrum has no dimension")
-        return max(self.entries)
-
-    def count(self, dim: int) -> int:
-        return self.entries.get(dim, 0)
-
-    def total(self) -> int:
-        return sum(self.entries.values())
+from .dimension import central_signs, orbit_count, orbit_numerator
 
 
 @dataclass(frozen=True)
@@ -61,35 +33,6 @@ class CentralRootClasses:
     orbits: TraceTable
 
 
-def _check_power_sign(p: int, sign: int):
-    if not isinstance(p, int) or p < 2:
-        raise ValueError(f"power must be an integer >= 2, got {p!r}")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-
-
-def orbit_count(p: int, sign: int) -> int:
-    """Number of 2-dimensional orbit components of {A : A^p = sign*I}."""
-    _check_power_sign(p, sign)
-    return (p - 1) // 2 if sign == 1 else p // 2
-
-
-def orbit_numerator(sign, index):
-    """The numerator k of the angle k/p of the index-th orbit class of
-    {A : A^p = sign*I} by increasing angle, whatever p: the k strictly
-    between 0 and p with (-1)^k = sign are 2*index + 2 (sign=+1) and
-    2*index + 1 (sign=-1), so index -1 at sign +1 is k = 0, the central
-    +I.  sign and index may be integer arrays."""
-    return 2 * index + (3 + sign) // 2
-
-
-def central_signs(p: int, sign: int) -> tuple[int, ...]:
-    """Signs eta with (eta*I)^p = sign*I, each an isolated central point."""
-    if sign == 1:
-        return (1, -1) if p % 2 == 0 else (1,)
-    return (-1,) if p % 2 == 1 else ()
-
-
 def central_root_classes(p: int, sign: int) -> CentralRootClasses:
     """Enumerate components of the solution set of A^p = sign*I in SL2C.
 
@@ -99,14 +42,6 @@ def central_root_classes(p: int, sign: int) -> CentralRootClasses:
     """
     orbits = TraceTable(orbit_numerator(sign, np.arange(orbit_count(p, sign))), p)
     return CentralRootClasses(p, sign, central_signs(p, sign), orbits)
-
-
-def central_root_spectrum(p: int, sign: int) -> ComponentSpectrum:
-    """Component spectrum of {A : A^p = sign*I}: isolated centers at
-    dimension 0, one 2-dimensional component per eigenvalue-pair orbit.
-    Closed form, O(1) in p."""
-    orbits = orbit_count(p, sign)
-    return ComponentSpectrum({0: len(central_signs(p, sign)), 2: orbits})
 
 
 class TraceTable:

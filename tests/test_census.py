@@ -14,8 +14,10 @@ import pytest
 from sl2rep.census import (
     MAX_SEQUENCE_COUNT,
     CensusResult,
+    ComponentSpectrum,
     ExactBasis,
     QuotientLowerBound,
+    central_root_spectrum,
     consecutive_prime_triples,
     distinguishing_sequence,
     exact_census,
@@ -30,7 +32,6 @@ from sl2rep.census import (
 from sl2rep.dimension import representation_dim
 from sl2rep.families import MAX_FAMILY_INDEX, witness_group
 from sl2rep.presentations import CyclicFinite, FreeGroup, FreeProduct, ProductPower
-from sl2rep.traces import ComponentSpectrum, central_root_spectrum
 
 
 def convolve_brute(spectra):

@@ -387,6 +387,44 @@ def test_import_sl2rep_loads_neither_the_oracle_nor_numpy():
     assert out.strip() == "[]"
 
 
+_EXACT_COMMANDS = (
+    ("parse", "<a,b,c; a^-3 b^-5 = c^7>"),
+    ("dim", "<a,b,c; a^3 b^5 c^7>"),
+    ("dim", "Z4 * F2"),
+    ("census", "Z3 * Z5 * Z7"),
+    ("census", "<a,b,c; a^11 b^13 c^17> * F1"),
+    ("family", "--rank", "3", "--index", "2"),
+    ("witness", "--rank", "2", "--mirc", "100"),
+    ("isom", "-3,-5,-7", "7,5,3"),
+    ("sequence", "--dim", "9", "--count", "4"),
+)
+
+
+def test_exact_commands_run_with_numpy_blocked(capsys, monkeypatch):
+    # every exact subcommand, in text and in JSON, and the verify help
+    # that states the oracle's caps, in a process where importing numpy
+    # fails: the same exit codes and stdout as here, where numpy loads
+    argvs = [[*argv, "--output", output] for argv in _EXACT_COMMANDS for output in ("text", "json")]
+    argvs += [["verify", "dim", "--help"], ["verify", "omega", "--help"]]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from sl2rep.cli import main\n"
+        "runs = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        runs.append([main(argv), out.getvalue()])\n"
+        "print(json.dumps(runs))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "100"}
+    blocked = json.loads(subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env,
+                                        capture_output=True, text=True, check=True).stdout)
+    monkeypatch.setenv("COLUMNS", "100")
+    assert blocked == [list(run(capsys, *argv)[:2]) for argv in argvs]
+    assert [code for code, _ in blocked] == [EXIT_OK] * len(argvs)
+
+
 def test_json_output_is_byte_identical_between_runs(capsys):
     argv = ("verify", "dim", "2,3", "--samples", "8", "--seed", "3", "--output", "json")
     code1, out1, _ = run(capsys, *argv)

@@ -13,11 +13,11 @@ from sl2rep.dimension import (
     base_dim,
     dimension_table,
     freeness_test,
+    orbit_count,
     product_power_dim,
     representation_dim,
 )
 from sl2rep.presentations import CyclicFinite, FreeGroup, FreeProduct, ProductPower
-from sl2rep.traces import orbit_count
 
 
 def test_base_dimensions():

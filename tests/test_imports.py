@@ -1,9 +1,18 @@
-"""Every module under src/ uses every name it imports."""
+"""Structure guards over src/, read with ast: every module uses every
+name it imports, only the numeric layer imports numpy, the CLI loads the
+oracle only when a command needs it, and every public function or class
+has a caller in src/ or a named outside user."""
 
 import ast
+import collections
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def package_sources() -> dict[str, str]:
+    """File name -> source of every module of the package."""
+    return {path.name: path.read_text() for path in sorted((SRC / "sl2rep").glob("*.py"))}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,7 +50,89 @@ def test_the_guard_sees_unused_and_used_names():
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    modules = sorted((SRC / "sl2rep").glob("*.py"))
-    assert modules
-    unused = {path.name: names for path in modules if (names := unused_imports(path.read_text()))}
+    sources = package_sources()
+    assert sources
+    unused = {name: names for name, source in sources.items() if (names := unused_imports(source))}
     assert unused == {}
+
+
+def imported_modules(source: str, top_level_only: bool = False) -> set[str]:
+    """The modules a source imports, relative ones with their leading
+    dots; with top_level_only, not counting imports inside functions."""
+    found = set()
+    stack = [ast.parse(source)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found.add("." * node.level + (node.module or ""))
+        if not (top_level_only and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))):
+            stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def numpy_importers(sources: dict[str, str]) -> set[str]:
+    return {name for name, source in sources.items()
+            if any(m.split(".")[0] == "numpy" for m in imported_modules(source))}
+
+
+# the numeric layer; the exact commands run without numpy installed
+NUMPY_MODULES = {"matrices.py", "traces.py", "oracle.py"}
+
+
+def test_only_the_numeric_layer_imports_numpy():
+    sources = package_sources()
+    assert numpy_importers(sources) == NUMPY_MODULES
+    planted = {**sources, "census.py": sources["census.py"] + "\nimport numpy.linalg\n"}
+    assert numpy_importers(planted) == NUMPY_MODULES | {"census.py"}
+
+
+def test_cli_loads_the_oracle_only_inside_functions():
+    source = package_sources()["cli.py"]
+    assert ".oracle" in imported_modules(source)
+    assert ".oracle" not in imported_modules(source, top_level_only=True)
+    planted = "from .oracle import MAX_SAMPLES\n" + source
+    assert ".oracle" in imported_modules(planted, top_level_only=True)
+
+
+def _referenced(node) -> collections.Counter:
+    """How often each name is read under node, as a name or an attribute."""
+    return collections.Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                               if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def unreferenced_definitions(sources: dict[str, str]) -> set[str]:
+    """The public top-level functions and classes that no code of the
+    sources names outside their own def."""
+    trees = [ast.parse(source) for source in sources.values()]
+    names = sum(map(_referenced, trees), collections.Counter())
+    return {node.name for tree in trees for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+            and names[node.name] == _referenced(node)[node.name]}
+
+
+# public names with no caller in src/, each with the files outside it that
+# use it; a name that gains a caller in src/ leaves this list
+ACCEPTANCE, README, BENCH_TARGETS = "tests/test_acceptance.py", "README.md", "bench/worker.py"
+OUTSIDE_USERS = {
+    "central_root_classes": (ACCEPTANCE,),
+    "complete_point": (ACCEPTANCE,),
+    "jacobian_fd": (ACCEPTANCE, BENCH_TARGETS),
+    "random_sl2": (ACCEPTANCE, BENCH_TARGETS),
+    "local_dimension": (README, BENCH_TARGETS),
+    "sample_from_plan": (README, BENCH_TARGETS),
+    "classify_trace": (BENCH_TARGETS,),
+    "jacobian_rank": (BENCH_TARGETS,),
+    "matrix_roots": (BENCH_TARGETS,),
+}
+
+
+def test_every_public_definition_has_a_caller_or_a_named_outside_user():
+    sources = package_sources()
+    assert unreferenced_definitions(sources) == set(OUTSIDE_USERS)
+    for name, users in OUTSIDE_USERS.items():
+        assert all(name in (SRC.parent / user).read_text() for user in users), name
+    helper = "\n\ndef helper_for_tests(x):\n    return helper_for_tests(x - 1) if x else 0\n"
+    planted = {**sources, "census.py": sources["census.py"] + helper}
+    assert unreferenced_definitions(planted) == set(OUTSIDE_USERS) | {"helper_for_tests"}

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sl2rep.dimension import central_signs, orbit_count
 from sl2rep.matrices import (
     IDENTITY,
     adjugate,
@@ -17,7 +18,6 @@ from sl2rep.matrices import (
     random_sl2,
 )
 from sl2rep.oracle import _orbit_point
-from sl2rep.traces import central_signs, orbit_count
 
 
 def naive_power(m, k):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from sl2rep import oracle
+from sl2rep.dimension import orbit_count
 from sl2rep.matrices import IDENTITY, adjugate, determinant, mat2, mat_power, mul2, random_sl2
 from sl2rep.oracle import (
     FD_STEP,
@@ -43,7 +44,7 @@ from sl2rep.oracle import (
     _orbit_point,
     _width,
 )
-from sl2rep.traces import admissible_traces, classify_trace, match_traces, orbit_count
+from sl2rep.traces import admissible_traces, classify_trace, match_traces
 
 
 def test_tolerance_defaults():
@@ -597,7 +598,7 @@ def test_orbit_points_use_a_near_unitary_conjugator():
 # (exponents, sign, uniforms per sample): nine per generic prefix letter,
 # eight per orbit letter (an orbit index, then seven for C)
 _PLAN_WIDTHS = [((3, 5, 7), 1, 18), ((9, -211, 2000, -20000, 2), -1, 36), ((2, 5), -1, 16),
-                ((2, 2), 1, 16), ((3,), 1, 8)]
+                ((2, 2), 1, 16)]
 
 
 def test_draws_take_a_fixed_number_of_uniforms(monkeypatch):
@@ -615,8 +616,7 @@ def test_draws_take_a_fixed_number_of_uniforms(monkeypatch):
         plan = build_plan(exps, sign)
         assert _width(plan) == width
         sample_from_plan(plan, 1, 3)
-        if len(exps) > 1:
-            verify_dimension(exps, sign, num_samples=4, seed=1)
+        verify_dimension(exps, sign, num_samples=4, seed=1)
         assert set(widths) == {width}
         widths.clear()
         block = uniforms(1, rows, width)
@@ -628,10 +628,10 @@ def test_draws_take_a_fixed_number_of_uniforms(monkeypatch):
             single_orbit = (plan.orbits is not None and col % 8 == 0
                             and orbit_count(*plan.orbits[col // 8]) == 1)
             assert changed != single_orbit
-    # a one-letter plan with no orbit (A^2 = I) has nothing to draw; no
-    # plan of a word of two or more letters has such a letter
+    # a hand-built plan with a letter that has no orbit (A^2 = I) has
+    # nothing to draw; build_plan never makes one
     with pytest.raises(oracle.OracleError):
-        sample_from_plan(build_plan((2,), 1), 0, 0)
+        sample_from_plan(SamplePlan((2,), 1, ((2, 1),)), 0, 0)
 
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -732,7 +732,6 @@ def test_build_plan_follows_the_recursion_argmax():
     assert build_plan((2, 5), -1) == SamplePlan((2, 5), -1, ((2, -1), (5, 1)))
     # (2, 2) with sign +1 peaks on the flip branch: both letters on -I
     assert build_plan((2, 2), 1) == SamplePlan((2, 2), 1, ((2, -1), (2, -1)))
-    assert build_plan((-3,), -1) == SamplePlan((-3,), -1, ((3, -1),))
 
 
 @functools.cache
@@ -764,6 +763,12 @@ _PLAN_LETTERS = (2, -2, 3, -3, 4, 5)
 def test_build_plan_is_the_argmax_reference(n):
     for exps in itertools.product(_PLAN_LETTERS, repeat=n):
         for sign in (1, -1):
+            if n == 1:
+                # a one-letter word is {A : A^p = sign*I}, whose orbits
+                # verify_central_roots samples; it has no sampling plan
+                with pytest.raises(ValueError, match="2 or more letters"):
+                    build_plan(exps, sign)
+                continue
             assert build_plan(exps, sign) == SamplePlan(exps, sign, _reference_orbits(exps, sign))
 
 
@@ -773,6 +778,11 @@ def test_orbit_plans_are_short_and_land_on_the_relator(n):
     # is the product of the s_i times I
     for exps in itertools.product(_PLAN_LETTERS, repeat=n):
         for sign in (1, -1):
+            if n == 1:
+                # one-letter words are sampled orbit by orbit without a
+                # plan, and A^-p = sign*I has the solutions of A^p = sign*I
+                assert verify_central_roots(abs(exps[0]), sign, num_samples=4, seed=0).passed
+                continue
             plan = build_plan(exps, sign)
             if n >= 3:
                 assert plan.orbits is None
@@ -780,8 +790,7 @@ def test_orbit_plans_are_short_and_land_on_the_relator(n):
                 continue
             assert [k for k, _ in plan.orbits] == [abs(p) for p in exps]
             assert math.prod(s for _, s in plan.orbits) == sign
-            if n >= 2:
-                assert all(orbit_count(k, s) >= 1 for k, s in plan.orbits)
+            assert all(orbit_count(k, s) >= 1 for k, s in plan.orbits)
 
 
 def test_sample_from_plan_stratum_matrices_satisfy_the_word():

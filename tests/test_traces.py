@@ -12,16 +12,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sl2rep.census import ComponentSpectrum, central_root_spectrum
+from sl2rep.dimension import orbit_count
 from sl2rep.matrices import mat_power, random_sl2
-from sl2rep.traces import (
-    ComponentSpectrum,
-    TraceTable,
-    admissible_traces,
-    central_root_classes,
-    central_root_spectrum,
-    classify_trace,
-    orbit_count,
-)
+from sl2rep.traces import TraceTable, admissible_traces, central_root_classes, classify_trace
 
 
 def unit_root_census(p, sign):
