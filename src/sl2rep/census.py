@@ -10,7 +10,8 @@ dimension c, every dimension-c component of the quotient variety lands
 inside a distinct dimension-c component upstairs.  The spectra start
 from the closed forms of the dimension module: F_n is one component of
 dimension 3n, and Z_p has its central points at dimension 0 and its
-orbit_count(p, 1) orbits at dimension 2.
+orbit_count(p, 1) orbits at dimension 2.  A CensusResult's basis is
+the QuotientLowerBound its count rests on, or None for an exact census.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from itertools import accumulate, islice
-from typing import Iterator, Union
+from typing import Iterator, Optional
 
 from .dimension import base_dim, central_signs, orbit_count, representation_dim
 from .presentations import (
@@ -66,23 +67,15 @@ def central_root_spectrum(p: int, sign: int) -> ComponentSpectrum:
 
 
 @dataclass(frozen=True)
-class ExactBasis:
-    group: GroupSpec
-
-
-@dataclass(frozen=True)
 class QuotientLowerBound:
     quotient: GroupSpec
     dim_check: int  # shared dimension of both varieties
 
 
-CensusBasis = Union[ExactBasis, QuotientLowerBound]
-
-
 @dataclass
 class CensusResult:
     spectrum: ComponentSpectrum
-    basis: CensusBasis
+    basis: Optional[QuotientLowerBound]  # None for an exact census
 
 
 def digit_limit_error() -> ValueError:
@@ -127,7 +120,7 @@ def exact_census(spec: GroupSpec) -> CensusResult:
             "exact census is only available without product-power factors; "
             "use lower_bound_census for those"
         )
-    return CensusResult(_exact_spectrum(spec), ExactBasis(spec))
+    return CensusResult(_exact_spectrum(spec), None)
 
 
 def _exact_spectrum(spec: GroupSpec) -> ComponentSpectrum:

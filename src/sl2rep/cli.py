@@ -4,10 +4,11 @@ Subcommands: parse, dim, census, family, witness, isom, sequence,
 verify dim, verify omega.  Output is plain text or JSON; JSON reports
 carry {command, inputs, config, results, provenance, pass} with one
 provenance basis per numeric claim ("exact", "quotient-lower-bound",
-or "numeric-consensus").  indented_json prints a report: the bytes of
-json.dumps(report, indent=2), without the pure-Python encoder that json
-takes whenever indent is set.  Exit codes: 0 success / verification
-pass, 1 verification failure, 2 usage or domain errors.
+or "numeric-consensus").  indented_json prints a report, whose keys are
+all str: the bytes of json.dumps(report, indent=2), without the
+pure-Python encoder that json takes whenever indent is set.  Exit
+codes: 0 success / verification pass, 1 verification failure, 2 usage
+or domain errors.
 
 Every subcommand takes --output; only verify dim and verify omega take
 the sampling options (--seed, --samples, --tol-res, --tol-rank,
@@ -67,11 +68,12 @@ _SPEC_HELP = f"group description, at most {MAX_FACTORS:,} free-product factors (
 
 
 def _parse_sign(text: str) -> int:
+    text = text.strip()  # _shield_negative_tuples turns "-1" into " -1"
     if text in ("+", "+1", "1"):
         return 1
     if text in ("-", "-1"):
         return -1
-    raise argparse.ArgumentTypeError(f"sign must be + or -, got {text!r}")
+    raise argparse.ArgumentTypeError(f"sign must be +, +1, 1, - or -1, got {text!r}")
 
 
 def _parse_tuple(text: str) -> tuple[int, ...]:
@@ -199,21 +201,14 @@ def _spectrum_json(spectrum) -> dict:
     return {str(d): c for d, c in spectrum.entries.items()}
 
 
-def _json_key(key) -> str:
-    """json's coercion of a dict key to a string."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return json.dumps(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
 def _put_json(value, out: list, newline: str):
     """Append the pieces of json.dumps(value, indent=2) to out, value
     indented at newline.  Containers are laid out here; leaves of the
     exact builtin types go through the C primitives json itself uses,
     and the rest (non-finite floats, subclasses, unsupported objects)
-    through json.dumps, so the bytes and the errors are json's."""
+    through json.dumps, so the bytes and the errors are json's.  Dict
+    keys must be str, as every report key is; any other raises
+    TypeError where json would coerce it."""
     kind = type(value)
     if kind is str:
         out.append(encode_basestring_ascii(value))
@@ -232,8 +227,6 @@ def _put_json(value, out: list, newline: str):
         inner = newline + "  "
         sep = "{" + inner
         for key, item in value.items():
-            if type(key) is not str:
-                key = _json_key(key)
             out.append(sep + encode_basestring_ascii(key) + ": ")
             sep = "," + inner
             _put_json(item, out, inner)
@@ -254,8 +247,9 @@ def _put_json(value, out: list, newline: str):
 
 
 def indented_json(value) -> str:
-    """json.dumps(value, indent=2), byte for byte, without the
-    pure-Python encoder that json falls back to whenever indent is set."""
+    """json.dumps(value, indent=2), byte for byte, for a report value
+    (every dict key a str), without the pure-Python encoder that json
+    falls back to whenever indent is set."""
     out = []
     _put_json(value, out, "\n")
     return "".join(out)

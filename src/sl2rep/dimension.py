@@ -50,7 +50,7 @@ IRREDUCIBLE = "irreducible"
 UNDETERMINED = "undetermined"
 
 
-def _check_sign(sign: int, power: int = 2):
+def check_sign(sign: int, power: int = 2):
     """Reject a sign other than +-1, and a power that is not an integer >= 2."""
     if not isinstance(power, int) or power < 2:
         raise ValueError(f"power must be an integer >= 2, got {power!r}")
@@ -60,7 +60,7 @@ def _check_sign(sign: int, power: int = 2):
 
 def orbit_count(p: int, sign: int) -> int:
     """Number of 2-dimensional orbit components of {A : A^p = sign*I}."""
-    _check_sign(sign, p)
+    check_sign(sign, p)
     return (p - 1) // 2 if sign == 1 else p // 2
 
 
@@ -87,10 +87,8 @@ def base_dim(p: int, sign: int) -> int:
 
 
 class RecursionStep(NamedTuple):
-    """One peel of the recursion at prefix length m (word length m)."""
+    """One peel of the recursion: D_sign(m) at table entry m-2, key sign."""
 
-    length: int
-    sign: int
     same_sign_branch: int  # D_e(m-1) + d(pm, +1)
     flip_sign_branch: int  # D_-e(m-1) + d(pm, -1)
     generic_floor: int     # 3*(m-1)
@@ -117,8 +115,7 @@ def dimension_table(exponents) -> tuple[dict[int, RecursionStep], ...]:
         row = {}
         for sign in (1, -1):
             same, flip = prev[sign] + plus, prev[-sign] + minus
-            row[sign] = RecursionStep(m, sign, same, flip, floor,
-                                      max(same, flip, floor), max(same, flip) >= floor)
+            row[sign] = RecursionStep(same, flip, floor, max(same, flip, floor), max(same, flip) >= floor)
         table.append(row)
         prev = {sign: step.dim for sign, step in row.items()}
     return tuple(table)
@@ -132,7 +129,7 @@ def product_power_dim(exponents, sign: int = 1) -> DimResult:
     step's degenerate branches reach the generic floor; single-letter
     words report undetermined (their census lives elsewhere).
     """
-    _check_sign(sign)
+    check_sign(sign)
     exps = validate_exponents(exponents)
     table = dimension_table(exps)
     if not table:

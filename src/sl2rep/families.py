@@ -6,6 +6,8 @@ shares all lower central quotients with a free group of that rank but
 is not free, needs n generators, and is freely indecomposable.  Free
 products with free groups stay parafree; rank adds, and the minimal
 generator count stays one above the rank (deviation 1).
+ProductPower already holds every |pi| >= 2, so parafree_profile checks
+the two hypotheses left, n >= 3 and gcd 1, and names each that fails.
 """
 
 from __future__ import annotations
@@ -28,45 +30,11 @@ from .presentations import (
     exponent_gcd,
     format_spec,
     normalized_exponents,
-    validate_exponents,
 )
 
 
-@dataclass(frozen=True)
-class EligibilityChecks:
-    """Field-by-field record of the parafree hypotheses."""
-
-    length_ok: bool        # n >= 3
-    magnitudes_ok: bool    # every |pi| >= 2 after sign normalization
-    gcd_ok: bool           # gcd(|p1|, ..., |pn|) == 1
-
-    @property
-    def eligible(self) -> bool:
-        return self.length_ok and self.magnitudes_ok and self.gcd_ok
-
-    def failures(self) -> list[str]:
-        out = []
-        if not self.length_ok:
-            out.append("length_ok: relator needs at least 3 generator powers")
-        if not self.magnitudes_ok:
-            out.append("magnitudes_ok: every exponent must have absolute value >= 2")
-        if not self.gcd_ok:
-            out.append("gcd_ok: exponent magnitudes must have gcd 1")
-        return out
-
-
 class EligibilityError(ValueError):
-    def __init__(self, checks: EligibilityChecks):
-        self.checks = checks
-        super().__init__("; ".join(checks.failures()))
-
-
-def tuple_eligibility(exponents) -> EligibilityChecks:
-    exps = tuple(exponents)
-    magnitudes_ok = all(isinstance(p, int) and abs(p) >= 2 for p in exps)
-    length_ok = len(exps) >= 3
-    gcd_ok = magnitudes_ok and bool(exps) and exponent_gcd(exps) == 1
-    return EligibilityChecks(length_ok, magnitudes_ok, gcd_ok)
+    """A product-power factor outside the parafree hypotheses."""
 
 
 @dataclass(frozen=True)
@@ -75,38 +43,38 @@ class ParafreeProfile:
     min_generators: int
     deviation: int
     freely_indecomposable: bool
-    hypotheses: EligibilityChecks
 
 
 def parafree_profile(spec: GroupSpec) -> ParafreeProfile:
     """Parafree invariants of an eligible one-relator group, possibly
-    free-multiplied by free groups.  Raises EligibilityError with the
-    failed hypotheses listed field by field, and ValueError for other
+    free-multiplied by free groups.  Raises EligibilityError naming
+    each failed hypothesis (n >= 3, gcd 1), and ValueError for other
     shapes."""
     shape = split_power_factor(spec)
     if shape is None:
         raise ValueError("parafree profiles cover one product-power factor times free groups, "
                          f"got {format_spec(spec)}")
     frees, power = shape
-    checks = tuple_eligibility(power.exponents)
-    if not checks.eligible:
-        raise EligibilityError(checks)
-    free_rank = sum(f.rank for f in frees)
     n = len(power.exponents)
+    failures = []
+    if n < 3:
+        failures.append("length_ok: relator needs at least 3 generator powers")
+    if exponent_gcd(power.exponents) != 1:
+        failures.append("gcd_ok: exponent magnitudes must have gcd 1")
+    if failures:
+        raise EligibilityError("; ".join(failures))
+    free_rank = sum(f.rank for f in frees)
     return ParafreeProfile(
         rank=n - 1 + free_rank,
         min_generators=n + free_rank,
         deviation=1,
         freely_indecomposable=isinstance(spec, ProductPower),
-        hypotheses=checks,
     )
 
 
 def meskin_isomorphic(a, b) -> bool:
     """One-relator product-power groups are isomorphic exactly when the
     multisets of exponent magnitudes agree."""
-    a = validate_exponents(a)
-    b = validate_exponents(b)
     return Counter(normalized_exponents(a)) == Counter(normalized_exponents(b))
 
 

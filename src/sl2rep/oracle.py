@@ -40,10 +40,12 @@ obstructed, residual, rank_gap.  A census run puts its central points
 kinds of run turn the verdicts into a report in one place.  The
 single-sample entry points (sample_from_plan, complete_point,
 local_dimension, jacobian_rank) are stacks of one through the same
-code, so any sample of a run can be replayed alone.
+code, so any sample of a run can be replayed alone; local_dimension
+returns the sample's dimension, an int, or raises the stage's error.
 
-The exact values a run is checked against come from the dimension
-module and the caps from presentations, which load no numpy.
+The exact values a run is checked against, and the sign check, come
+from the dimension module and the caps from presentations, which load
+no numpy.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ import numpy as np
 from .dimension import (
     base_dim,
     central_signs,
+    check_sign,
     dimension_table,
     orbit_count,
     orbit_numerator,
@@ -162,8 +165,7 @@ class ConstraintSystem:
         if len(exps) != self.num_matrices:
             raise ValueError("exponent count must match matrix count")
         object.__setattr__(self, "exponents", exps)
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
+        check_sign(self.sign)
 
     @property
     def ambient_dim(self) -> int:
@@ -281,13 +283,6 @@ def jacobian_rank(jac: np.ndarray, rank_rel: float, min_gap: float) -> tuple[int
     return rank, gap
 
 
-@dataclass(frozen=True)
-class LocalDimension:
-    dim: int
-    rank: int
-    gap: float
-
-
 def _local_dimensions(mats: np.ndarray, system: ConstraintSystem, tol: Tolerances):
     """The check stages on an (S, n, 2, 2) stack: one stacked Jacobian,
     whose pass also gives every sample's residual norm, then one stacked
@@ -318,8 +313,8 @@ def _checked(mats: np.ndarray, system: ConstraintSystem, tol: Tolerances):
     return verdicts, gap
 
 
-def local_dimension(mats, system: ConstraintSystem, tol: Tolerances = Tolerances()) -> LocalDimension:
-    """Local dimension 4n - rank(Jacobian) at a near-solution sample."""
+def local_dimension(mats, system: ConstraintSystem, tol: Tolerances = Tolerances()) -> int:
+    """Local dimension 4n - rank(Jacobian) at a near-solution sample, an int."""
     (res,), (rank,), (gap,) = _local_dimensions(np.asarray(mats, dtype=complex)[None], system, tol)
     if not res <= tol.residual:
         raise ResidualError(f"residual {res:.3g} above {tol.residual:.3g}")
@@ -327,7 +322,7 @@ def local_dimension(mats, system: ConstraintSystem, tol: Tolerances = Tolerances
         raise RankGapError("jacobian has non-finite entries")
     if gap < tol.min_rank_gap:
         raise RankGapError(f"singular value gap {gap:.3g} below {tol.min_rank_gap:.3g}")
-    return LocalDimension(system.ambient_dim - int(rank), int(rank), float(gap))
+    return system.ambient_dim - int(rank)
 
 
 def _splitmix(z):
@@ -677,8 +672,6 @@ def verify_dimension(
     if max(map(abs, exps)) > MAX_VERIFY_EXPONENT:
         raise ValueError(f"verification covers exponents up to |p| = {MAX_VERIFY_EXPONENT}, "
                          f"got {max(exps, key=abs)}")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     if not 1 <= num_samples <= MAX_SAMPLES:
         raise ValueError(f"samples must be in 1..{MAX_SAMPLES}, got {num_samples}")
     system = ConstraintSystem(len(exps), exps, sign)

@@ -27,8 +27,6 @@ class CentralRootClasses:
     orbits:  one TraceTable row per 2-dimensional conjugation orbit.
     """
 
-    power: int
-    sign: int
     central: tuple[int, ...]
     orbits: TraceTable
 
@@ -41,7 +39,7 @@ def central_root_classes(p: int, sign: int) -> CentralRootClasses:
     by increasing angle as orbit_numerator gives them.
     """
     orbits = TraceTable(orbit_numerator(sign, np.arange(orbit_count(p, sign))), p)
-    return CentralRootClasses(p, sign, central_signs(p, sign), orbits)
+    return CentralRootClasses(central_signs(p, sign), orbits)
 
 
 class TraceTable:

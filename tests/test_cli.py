@@ -1,5 +1,6 @@
 """Command line behavior: output shapes, exit codes, determinism."""
 
+import ast
 import collections
 import enum
 import json
@@ -174,6 +175,20 @@ def test_verify_dim_passes_and_reports(capsys):
     assert names["report"]["pass"] is True
     assert payload["pass"] is True
     assert list(payload["config"]) == _SAMPLING_CONFIG
+
+
+@pytest.mark.parametrize("command", [("verify", "dim", "2,3"), ("verify", "omega", "--p", "5")])
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_every_sign_spelling_runs_as_its_symbol(capsys, command, output):
+    # "-1" reaches the sign parser as " -1", past the negative-tuple shield
+    for symbol, spellings in (("-", ("-1",)), ("+", ("+1", "1"))):
+        expected = run(capsys, *command, "--sign", symbol, "--samples", "4", "--output", output)
+        assert expected[0] == EXIT_OK
+        for spelling in spellings:
+            assert run(capsys, *command, "--sign", spelling, "--samples", "4", "--output", output) == expected
+    code, out, err = run(capsys, *command, "--sign", "2")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "sign must be +, +1, 1, - or -1, got '2'" in err
 
 
 def test_verify_dim_big_exponent_in_the_prefix(capsys):
@@ -486,10 +501,9 @@ def _random_leaf(rng: random.Random):
     return rng.choice(_STRINGS)
 
 
-def _random_key(rng: random.Random):
-    if rng.random() < 0.7:
-        return rng.choice(_STRINGS) + str(rng.randrange(100))
-    return rng.choice((-3, 10**20, 0.5, -0.0, math.nan, math.inf, True, False, None, _Level.LOW))
+def _random_key(rng: random.Random) -> str:
+    # every report key is a str: _spectrum_json and to_dict convert the rest
+    return rng.choice(_STRINGS) + str(rng.randrange(100))
 
 
 def _random_payload(rng: random.Random, depth: int = 0):
@@ -510,13 +524,21 @@ def test_the_printer_is_json_dumps_indent_two_on_random_payloads():
         assert indented_json(value) == json.dumps(value, indent=2), value
 
 
-@pytest.mark.parametrize("value", [{"a": object()}, [1, {2j}], {(1, 2): 3}, {"a": {b"k": 1}}])
+@pytest.mark.parametrize("value", [{"a": object()}, [1, {2j}], {"k": [b"v"]}, {"a": {"b": 1 + 2j}}])
 def test_the_printer_raises_jsons_type_errors(value):
     with pytest.raises(TypeError) as expected:
         json.dumps(value, indent=2)
     with pytest.raises(TypeError) as got:
         indented_json(value)
     assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("key", [-3, 0.5, math.nan, True, None, _Level.LOW, (1, 2), b"k"])
+def test_the_printer_rejects_keys_that_are_not_str(key):
+    # json.dumps would coerce the scalars to strings; no report has such a key
+    for value in ({key: 1}, [{"a": {key: 1}}]):
+        with pytest.raises(TypeError):
+            indented_json(value)
 
 
 @pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
@@ -563,7 +585,7 @@ def test_a_product_just_under_the_digit_limit_still_prints(capsys):
 
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
-_EXACT_EXAMPLES = ("dim", "census", "witness", "sequence", "isom")
+_EXACT_EXAMPLES = ("parse", "dim", "census", "witness", "family", "sequence", "isom")
 
 
 def _readme_transcripts():
@@ -588,3 +610,18 @@ def test_readme_transcripts_match_the_cli(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, err) == (EXIT_OK, "")
         assert out == expected, argv
+
+
+def test_readme_python_api_values():
+    # each line with a "# value" comment evaluates to that value, of its type
+    block = README.read_text().split("## Python API\n\n```python\n", 1)[1].split("```", 1)[0]
+    namespace, checked = {}, []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        if not comment:
+            exec(code, namespace)
+            continue
+        value, expected = eval(code, namespace), ast.literal_eval(comment.strip())
+        assert (type(value), value) == (type(expected), expected), line
+        checked.append(expected)
+    assert checked == [6, "certified-reducible", 6, True]

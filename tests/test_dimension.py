@@ -72,9 +72,11 @@ def test_recursion_steps_respect_the_ceiling():
         exps = tuple(int(x) for x in rng.integers(2, 10, size=n))
         table = dimension_table(exps)
         for sign in (1, -1):
-            for step in (row[sign] for row in table):
+            for m, row in enumerate(table, start=2):
+                step = row[sign]
+                assert step.generic_floor == 3 * (m - 1)
                 assert step.dim == max(step.same_sign_branch, step.flip_sign_branch, step.generic_floor)
-                assert step.dim <= 3 * (step.length - 1) + 1
+                assert step.dim <= 3 * (m - 1) + 1
             assert table[-1][sign].dim == product_power_dim(exps, sign).dim
 
 
@@ -83,9 +85,9 @@ def test_dimension_table_shape():
     assert len(table) == 2
     assert [sorted(row) for row in table] == [[-1, 1], [-1, 1]]
     # D_+(1) = 0 and D_-(1) = 2 for the letter a^2
-    assert table[0][1] == RecursionStep(2, 1, 2, 4, 3, 4, True)
-    assert table[0][-1] == RecursionStep(2, -1, 4, 2, 3, 4, True)
-    assert table[1][1] == RecursionStep(3, 1, 6, 6, 6, 6, True)
+    assert table[0][1] == RecursionStep(2, 4, 3, 4, True)
+    assert table[0][-1] == RecursionStep(4, 2, 3, 4, True)
+    assert table[1][1] == RecursionStep(6, 6, 6, 6, True)
     assert dimension_table((7,)) == ()
 
 
@@ -105,7 +107,7 @@ def test_table_rows_are_the_prefix_dimensions(n):
                 step = table[m - 2][sign]
                 if (exps[:m], sign) not in dims:
                     dims[exps[:m], sign] = product_power_dim(exps[:m], sign).dim
-                assert (step.length, step.sign, step.dim) == (m, sign, dims[exps[:m], sign])
+                assert step.dim == dims[exps[:m], sign]
 
 
 def test_invariance_under_permutation_and_negation():

@@ -12,34 +12,36 @@ from sl2rep.families import (
     family_member,
     meskin_isomorphic,
     parafree_profile,
-    tuple_eligibility,
     witness_group,
 )
 from sl2rep.presentations import CyclicFinite, FreeGroup, FreeProduct, ProductPower
 
 
-def test_tuple_eligibility_fields():
-    good = tuple_eligibility((3, 5, 7))
-    assert (good.length_ok, good.magnitudes_ok, good.gcd_ok) == (True, True, True)
-    assert good.eligible and good.failures() == []
+LENGTH = "length_ok: relator needs at least 3 generator powers"
+GCD = "gcd_ok: exponent magnitudes must have gcd 1"
 
-    short = tuple_eligibility((2, 3))
-    assert not short.length_ok and short.magnitudes_ok and short.gcd_ok
-    assert not short.eligible
 
-    shared = tuple_eligibility((4, 6, 10))
-    assert shared.length_ok and shared.magnitudes_ok and not shared.gcd_ok
-
-    small = tuple_eligibility((0, 3, 5))
-    assert small.length_ok and not small.magnitudes_ok and not small.gcd_ok
+def test_parafree_profile_names_each_failed_hypothesis():
+    for exps, message in [
+        ((2, 3), LENGTH),
+        ((4, 6, 10), GCD),
+        ((-4, 6, -10), GCD),
+        ((4, 6), f"{LENGTH}; {GCD}"),
+    ]:
+        with pytest.raises(EligibilityError) as info:
+            parafree_profile(ProductPower(exps))
+        assert str(info.value) == message, exps
+    # magnitudes below 2 never reach parafree_profile: ProductPower rejects them
+    with pytest.raises(ValueError, match="absolute value < 2"):
+        ProductPower((0, 3, 5))
 
 
 def test_eligibility_error_lists_failed_fields():
+    group = FreeProduct((FreeGroup(1), ProductPower((2, 4))))
     with pytest.raises(EligibilityError) as info:
-        parafree_profile(ProductPower((4, 6, 10)))
-    assert "gcd_ok" in str(info.value)
-    assert not info.value.checks.gcd_ok
-    assert info.value.checks.length_ok
+        parafree_profile(group)
+    assert str(info.value) == f"{LENGTH}; {GCD}"
+    assert isinstance(info.value, ValueError)
 
 
 def test_parafree_profile_of_eligible_relators():
@@ -48,7 +50,6 @@ def test_parafree_profile_of_eligible_relators():
     assert profile.min_generators == 3
     assert profile.deviation == 1
     assert profile.freely_indecomposable
-    assert profile.hypotheses.eligible
 
     longer = parafree_profile(ProductPower((2, 3, 5, 7, 9)))
     assert (longer.rank, longer.min_generators, longer.deviation) == (4, 5, 1)

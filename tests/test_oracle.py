@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from sl2rep import oracle
-from sl2rep.dimension import orbit_count
+from sl2rep.dimension import check_sign, orbit_count, product_power_dim
 from sl2rep.matrices import IDENTITY, adjugate, determinant, mat2, mat_power, mul2, random_sl2
 from sl2rep.oracle import (
     FD_STEP,
@@ -72,6 +72,18 @@ def test_constraint_system_validation():
         ConstraintSystem(2, (2, 2), 3)
     system = ConstraintSystem(2, (2, 2), 1)
     assert system.ambient_dim == 8
+
+
+@pytest.mark.parametrize("sign", [0, 3, -2, "+", None])
+def test_every_sign_is_checked_by_dimension_check_sign(sign):
+    with pytest.raises(ValueError) as expected:
+        check_sign(sign)
+    assert str(expected.value) == f"sign must be +1 or -1, got {sign!r}"
+    for call in (lambda: ConstraintSystem(2, (2, 3), sign), lambda: verify_dimension((2, 3), sign),
+                 lambda: product_power_dim((2, 3), sign)):
+        with pytest.raises(ValueError) as got:
+            call()
+        assert str(got.value) == str(expected.value)
 
 
 def test_residuals_vanish_on_an_exact_solution():
@@ -381,7 +393,7 @@ def _replay_verdict(plan, system, seed, index, tol):
     if sample.mats is None:
         return "obstructed"
     try:
-        return local_dimension(sample.mats, system, tol).dim
+        return local_dimension(sample.mats, system, tol)
     except ResidualError:
         return "residual"
     except RankGapError:
