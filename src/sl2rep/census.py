@@ -2,16 +2,16 @@
 
 Exact spectra exist for free groups, finite cyclic groups, and free
 products of those: the variety of a free product is the product of the
-factor varieties, so spectra convolve.  For one-relator product-power
-groups the census at top dimension is bounded below through the
-quotient that kills each generator's power: a surjection G -> Q induces
-a closed embedding of varieties, and when both varieties share the
-dimension c, every dimension-c component of the quotient variety lands
-inside a distinct dimension-c component upstairs.  The spectra start
-from the closed forms of the dimension module: F_n is one component of
-dimension 3n, and Z_p has its central points at dimension 0 and its
-orbit_count(p, 1) orbits at dimension 2.  A CensusResult's basis is
-the QuotientLowerBound its count rests on, or None for an exact census.
+factor varieties, so spectra convolve.  A group G with a product-power
+factor gets a lower bound at its top dimension c through the quotient
+Q that kills each generator's power: G -> Q is onto, so R(Q) is closed
+in R(G), and when R(Q) also has dimension c, each of its dimension-c
+components is a distinct component of R(G).  That dimension check is
+the bound's only condition.  The spectra start from the closed forms
+of the dimension module: F_n is one component of dimension 3n, and Z_p
+has its central points at dimension 0 and its orbit_count(p, 1) orbits
+at dimension 2.  A CensusResult's basis is the QuotientLowerBound its
+count rests on, or None for an exact census.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .presentations import (
     GroupSpec,
     ProductPower,
     contains_product_power,
-    format_spec,
 )
 
 
@@ -133,49 +132,30 @@ def _exact_spectrum(spec: GroupSpec) -> ComponentSpectrum:
     raise TypeError(f"no exact spectrum for {type(spec).__name__}")
 
 
-def split_power_factor(spec: GroupSpec):
-    """(free factors, power factor) for ProductPower or FreeProduct(F*, one
-    ProductPower); None for every other shape."""
-    if isinstance(spec, ProductPower):
-        return [], spec
-    if isinstance(spec, FreeProduct):
-        frees = []
-        powers = []
-        for f in spec.factors:
-            if isinstance(f, FreeGroup):
-                frees.append(f)
-            elif isinstance(f, ProductPower):
-                powers.append(f)
-            else:
-                return None
-        if len(powers) == 1:
-            return frees, powers[0]
-    return None
-
-
 def lower_bound_census(spec: GroupSpec) -> CensusResult:
     """Certified lower bound on the number of components of top dimension.
 
-    spec must be a product-power triple, optionally free-multiplied by
-    free groups.  Its variety dimension c is measured once and returned
-    as basis.dim_check.  The bound is the exact dimension-c count for
-    the quotient replacing the one-relator factor by the free product of
-    cyclic groups of the exponent magnitudes; it is valid only when that
-    quotient variety also has dimension c, which is checked.
+    spec must have a product-power factor; exact_census covers the
+    rest.  The quotient Q keeps spec's free factors, in order, then the
+    cyclic groups of every other factor, in order: Z_n stays, and a
+    relator x1^p1 ... xk^pk becomes Z_|p1| * ... * Z_|pk|.  G -> Q is
+    onto, so when R(Q) has the dimension c of R(G), measured once as
+    basis.dim_check, each dimension-c component of R(Q) is a distinct
+    one of R(G), and the bound is Q's count at c: the product of its
+    factors' top counts, as free products multiply varieties.
     """
-    shape = split_power_factor(spec)
-    if shape is None:
-        raise ValueError(
-            "lower bounds need a product-power factor times free groups, "
-            f"got {format_spec(spec)}"
-        )
-    frees, power = shape
-    if len(power.exponents) != 3:
-        raise ValueError(
-            "quotient lower bounds are only valid for 3-exponent relators; "
-            f"got {len(power.exponents)} exponents"
-        )
-    return _quotient_bound(frees, [abs(p) for p in power.exponents], representation_dim(spec).dim)
+    if not contains_product_power(spec):
+        raise ValueError("lower bound census is only available with a product-power factor; "
+                         "use exact_census without one")
+    frees, orders = [], []
+    for f in spec.factors if isinstance(spec, FreeProduct) else (spec,):
+        if isinstance(f, FreeGroup):
+            frees.append(f)
+        elif isinstance(f, CyclicFinite):
+            orders.append(f.order)
+        else:
+            orders.extend(abs(p) for p in f.exponents)
+    return _quotient_bound(frees, orders, representation_dim(spec).dim)
 
 
 def _top_term(free_rank: int, orders) -> tuple[int, int]:
@@ -283,8 +263,9 @@ def distinguishing_sequence(c: int, count: int) -> list[tuple[GroupSpec, CensusR
     if c < 6 or c % 3 != 0:
         raise ValueError(f"supported dimensions are 6, 9, 12, ...; got {c}")
     # base_dim is 2 for every |p| >= 3, so the first member's census
-    # certifies the variety's dimension c for every member
-    first = triple_group(c // 3, prime_triple(0))
-    dim, frees = lower_bound_census(first).basis.dim_check, split_power_factor(first)[0]
-    return [(triple_group(c // 3, t), _quotient_bound(frees, t, dim))
+    # certifies the variety's dimension c, and its quotient's free
+    # factors, for every member
+    first = lower_bound_census(triple_group(c // 3, prime_triple(0))).basis
+    frees = [f for f in first.quotient.factors if isinstance(f, FreeGroup)]
+    return [(triple_group(c // 3, t), _quotient_bound(frees, t, first.dim_check))
             for t in islice(consecutive_prime_triples(), count)]

@@ -315,17 +315,12 @@ def _cmd_dim(args) -> _Report:
     n = generator_count(spec)
     report.claim("free_of_rank_n", freeness_test(n, result.dim), EXACT)
     if not contains_product_power(spec):
-        census = exact_census(spec)
-        report.claim("spectrum", _spectrum_json(census.spectrum), EXACT)
+        report.claim("spectrum", _spectrum_json(exact_census(spec).spectrum), EXACT)
     else:
         try:
-            bound = lower_bound_census(spec)
-            report.claim(
-                f"components_at_{result.dim}_at_least",
-                bound.spectrum.count(result.dim),
-                QUOTIENT,
-            )
-        except ValueError:
+            bound = lower_bound_census(spec).spectrum.count(result.dim)
+            report.claim(f"components_at_{result.dim}_at_least", bound, QUOTIENT)
+        except ValueError:  # the quotient's dimension is not the variety's
             pass
     return report
 

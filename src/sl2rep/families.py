@@ -20,11 +20,12 @@ from .census import (
     consecutive_prime_triples,
     lower_bound_census,
     prime_triple,
-    split_power_factor,
     triple_bound,
     triple_group,
 )
 from .presentations import (
+    FreeGroup,
+    FreeProduct,
     GroupSpec,
     ProductPower,
     exponent_gcd,
@@ -50,20 +51,21 @@ def parafree_profile(spec: GroupSpec) -> ParafreeProfile:
     free-multiplied by free groups.  Raises EligibilityError naming
     each failed hypothesis (n >= 3, gcd 1), and ValueError for other
     shapes."""
-    shape = split_power_factor(spec)
-    if shape is None:
+    factors = spec.factors if isinstance(spec, FreeProduct) else (spec,)
+    others = [f for f in factors if not isinstance(f, FreeGroup)]
+    if len(others) != 1 or not isinstance(others[0], ProductPower):
         raise ValueError("parafree profiles cover one product-power factor times free groups, "
                          f"got {format_spec(spec)}")
-    frees, power = shape
-    n = len(power.exponents)
+    exponents = others[0].exponents
+    n = len(exponents)
     failures = []
     if n < 3:
         failures.append("length_ok: relator needs at least 3 generator powers")
-    if exponent_gcd(power.exponents) != 1:
+    if exponent_gcd(exponents) != 1:
         failures.append("gcd_ok: exponent magnitudes must have gcd 1")
     if failures:
         raise EligibilityError("; ".join(failures))
-    free_rank = sum(f.rank for f in frees)
+    free_rank = sum(f.rank for f in factors if isinstance(f, FreeGroup))
     return ParafreeProfile(
         rank=n - 1 + free_rank,
         min_generators=n + free_rank,

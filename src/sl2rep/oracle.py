@@ -379,14 +379,14 @@ def _polish_last(prefix_word: np.ndarray, root: np.ndarray, power: int, sign: in
     and keeps its best iterate; the others step together through a
     stacked SVD solve, which, unlike normal equations, does not square
     the magnitude spread of the word rows.  Most rows stop at the first
-    check, so it takes the value power alone; from the second check on,
-    one jet power gives the residual's power and the derivatives.
+    check, so it and the last allowed one, which no step follows, take
+    the value power alone; each check between takes one jet for both.
     """
     m, word, target = root, prefix_word, sign * IDENTITY
     best, best_res = root.copy(), np.full(len(root), math.inf)
     rows = np.arange(len(root))  # where the stepping rows sit in best
     for step in range(steps + 1):
-        if step:
+        if 0 < step < steps:
             jets = _letter_jets(m[None], (power,))[0]
             powered = jets[:, 0]
         else:

@@ -2,10 +2,11 @@
 
 A group is one of: a free group, a finite cyclic group, a one-relator
 group whose relator is a product of distinct generator powers
-(``x1^p1 x2^p2 ... xn^pn = 1`` with every ``|pi| >= 2``), or a free
-product of such groups.  Presentations are stored in relator-normal
-form: any right-hand side of the relation is moved to the left with
-its exponent negated, and generator names are erased after parsing.
+(``x1^p1 x2^p2 ... xn^pn = 1`` with n >= 2 and every ``|pi| >= 2``),
+or a free product of such groups; ``<a; a^p>`` parses as Z_|p|.
+Presentations are stored in relator-normal form: any right-hand side
+of the relation is moved to the left with its exponent negated, and
+generator names are erased after parsing.
 """
 
 from __future__ import annotations
@@ -68,12 +69,15 @@ class CyclicFinite:
 
 @dataclass(frozen=True)
 class ProductPower:
-    """One-relator group with relator x1^p1 ... xn^pn = 1."""
+    """One-relator group with relator x1^p1 ... xn^pn = 1, n >= 2."""
 
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "exponents", validate_exponents(self.exponents))
+        exps = validate_exponents(self.exponents)
+        if len(exps) < 2:
+            raise ValueError(f"a product-power relator needs at least 2 letters, got {len(exps)}")
+        object.__setattr__(self, "exponents", exps)
 
 
 @dataclass(frozen=True)
@@ -229,6 +233,8 @@ class _Parser:
         if missing:
             raise ParseError(f"generator {missing[0]!r} does not appear in the relator")
         try:
+            if len(exponents) == 1:  # <a; a^p> is Z_|p|
+                return CyclicFinite(abs(validate_exponents(exponents)[0]))
             return ProductPower(tuple(exponents))
         except ValueError as exc:
             raise ParseError(str(exc)) from None
@@ -279,7 +285,7 @@ def parse_spec(text: str) -> GroupSpec:
     A relation with a right-hand side is normalized by moving the right
     word to the left with negated exponents.  Each declared generator
     must appear exactly once in the relator; multi-relator input is not
-    in the grammar and is rejected.
+    in the grammar and is rejected.  <a; a^p> gives CyclicFinite(|p|).
     """
     parser = _Parser(text)
     spec = parser.parse_expr()

@@ -23,7 +23,6 @@ from sl2rep.census import (
     lower_bound_census,
     prime_triple,
     product_spectrum,
-    split_power_factor,
     triple_bound,
     triple_group,
     _top_term,
@@ -170,20 +169,48 @@ def test_lower_bound_census_with_free_factor():
     )
 
 
+NO_POWER = ("lower bound census is only available with a product-power factor; "
+            "use exact_census without one")
+
+
+@pytest.mark.parametrize(
+    "spec,c,bound",
+    [
+        # a cyclic factor joins the quotient as it is
+        (FreeProduct((ProductPower((3, 5, 7)), CyclicFinite(4))), 8, 6),
+        # two relators: 6 * 240
+        (FreeProduct((ProductPower((3, 5, 7)), ProductPower((11, 13, 17)))), 12, 1440),
+        # a two-letter relator: Z3 * Z5 has 1 * 2 orbit products at dimension 4
+        (ProductPower((3, 5)), 4, 2),
+        # Z2's two central points double the count
+        (FreeProduct((CyclicFinite(2), ProductPower((3, 5, 7)))), 6, 12),
+    ],
+)
+def test_lower_bound_census_of_every_shape(spec, c, bound):
+    result = lower_bound_census(spec)
+    assert result.spectrum.entries == {c: bound}
+    assert result.basis.dim_check == c == representation_dim(spec).dim
+
+
+def test_lower_bound_census_quotient_keeps_factor_order_after_the_frees():
+    spec = FreeProduct((ProductPower((3, -5)), FreeGroup(1), CyclicFinite(4), FreeGroup(2),
+                        ProductPower((7, 9, -11))))
+    quotient = lower_bound_census(spec).basis.quotient
+    assert quotient == FreeProduct((FreeGroup(1), FreeGroup(2)) + tuple(
+        CyclicFinite(p) for p in (3, 5, 4, 7, 9, 11)))
+
+
 def test_lower_bound_census_rejections():
     # a 2 in the relator drops the quotient dimension below the variety's
     with pytest.raises(ValueError, match="quotient variety has dimension 4 != 6"):
         lower_bound_census(ProductPower((2, 3, 5)))
-    for exponents in ((3, 5), (3, 5, 7, 9)):
-        with pytest.raises(ValueError, match=f"3-exponent relators; got {len(exponents)} exp"):
-            lower_bound_census(ProductPower(exponents))
-    for spec in (
-        FreeGroup(2),
-        FreeProduct((CyclicFinite(2), ProductPower((3, 5, 7)))),
-        FreeProduct((ProductPower((3, 5, 7)), ProductPower((3, 5, 7)))),
-    ):
-        with pytest.raises(ValueError, match="need a product-power factor times free groups"):
+    # from four letters on, the generic floor 3(n-1) outgrows the quotient's 2n
+    with pytest.raises(ValueError, match="quotient variety has dimension 8 != 9"):
+        lower_bound_census(ProductPower((3, 5, 7, 9)))
+    for spec in (FreeGroup(2), CyclicFinite(5), FreeProduct((CyclicFinite(2), FreeGroup(1)))):
+        with pytest.raises(ValueError) as info:
             lower_bound_census(spec)
+        assert str(info.value) == NO_POWER
 
 
 def test_top_term_is_the_quotient_spectrum_top():
@@ -198,12 +225,22 @@ def test_top_term_is_the_quotient_spectrum_top():
 
 
 def bound_by_quotient_spectrum(spec):
-    """lower_bound_census's quotient step by the full convolution: the
-    quotient's exact spectrum, its dimension checked against the
+    """lower_bound_census by the full convolution: the quotient that keeps
+    the free factors, then replaces every other factor by its cyclic
+    groups (Z_n by itself, a relator x1^p1 ... xk^pk by Z_|p1| * ... *
+    Z_|pk|), its exact spectrum, its dimension checked against the
     variety's, and its count there."""
-    frees, power = split_power_factor(spec)
+    factors = spec.factors if isinstance(spec, FreeProduct) else (spec,)
+    if not any(isinstance(f, ProductPower) for f in factors):
+        raise ValueError(NO_POWER)
+    cyclics = []
+    for f in factors:
+        if isinstance(f, CyclicFinite):
+            cyclics.append(f)
+        elif isinstance(f, ProductPower):
+            cyclics.extend(CyclicFinite(abs(p)) for p in f.exponents)
+    quotient = FreeProduct(tuple(f for f in factors if isinstance(f, FreeGroup)) + tuple(cyclics))
     c = representation_dim(spec).dim
-    quotient = FreeProduct(tuple(frees) + tuple(CyclicFinite(abs(p)) for p in power.exponents))
     spectrum = exact_census(quotient).spectrum
     if spectrum.dimension() != c:
         raise ValueError(
@@ -234,6 +271,33 @@ def test_lower_bound_census_matches_the_quotient_spectrum():
         assert got == outcome(bound_by_quotient_spectrum, spec), spec
         rejected += isinstance(got, str)
     assert rejected == 24 ** 3 - 22 ** 3  # exactly the triples with a 2
+
+
+def _random_factor(rng):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return FreeGroup(rng.randint(0, 3))
+    if kind == 1:
+        return CyclicFinite(rng.randint(2, 13))
+    return ProductPower(tuple(rng.choice((-1, 1)) * rng.randint(2, 13)
+                              for _ in range(rng.randint(2, 4))))
+
+
+def test_lower_bound_census_matches_the_quotient_spectrum_on_random_free_products():
+    # free ranks 0-3, Z2..Z13 and relators of 2-4 letters with |p| <= 13,
+    # in free products of up to 4 factors: the same value or error text
+    rng = random.Random(20261019)
+    seen = {"bound": 0, "dimension": 0, "no power": 0}
+    for _ in range(3000):
+        factors = tuple(_random_factor(rng) for _ in range(rng.randint(1, 4)))
+        spec = factors[0] if len(factors) == 1 else FreeProduct(factors)
+        got = outcome(lower_bound_census, spec)
+        assert got == outcome(bound_by_quotient_spectrum, spec), spec
+        if not isinstance(got, str):
+            seen["bound"] += 1
+        else:
+            seen["no power" if got == NO_POWER else "dimension"] += 1
+    assert min(seen.values()) >= 300, seen
 
 
 def test_consecutive_prime_triples():

@@ -584,8 +584,63 @@ def test_a_product_just_under_the_digit_limit_still_prints(capsys):
     assert code == EXIT_USAGE and out == "" and "4300 digits" in err
 
 
+@pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+                    reason="needs the interpreter's default int-to-str digit limit")
+@pytest.mark.parametrize("command", ["census", "dim"])
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_many_relator_factors_exit_two_at_the_digit_limit(capsys, command, output):
+    # the quotient bound multiplies 3,000 orbit counts of ~5 * 10^6 into a
+    # count of ~20,000 digits; dim prints that count too, so it exits 2
+    spec = " * ".join(["<a,b,c; a^9999991 b^9999973 c^9999971>"] * MAX_FACTORS)
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, spec, "--output", output)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: a result exceeds the limit (4300 digits) for printing an integer\n"
+
+
+@pytest.mark.parametrize(
+    "spec,expected",
+    [
+        ("<a,b,c; a^3 b^5 c^7> * Z4", ["dimension: 8   [exact]",
+                                       "components_at_8_at_least: 6   [quotient-lower-bound]",
+                                       "quotient: Z3 * Z5 * Z7 * Z4   [quotient-lower-bound]"]),
+        ("<a,b,c; a^3 b^5 c^7> * <d,e,f; d^11 e^13 f^17>", [
+            "dimension: 12   [exact]",
+            "components_at_12_at_least: 1440   [quotient-lower-bound]",
+            "quotient: Z3 * Z5 * Z7 * Z11 * Z13 * Z17   [quotient-lower-bound]"]),
+        ("<a,b; a^3 b^5>", ["dimension: 4   [exact]",
+                            "components_at_4_at_least: 2   [quotient-lower-bound]",
+                            "quotient: Z3 * Z5   [quotient-lower-bound]"]),
+    ],
+)
+def test_census_bounds_every_relator_shape_whose_quotient_dimension_matches(capsys, spec, expected):
+    code, out, err = run(capsys, "census", spec)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines() == expected + ["pass: true"]
+
+
+@pytest.mark.parametrize("spec,dims", [("<a,b,c,d; a^3 b^5 c^7 d^9>", (8, 9)),
+                                       ("<a,b,c; a^2 b^3 c^5>", (4, 6))])
+def test_census_names_the_quotient_dimension_where_the_bound_does_not_apply(capsys, spec, dims):
+    code, out, err = run(capsys, "census", spec)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (f"error: quotient variety has dimension {dims[0]} != {dims[1]}; "
+                   "the lower bound does not apply\n")
+
+
+def test_a_one_generator_relator_is_its_cyclic_group(capsys):
+    # <a; a^p> and <a; a^-p> present Z_p: the same text bytes and exit code
+    for p in range(2, 51):
+        for command in ("dim", "census", "parse"):
+            expected = run(capsys, command, f"Z{p}")
+            assert expected[0] == EXIT_OK
+            for exponent in (p, -p):
+                assert run(capsys, command, f"<a; a^{exponent}>") == expected, (command, exponent)
+
+
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
-_EXACT_EXAMPLES = ("parse", "dim", "census", "witness", "family", "sequence", "isom")
+_EXACT_EXAMPLES = ("parse", "dim", "census", "census", "witness", "family", "sequence", "isom")
 
 
 def _readme_transcripts():

@@ -40,6 +40,16 @@ def test_relation_right_side_moves_left_negated():
     assert parse_spec("<a,b; a^2 = b^-3>") == ProductPower((2, 3))
 
 
+def test_one_generator_relator_is_a_cyclic_group():
+    for p in (2, 5, 10**9):
+        assert parse_spec(f"<a; a^{p}>") == parse_spec(f"<x; x^-{p}>") == CyclicFinite(p)
+    assert parse_spec("<a; a^3 = 1>") == parse_spec("<a; 1 = a^3>") == CyclicFinite(3)
+    assert parse_spec("F1 * <a; a^4>") == FreeProduct((FreeGroup(1), CyclicFinite(4)))
+    for text in ("<a; a^1>", "<a; a^-1>", "<a; a^0>"):
+        with pytest.raises(ParseError, match="absolute value < 2"):
+            parse_spec(text)
+
+
 def test_trivial_relator_is_a_free_group():
     assert parse_spec("<a,b; 1>") == FreeGroup(2)
     assert parse_spec("<a; 1>") == FreeGroup(1)
@@ -133,7 +143,7 @@ def _random_atom(rng):
         return FreeGroup(rng.randrange(0, 40))
     if kind == 1:
         return CyclicFinite(rng.randrange(2, 10**6))
-    n = rng.choice((1, 2, 3, 5, 26, 27, 40))
+    n = rng.choice((2, 3, 5, 26, 27, 40))  # one letter would be a cyclic group
     return ProductPower(tuple(rng.choice((-1, 1)) * rng.randrange(2, 10**4) for _ in range(n)))
 
 
@@ -214,6 +224,8 @@ def test_spec_constructors_validate():
         CyclicFinite(1)
     with pytest.raises(ValueError):
         ProductPower((2, 1))
+    with pytest.raises(ValueError, match="at least 2 letters, got 1"):
+        ProductPower((5,))
     with pytest.raises(ValueError):
         FreeProduct((FreeGroup(2),))
     with pytest.raises(ValueError):
