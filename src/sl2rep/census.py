@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import operator
 import sys
-from dataclasses import dataclass
 from itertools import accumulate, islice
 from typing import Iterator, Optional
 
@@ -31,16 +30,14 @@ from .presentations import (
     ProductPower,
     contains_product_power,
 )
+from .records import FrozenRecord, Record
 
 
-@dataclass
-class ComponentSpectrum:
+class ComponentSpectrum(Record):
     """Map dimension -> number of maximal components of that dimension."""
 
-    entries: dict[int, int]
-
-    def __post_init__(self):
-        cleaned = {int(d): int(c) for d, c in self.entries.items() if c}
+    def __init__(self, entries: dict[int, int]):
+        cleaned = {int(d): int(c) for d, c in entries.items() if c}
         for d, c in cleaned.items():
             if d < 0 or c < 0:
                 raise ValueError(f"invalid spectrum entry {d}: {c}")
@@ -65,16 +62,16 @@ def central_root_spectrum(p: int, sign: int) -> ComponentSpectrum:
     return ComponentSpectrum({2: orbit_count(p, sign), 0: len(central_signs(p, sign))})
 
 
-@dataclass(frozen=True)
-class QuotientLowerBound:
-    quotient: GroupSpec
-    dim_check: int  # shared dimension of both varieties
+class QuotientLowerBound(FrozenRecord):
+    def __init__(self, quotient: GroupSpec, dim_check: int):
+        object.__setattr__(self, "quotient", quotient)
+        object.__setattr__(self, "dim_check", dim_check)  # shared dimension of both varieties
 
 
-@dataclass
-class CensusResult:
-    spectrum: ComponentSpectrum
-    basis: Optional[QuotientLowerBound]  # None for an exact census
+class CensusResult(Record):
+    def __init__(self, spectrum: ComponentSpectrum, basis: Optional[QuotientLowerBound]):
+        self.spectrum = spectrum
+        self.basis = basis  # None for an exact census
 
 
 def digit_limit_error() -> ValueError:
@@ -144,6 +141,11 @@ def lower_bound_census(spec: GroupSpec) -> CensusResult:
     one of R(G), and the bound is Q's count at c: the product of its
     factors' top counts, as free products multiply varieties.
     """
+    return _lower_bound_at(spec, representation_dim(spec).dim)
+
+
+def _lower_bound_at(spec: GroupSpec, c: int) -> CensusResult:
+    """lower_bound_census of spec, whose variety has dimension c."""
     if not contains_product_power(spec):
         raise ValueError("lower bound census is only available with a product-power factor; "
                          "use exact_census without one")
@@ -155,7 +157,7 @@ def lower_bound_census(spec: GroupSpec) -> CensusResult:
             orders.append(f.order)
         else:
             orders.extend(abs(p) for p in f.exponents)
-    return _quotient_bound(frees, orders, representation_dim(spec).dim)
+    return _quotient_bound(frees, orders, c)
 
 
 def _top_term(free_rank: int, orders) -> tuple[int, int]:

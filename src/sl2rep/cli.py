@@ -16,6 +16,13 @@ the sampling options (--seed, --samples, --tol-res, --tol-rank,
 Each subparser carries its handler, a handler returns its report, and
 the exit code follows from the report's pass flag.  Only the verify
 handler loads the oracle, and with it numpy.
+
+argv is parsed in one argparse pass: the leaf parser that its leading
+words name ("census", "verify dim") parses the rest, and its defaults
+set command and verify_what as the subparser actions would.  No
+command, -h or an unknown first word goes to the full parser, so help,
+usage errors and exit codes are the full tree's; only "unrecognized
+arguments" prints the leaf's usage line instead of the top one.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from json.encoder import encode_basestring_ascii
 
 from .census import (
     MAX_SEQUENCE_COUNT,
+    _lower_bound_at,
     digit_limit_error,
     distinguishing_sequence,
     exact_census,
@@ -114,51 +122,56 @@ def _add_sampling(parser: argparse.ArgumentParser):
                              "values exit 2)")
 
 
-def _command(sub, name: str, handler, **kwargs) -> argparse.ArgumentParser:
-    p = sub.add_parser(name, **kwargs)
+def _command(sub, parsers: dict, path: str, handler, **kwargs) -> argparse.ArgumentParser:
+    """The leaf parser of path ("census", "verify dim"), entered in parsers."""
+    words = tuple(path.split())
+    p = parsers[words] = sub.add_parser(words[-1], **kwargs)
     p.add_argument("--output", choices=("text", "json"), default="text")
-    p.set_defaults(handler=handler)
+    p.set_defaults(handler=handler, **dict(zip(("command", "verify_what"), words)))
     return p
 
 
-# built once per process: constructing the tree costs ~20 times a parse
+# built once per process, the whole tree at once: constructing it costs
+# ~20 times a parse; the full parser under (), each leaf under its words
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> dict[tuple[str, ...], argparse.ArgumentParser]:
     parser = argparse.ArgumentParser(
         prog="sl2rep",
         description="Dimensions and component counts of SL(2,C) representation varieties",
     )
+    parsers = {(): parser}
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = _command(sub, "parse", _cmd_parse,
+    p = _command(sub, parsers, "parse", _cmd_parse,
                  help="parse a group description and echo its normal form")
     p.add_argument("spec", help=_SPEC_HELP)
 
-    p = _command(sub, "dim", _cmd_dim, help="variety dimension, reducibility, freeness")
+    p = _command(sub, parsers, "dim", _cmd_dim, help="variety dimension, reducibility, freeness")
     p.add_argument("spec", help=_SPEC_HELP)
 
-    p = _command(sub, "census", _cmd_census,
+    p = _command(sub, parsers, "census", _cmd_census,
                  help="component census (exact or certified lower bound)")
     p.add_argument("spec", help=_SPEC_HELP)
 
-    p = _command(sub, "family", _cmd_family, help="canonical parafree family member")
+    p = _command(sub, parsers, "family", _cmd_family, help="canonical parafree family member")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--index", type=int, required=True,
                    help=f"position in the family, 0 to {MAX_FAMILY_INDEX:,} "
                         "(larger indices exit 2)")
 
-    p = _command(sub, "witness", _cmd_witness,
+    p = _command(sub, parsers, "witness", _cmd_witness,
                  help="family member with many top-dimension components")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--mirc", type=int, required=True,
                    help="required number of maximal top-dimension components, "
                         f"1 to {MAX_WITNESS_TARGET:,} (larger targets exit 2)")
 
-    p = _command(sub, "isom", _cmd_isom, help="isomorphism test for product-power relators")
+    p = _command(sub, parsers, "isom", _cmd_isom,
+                 help="isomorphism test for product-power relators")
     p.add_argument("tuple_a", type=_parse_tuple)
     p.add_argument("tuple_b", type=_parse_tuple)
 
-    p = _command(sub, "sequence", _cmd_sequence,
+    p = _command(sub, parsers, "sequence", _cmd_sequence,
                  help="groups distinguished by component lower bounds")
     p.add_argument("--count", type=int, required=True,
                    help=f"number of groups, 0 to {MAX_SEQUENCE_COUNT:,} (larger counts exit 2)")
@@ -167,7 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="numeric verification")
     vsub = p.add_subparsers(dest="verify_what", required=True)
 
-    v = _command(vsub, "dim", _cmd_verify,
+    v = _command(vsub, parsers, "verify dim", _cmd_verify,
                  help="sample a word variety and check its dimension")
     v.add_argument("exponents", type=_parse_tuple,
                    help=f"2 to 8 exponents, each |p| at most {MAX_VERIFY_EXPONENT:,} "
@@ -176,7 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_sampling(v)
 
     v = _command(
-        vsub, "omega", _cmd_verify,
+        vsub, parsers, "verify omega", _cmd_verify,
         help="check the census of {A : A^p = sign*I}; every orbit class is sampled at "
              "least once, so samples_requested is ceil(samples/classes)*classes "
              "(999 at p = 2000)",
@@ -186,7 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--sign", type=_parse_sign, default=1)
     _add_sampling(v)
 
-    return parser
+    return parsers
 
 
 _CONFIG_KEYS = ("seed", "samples", "tol_res", "tol_rank", "tol_trace", "output")
@@ -318,10 +331,12 @@ def _cmd_dim(args) -> _Report:
         report.claim("spectrum", _spectrum_json(exact_census(spec).spectrum), EXACT)
     else:
         try:
-            bound = lower_bound_census(spec).spectrum.count(result.dim)
-            report.claim(f"components_at_{result.dim}_at_least", bound, QUOTIENT)
-        except ValueError:  # the quotient's dimension is not the variety's
+            bound = _lower_bound_at(spec, result.dim).spectrum.count(result.dim)
+            str(bound)  # ValueError past the int-to-str digit limit
+        except ValueError:  # the bound does not apply, or it cannot be printed
             pass
+        else:
+            report.claim(f"components_at_{result.dim}_at_least", bound, QUOTIENT)
     return report
 
 
@@ -418,11 +433,19 @@ def _cmd_verify(args) -> _Report:
     return report
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """One argparse pass, by the deepest parser argv's leading words name."""
+    parsers = _build_parser()
+    argv = _shield_negative_tuples(argv)
+    depth = max(k for k in (0, 1, 2) if tuple(argv[:k]) in parsers)
+    return parsers[tuple(argv[:depth])].parse_args(argv[depth:])
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = _build_parser().parse_args(_shield_negative_tuples(list(argv)))
+        args = _parse_args(list(argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -33,7 +33,6 @@ oracle's sampling plan (oracle.build_plan) follows that step's argmax.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .presentations import (
@@ -44,6 +43,7 @@ from .presentations import (
     ProductPower,
     validate_exponents,
 )
+from .records import FrozenRecord
 
 CERTIFIED_REDUCIBLE = "certified-reducible"
 IRREDUCIBLE = "irreducible"
@@ -96,10 +96,10 @@ class RecursionStep(NamedTuple):
     certified: bool        # max of the two branches >= generic floor
 
 
-@dataclass(frozen=True)
-class DimResult:
-    dim: int
-    reducibility: str
+class DimResult(FrozenRecord):
+    def __init__(self, dim: int, reducibility: str):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "reducibility", reducibility)
 
 
 def dimension_table(exponents) -> tuple[dict[int, RecursionStep], ...]:

@@ -13,7 +13,6 @@ the two hypotheses left, n >= 3 and gcd 1, and names each that fails.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .census import (
     CensusResult,
@@ -32,18 +31,19 @@ from .presentations import (
     format_spec,
     normalized_exponents,
 )
+from .records import FrozenRecord
 
 
 class EligibilityError(ValueError):
     """A product-power factor outside the parafree hypotheses."""
 
 
-@dataclass(frozen=True)
-class ParafreeProfile:
-    rank: int
-    min_generators: int
-    deviation: int
-    freely_indecomposable: bool
+class ParafreeProfile(FrozenRecord):
+    def __init__(self, rank: int, min_generators: int, deviation: int, freely_indecomposable: bool):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "min_generators", min_generators)
+        object.__setattr__(self, "deviation", deviation)
+        object.__setattr__(self, "freely_indecomposable", freely_indecomposable)
 
 
 def parafree_profile(spec: GroupSpec) -> ParafreeProfile:

@@ -53,7 +53,6 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -69,21 +68,24 @@ from .dimension import (
 )
 from .matrices import IDENTITY, adjugate, branch_roots, determinant, eval_word, mat_power, mul2, power_stack
 from .presentations import MAX_CENTRAL_POWER, MAX_SAMPLES, MAX_VERIFY_EXPONENT, validate_exponents
+from .records import FrozenRecord, Record
 from .traces import admissible_traces, match_traces
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    residual: float = 1e-8      # max |equation| at an accepted sample
-    rank_rel: float = 1e-8      # singular values below rank_rel * s_max count as zero
-    trace: float = 1e-6         # numeric trace vs admissible class matching
-    genericity: float = 1e-4    # reject generic samples with traces this close to +-2
-    min_rank_gap: float = 1e3   # required s_rank / s_rank+1 ratio
-
-    def __post_init__(self):
-        for name, value in vars(self).items():
+class Tolerances(FrozenRecord):
+    def __init__(self, residual: float = 1e-8, rank_rel: float = 1e-8, trace: float = 1e-6,
+                 genericity: float = 1e-4, min_rank_gap: float = 1e3):
+        fields = {
+            "residual": residual,          # max |equation| at an accepted sample
+            "rank_rel": rank_rel,          # singular values below rank_rel * s_max count as zero
+            "trace": trace,                # numeric trace vs admissible class matching
+            "genericity": genericity,      # reject generic samples with traces this close to +-2
+            "min_rank_gap": min_rank_gap,  # required s_rank / s_rank+1 ratio
+        }
+        for name, value in fields.items():
             if problem := self.domain_error(name, value):
                 raise ValueError(f"tolerance {name} {problem}")
+        vars(self).update(fields)
 
     @staticmethod
     def domain_error(name: str, value: float) -> Optional[str]:
@@ -151,21 +153,18 @@ def _letter_jets(letters: np.ndarray, exponents) -> np.ndarray:
     return power_stack(jets, exponents, _jet_product)
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
+class ConstraintSystem(FrozenRecord):
     """Polynomial equations cutting the variety of m1^p1 ... mn^pn =
     sign*I out of C^(4n)."""
 
-    num_matrices: int
-    exponents: tuple[int, ...]
-    sign: int = 1
-
-    def __post_init__(self):
-        exps = validate_exponents(self.exponents)
-        if len(exps) != self.num_matrices:
+    def __init__(self, num_matrices: int, exponents: tuple[int, ...], sign: int = 1):
+        exps = validate_exponents(exponents)
+        if len(exps) != num_matrices:
             raise ValueError("exponent count must match matrix count")
+        check_sign(sign)
+        object.__setattr__(self, "num_matrices", num_matrices)
         object.__setattr__(self, "exponents", exps)
-        check_sign(self.sign)
+        object.__setattr__(self, "sign", sign)
 
     @property
     def ambient_dim(self) -> int:
@@ -437,15 +436,16 @@ def complete_point(prefix, exponents, sign: int, branch: int):
     return None if obstructed[0] else np.concatenate([prefix, last])
 
 
-@dataclass(frozen=True)
-class SamplePlan:
+class SamplePlan(FrozenRecord):
     """Where to draw samples so they land on a top-dimensional stratum:
     orbits None for a generic prefix and a solved last letter, else one
     (k, s) of {A : A^k = s*I} per letter, first letter first."""
 
-    exponents: tuple[int, ...]
-    sign: int
-    orbits: Optional[tuple[tuple[int, int], ...]]
+    def __init__(self, exponents: tuple[int, ...], sign: int,
+                 orbits: Optional[tuple[tuple[int, int], ...]]):
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "orbits", orbits)
 
 
 def build_plan(exponents, sign: int) -> SamplePlan:
@@ -505,10 +505,10 @@ def _width(plan: SamplePlan) -> int:
     return 9 * (n - 1) if plan.orbits is None else 8 * n
 
 
-@dataclass
-class Sample:
-    mats: Optional[np.ndarray]
-    witness_traces: list = field(default_factory=list)
+class Sample(Record):
+    def __init__(self, mats: Optional[np.ndarray], witness_traces: Optional[list] = None):
+        self.mats = mats
+        self.witness_traces = [] if witness_traces is None else witness_traces
 
 
 def _draw_samples(plan: SamplePlan, branches: np.ndarray, u: np.ndarray):
@@ -571,25 +571,30 @@ def _dimension_verdicts(plan: SamplePlan, system: ConstraintSystem, seed: int,
     return verdicts.tolist(), gap[gap >= tol.min_rank_gap]
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of a sampling run against a predicted dimension or census."""
 
-    kind: str  # "dimension" | "central-roots"
-    inputs: dict
-    seed: int
-    tolerances: Tolerances
-    samples_requested: int
-    samples_accepted: int
-    rejections: dict[str, int]
-    local_dim_histogram: dict[int, int]
-    consensus_dim: Optional[int]
-    predicted_dim: int
-    agreement: float
-    min_rank_gap: float
-    trace_class_tallies: dict[str, int]
-    central_checks: dict[str, int | str]  # local dimension, or the stage's rejection reason
-    passed: bool
+    def __init__(self, kind: str, inputs: dict, seed: int, tolerances: Tolerances,
+                 samples_requested: int, samples_accepted: int, rejections: dict[str, int],
+                 local_dim_histogram: dict[int, int], consensus_dim: Optional[int],
+                 predicted_dim: int, agreement: float, min_rank_gap: float,
+                 trace_class_tallies: dict[str, int], central_checks: dict[str, int | str],
+                 passed: bool):
+        self.kind = kind  # "dimension" | "central-roots"
+        self.inputs = inputs
+        self.seed = seed
+        self.tolerances = tolerances
+        self.samples_requested = samples_requested
+        self.samples_accepted = samples_accepted
+        self.rejections = rejections
+        self.local_dim_histogram = local_dim_histogram
+        self.consensus_dim = consensus_dim
+        self.predicted_dim = predicted_dim
+        self.agreement = agreement
+        self.min_rank_gap = min_rank_gap
+        self.trace_class_tallies = trace_class_tallies
+        self.central_checks = central_checks  # local dimension, or the stage's rejection reason
+        self.passed = passed
 
     def to_dict(self) -> dict:
         gap = self.min_rank_gap

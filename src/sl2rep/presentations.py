@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Union
+
+from .records import FrozenRecord
 
 
 class ParseError(ValueError):
@@ -49,44 +50,34 @@ def exponent_gcd(exponents) -> int:
     return math.gcd(*normalized_exponents(exponents))
 
 
-@dataclass(frozen=True)
-class FreeGroup:
-    rank: int
-
-    def __post_init__(self):
-        if not isinstance(self.rank, int) or self.rank < 0:
-            raise ValueError(f"free group rank must be an integer >= 0, got {self.rank!r}")
+class FreeGroup(FrozenRecord):
+    def __init__(self, rank: int):
+        if not isinstance(rank, int) or rank < 0:
+            raise ValueError(f"free group rank must be an integer >= 0, got {rank!r}")
+        object.__setattr__(self, "rank", rank)
 
 
-@dataclass(frozen=True)
-class CyclicFinite:
-    order: int
-
-    def __post_init__(self):
-        if not isinstance(self.order, int) or self.order < 2:
-            raise ValueError(f"cyclic group order must be an integer >= 2, got {self.order!r}")
+class CyclicFinite(FrozenRecord):
+    def __init__(self, order: int):
+        if not isinstance(order, int) or order < 2:
+            raise ValueError(f"cyclic group order must be an integer >= 2, got {order!r}")
+        object.__setattr__(self, "order", order)
 
 
-@dataclass(frozen=True)
-class ProductPower:
+class ProductPower(FrozenRecord):
     """One-relator group with relator x1^p1 ... xn^pn = 1, n >= 2."""
 
-    exponents: tuple[int, ...]
-
-    def __post_init__(self):
-        exps = validate_exponents(self.exponents)
+    def __init__(self, exponents: tuple[int, ...]):
+        exps = validate_exponents(exponents)
         if len(exps) < 2:
             raise ValueError(f"a product-power relator needs at least 2 letters, got {len(exps)}")
         object.__setattr__(self, "exponents", exps)
 
 
-@dataclass(frozen=True)
-class FreeProduct:
-    factors: tuple["GroupSpec", ...]
-
-    def __post_init__(self):
+class FreeProduct(FrozenRecord):
+    def __init__(self, factors: tuple["GroupSpec", ...]):
         flat: list[GroupSpec] = []
-        for f in self.factors:
+        for f in factors:
             if isinstance(f, FreeProduct):
                 flat.extend(f.factors)
             elif isinstance(f, (FreeGroup, CyclicFinite, ProductPower)):
@@ -131,18 +122,21 @@ MAX_CENTRAL_POWER = 10**4
 # an accuracy bound: float64 checks m^p to the residual gate up to here
 MAX_VERIFY_EXPONENT = 10**7
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<punct>[<>,;=*^-])|(?P<bad>\S))")
+_TOKEN_RE = re.compile(r"(\s*)(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([<>,;=*^-])|(\S))")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """(kind, text, position) per token, then ("eof", "", len(text)); a
-    token's position is where the previous one ended."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        if m.lastgroup == "bad":
-            raise ParseError(f"unexpected character {m['bad']!r} at position {m.start()}")
-        tokens.append((m.lastgroup, m[m.lastgroup], m.start()))
+    token's position is where the previous one ended.  The matches cover
+    the text up to trailing whitespace, so positions add up without the
+    match objects of finditer."""
+    tokens, pos = [], 0
+    for space, digits, ident, punct, bad in _TOKEN_RE.findall(text):
+        if bad:
+            raise ParseError(f"unexpected character {bad!r} at position {pos}")
+        token = digits or ident or punct
+        tokens.append(("int" if digits else "ident" if ident else "punct", token, pos))
+        pos += len(space) + len(token)
     tokens.append(("eof", "", len(text)))
     return tokens
 
@@ -298,12 +292,6 @@ def parse_spec(text: str) -> GroupSpec:
 _GENERATOR_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
 
-def _generator_name(i: int, n: int) -> str:
-    if n <= len(_GENERATOR_NAMES):
-        return _GENERATOR_NAMES[i]
-    return f"g{i + 1}"
-
-
 def format_spec(spec: GroupSpec) -> str:
     """Canonical text form; parse_spec(format_spec(g)) == g."""
     if isinstance(spec, FreeGroup):
@@ -312,7 +300,7 @@ def format_spec(spec: GroupSpec) -> str:
         return f"Z{spec.order}"
     if isinstance(spec, ProductPower):
         n = len(spec.exponents)
-        names = [_generator_name(i, n) for i in range(n)]
+        names = _GENERATOR_NAMES[:n] if n <= len(_GENERATOR_NAMES) else [f"g{i + 1}" for i in range(n)]
         word = " ".join(f"{name}^{p}" for name, p in zip(names, spec.exponents))
         return f"<{','.join(names)}; {word}>"
     if isinstance(spec, FreeProduct):

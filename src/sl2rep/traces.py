@@ -12,23 +12,23 @@ package only the oracle imports this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dimension import central_signs, orbit_count, orbit_numerator
+from .records import FrozenRecord
 
 
-@dataclass(frozen=True)
-class CentralRootClasses:
+class CentralRootClasses(FrozenRecord):
     """Component data for {A : A^p = sign*I}.
 
     central: signs eta with (eta*I)^p = sign*I, each an isolated point.
     orbits:  one TraceTable row per 2-dimensional conjugation orbit.
     """
 
-    central: tuple[int, ...]
-    orbits: TraceTable
+    def __init__(self, central: tuple[int, ...], orbits: TraceTable):
+        object.__setattr__(self, "central", central)
+        object.__setattr__(self, "orbits", orbits)
 
 
 def central_root_classes(p: int, sign: int) -> CentralRootClasses:

@@ -15,8 +15,9 @@ import time
 
 import pytest
 
-from sl2rep import census, oracle
+from sl2rep import census, cli, oracle
 from sl2rep.census import MAX_SEQUENCE_COUNT
+from sl2rep.dimension import representation_dim
 from sl2rep.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, indented_json, main
 from sl2rep.oracle import MAX_CENTRAL_POWER, MAX_SAMPLES, MAX_VERIFY_EXPONENT
 from sl2rep.presentations import MAX_FACTORS
@@ -364,24 +365,24 @@ def test_exact_commands_echo_only_their_output_option(capsys, argv):
     assert payload["config"] == {"output": "json"}
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("parse", "<a,b; a^2>"),
-        ("dim", "Q7"),
-        ("census", "<a,b,c; a^2 b^3 c^5>", "--dim", "7"),
-        ("family", "--rank", "1", "--index", "0"),
-        ("witness", "--rank", "2", "--mirc", "0"),
-        ("isom", "3,x", "3,5"),
-        ("isom", "3,1", "3,5"),
-        ("sequence", "--count", "2", "--dim", "7"),
-        ("verify", "dim", "5"),
-        ("nonsense",),
-        (),
-        # the sampling options belong to the verify subcommands only
-        *[(*argv, "--seed", "1") for argv in _EXACT_COMMANDS],
-    ],
-)
+_USAGE_ERRORS = [
+    ("parse", "<a,b; a^2>"),
+    ("dim", "Q7"),
+    ("census", "<a,b,c; a^2 b^3 c^5>", "--dim", "7"),
+    ("family", "--rank", "1", "--index", "0"),
+    ("witness", "--rank", "2", "--mirc", "0"),
+    ("isom", "3,x", "3,5"),
+    ("isom", "3,1", "3,5"),
+    ("sequence", "--count", "2", "--dim", "7"),
+    ("verify", "dim", "5"),
+    ("nonsense",),
+    (),
+    # the sampling options belong to the verify subcommands only
+    *[(*argv, "--seed", "1") for argv in _EXACT_COMMANDS],
+]
+
+
+@pytest.mark.parametrize("argv", _USAGE_ERRORS)
 def test_usage_errors_exit_two(capsys, argv):
     code = main(list(argv))
     capsys.readouterr()
@@ -402,7 +403,7 @@ def test_import_sl2rep_loads_neither_the_oracle_nor_numpy():
     assert out.strip() == "[]"
 
 
-_EXACT_COMMANDS = (
+_NUMPY_FREE_COMMANDS = (
     ("parse", "<a,b,c; a^-3 b^-5 = c^7>"),
     ("dim", "<a,b,c; a^3 b^5 c^7>"),
     ("dim", "Z4 * F2"),
@@ -419,7 +420,7 @@ def test_exact_commands_run_with_numpy_blocked(capsys, monkeypatch):
     # every exact subcommand, in text and in JSON, and the verify help
     # that states the oracle's caps, in a process where importing numpy
     # fails: the same exit codes and stdout as here, where numpy loads
-    argvs = [[*argv, "--output", output] for argv in _EXACT_COMMANDS for output in ("text", "json")]
+    argvs = [[*argv, "--output", output] for argv in _NUMPY_FREE_COMMANDS for output in ("text", "json")]
     argvs += [["verify", "dim", "--help"], ["verify", "omega", "--help"]]
     script = (
         "import contextlib, io, json, sys\n"
@@ -586,17 +587,49 @@ def test_a_product_just_under_the_digit_limit_still_prints(capsys):
 
 @pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
                     reason="needs the interpreter's default int-to-str digit limit")
-@pytest.mark.parametrize("command", ["census", "dim"])
+# dim leaves the bound out instead (the test below)
+@pytest.mark.parametrize("command", ["census"])
 @pytest.mark.parametrize("output", ["text", "json"])
 def test_many_relator_factors_exit_two_at_the_digit_limit(capsys, command, output):
     # the quotient bound multiplies 3,000 orbit counts of ~5 * 10^6 into a
-    # count of ~20,000 digits; dim prints that count too, so it exits 2
+    # count of ~20,000 digits, the one count census states
     spec = " * ".join(["<a,b,c; a^9999991 b^9999973 c^9999971>"] * MAX_FACTORS)
     start = time.perf_counter()
     code, out, err = run(capsys, command, spec, "--output", output)
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_USAGE and out == ""
     assert err == "error: a result exceeds the limit (4300 digits) for printing an integer\n"
+
+
+@pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+                    reason="needs the interpreter's default int-to-str digit limit")
+@pytest.mark.parametrize("copies", [250, MAX_FACTORS])
+def test_dim_leaves_out_a_bound_past_the_digit_limit(capsys, copies):
+    # as where the bound does not apply: the claims that print stay, exit 0
+    spec = " * ".join(["<a,b,c; a^9999991 b^9999973 c^9999971>"] * copies)
+    code, out, err = run(capsys, "dim", spec)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines() == [f"dimension: {6 * copies}   [exact]",
+                                "reducibility: certified-reducible   [exact]",
+                                "free_of_rank_n: False   [exact]", "pass: true"]
+    code, payload, _ = run_json(capsys, "dim", spec)
+    assert code == EXIT_OK and [r["name"] for r in payload["results"]] == [
+        "dimension", "reducibility", "free_of_rank_n"]
+    assert run(capsys, "census", spec)[0] == EXIT_USAGE
+
+
+def test_dim_measures_a_relator_variety_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return representation_dim(spec)
+
+    monkeypatch.setattr(cli, "representation_dim", counted)
+    monkeypatch.setattr(census, "representation_dim", counted)
+    code, out, _ = run(capsys, "dim", "<a,b,c; a^3 b^5 c^7> * F1")
+    assert code == EXIT_OK and "components_at_9_at_least: 6   [quotient-lower-bound]" in out
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -665,6 +698,51 @@ def test_readme_transcripts_match_the_cli(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, err) == (EXIT_OK, "")
         assert out == expected, argv
+
+
+def _parsed(capsys, parse, argv):
+    """(namespace or exit code, stdout, stderr) of one argparse call."""
+    try:
+        result = vars(parse(list(argv)))
+    except SystemExit as exc:
+        result = exc.code
+    return (result, *capsys.readouterr())
+
+
+def test_the_leaf_lookup_parses_as_the_full_tree(capsys):
+    # the one-pass lookup against the nested parse of the full tree: the same
+    # namespace, or the same exit, help and usage error; only "unrecognized
+    # arguments" comes from the leaf, under its own usage line
+    full = cli._build_parser()[()]
+    argvs = [*_EXACT_COMMANDS, *_NUMPY_FREE_COMMANDS, *_USAGE_ERRORS,
+             *[argv for argv, _ in _readme_transcripts()],
+             ("verify", "dim", "-3,5,7", "--sign", "-1", "--samples", "7", "--tol-rank", "1e-9"),
+             ("verify", "omega", "--p", "7", "--seed", "3", "--output", "json"),
+             ("verify", "omega"), ("verify",), ("verify", "nonsense"), ("census",),
+             ("--help",), ("-h", "census"), ("census", "-h"), ("verify", "--help"),
+             ("verify", "dim", "--help"), ("census", "--", "Z3"), ("census", "Z3", "Z5"),
+             ("isom", "-3,-5", "-5,-3", "--output", "json")]
+    unrecognized = 0
+    for argv in argvs:
+        leaf = _parsed(capsys, cli._parse_args, argv)
+        nested = _parsed(capsys, full.parse_args, cli._shield_negative_tuples(list(argv)))
+        assert leaf[:2] == nested[:2], argv
+        if "error: unrecognized arguments: " in nested[2]:
+            unrecognized += 1
+            assert leaf[2].startswith(f"usage: sl2rep {argv[0]} ")
+            assert leaf[2].split(": error: ")[1] == nested[2].split(": error: ")[1]
+        else:
+            assert leaf[2] == nested[2], argv
+    assert unrecognized == 1 + len(_EXACT_COMMANDS) + 1
+
+
+def test_every_command_is_parsed_by_its_leaf_alone(monkeypatch):
+    full = cli._build_parser()[()]
+    monkeypatch.setattr(full, "parse_known_args", None)  # the full tree is not used
+    for argv in [*_EXACT_COMMANDS, ("verify", "dim", "3,5,7"), ("verify", "omega", "--p", "5")]:
+        args = cli._parse_args(list(argv))
+        verify_what = argv[1] if argv[0] == "verify" else None
+        assert (args.command, getattr(args, "verify_what", None)) == (argv[0], verify_what)
 
 
 def test_readme_python_api_values():

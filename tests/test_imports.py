@@ -1,7 +1,8 @@
 """Structure guards over src/, read with ast: every module uses every
-name it imports, only the numeric layer imports numpy, the CLI loads the
-oracle only when a command needs it, and every public function or class
-has a caller in src/ or a named outside user."""
+name it imports, only the numeric layer imports numpy, no module imports
+dataclasses, the CLI loads the oracle only when a command needs it, and
+every public function or class has a caller in src/ or a named outside
+user."""
 
 import ast
 import collections
@@ -86,6 +87,19 @@ def test_only_the_numeric_layer_imports_numpy():
     assert numpy_importers(sources) == NUMPY_MODULES
     planted = {**sources, "census.py": sources["census.py"] + "\nimport numpy.linalg\n"}
     assert numpy_importers(planted) == NUMPY_MODULES | {"census.py"}
+
+
+def dataclasses_importers(sources: dict[str, str]) -> set[str]:
+    return {name for name, source in sources.items() if "dataclasses" in imported_modules(source)}
+
+
+def test_no_module_imports_dataclasses():
+    # records.py stands in for it: dataclasses, with inspect, costs a
+    # fresh interpreter ~12 ms
+    sources = package_sources()
+    assert dataclasses_importers(sources) == set()
+    planted = {**sources, "oracle.py": "from dataclasses import dataclass\n" + sources["oracle.py"]}
+    assert dataclasses_importers(planted) == {"oracle.py"}
 
 
 def test_cli_loads_the_oracle_only_inside_functions():
