@@ -587,16 +587,19 @@ def test_a_product_just_under_the_digit_limit_still_prints(capsys):
 
 @pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
                     reason="needs the interpreter's default int-to-str digit limit")
-# dim leaves the bound out instead (the test below)
-@pytest.mark.parametrize("command", ["census"])
+@pytest.mark.parametrize("command", ["census", "dim"])
 @pytest.mark.parametrize("output", ["text", "json"])
 def test_many_relator_factors_exit_two_at_the_digit_limit(capsys, command, output):
     # the quotient bound multiplies 3,000 orbit counts of ~5 * 10^6 into a
-    # count of ~20,000 digits, the one count census states
+    # count of ~20,000 digits: census, whose one count it is, exits 2; dim
+    # leaves that claim out and exits 0 (the test below checks its lines)
     spec = " * ".join(["<a,b,c; a^9999991 b^9999973 c^9999971>"] * MAX_FACTORS)
     start = time.perf_counter()
     code, out, err = run(capsys, command, spec, "--output", output)
     assert time.perf_counter() - start < 1.0
+    if command == "dim":
+        assert (code, err) == (EXIT_OK, "") and "components_at" not in out
+        return
     assert code == EXIT_USAGE and out == ""
     assert err == "error: a result exceeds the limit (4300 digits) for printing an integer\n"
 
