@@ -106,20 +106,23 @@ def _power_plan(powers: tuple):
 def power_stack(letters, exponents, product=mul2) -> np.ndarray:
     """letters[i] ** exponents[i] for a stack of (n, ..., 2, 2) matrices,
     or of (n, ..., 5, 2, 2) jets with product the jet product, in one
-    binary exponentiation.  Negative powers go through the adjugate,
-    which is linear and so also maps a jet's derivatives; a matrix to
-    the power 0 is I.  The letters go by decreasing bit length, so at
-    each bit those with higher bits square in one product over the
-    leading letters, and those with the bit set multiply their results
-    in one more, taking their first factor as it is.  Each letter runs
-    exactly the arithmetic of its own binary exponentiation, so the
-    result is bitwise the same."""
+    binary exponentiation.  Negative powers go through the adjugate, one
+    call for all such letters, which is linear and so also maps a jet's
+    derivatives; a matrix to the power 0 is I.  The letters go by
+    decreasing bit length, so at each bit those with higher bits square
+    in one product over the leading letters, and those with the bit set
+    multiply their results in one more, taking their first factor as it
+    is.  Each letter runs exactly the arithmetic of its own binary
+    exponentiation, so the result is bitwise the same."""
     bases = np.array(letters, dtype=complex)
     for i, p in enumerate(exponents):
         if not isinstance(p, int):
             raise ValueError(f"matrix power must be an integer, got {p!r}")
-        if p <= 0:
-            bases[i] = adjugate(bases[i]) if p else IDENTITY
+        if not p:
+            bases[i] = IDENTITY
+    negative = [i for i, p in enumerate(exponents) if p < 0]
+    if negative:
+        bases[negative] = adjugate(bases[negative])
     order, inverse, steps = _power_plan(tuple(abs(p) or 1 for p in exponents))
     base = bases if order is None else bases[order]
     result = np.empty_like(base)

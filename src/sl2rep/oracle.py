@@ -33,7 +33,9 @@ prefix word and closed-form root of the last matrix on branch index mod
 count, Gauss-Newton polish, one Jacobian whose product-rule pass also
 gives the residuals, and one SVD with per-sample rank cuts.  The prefix
 words and the Jacobian each raise all their letters in one power chain
-(matrices.power_stack), the Jacobian on jets of values and derivatives.
+(matrices.power_stack), the Jacobian on jets of values and derivatives,
+then one product per letter after the first.  The cross-check
+jacobian_fd powers only the 9 copies of each letter its 8n points share.
 A sample is rejected at the first stage it fails: genericity,
 obstructed, residual, rank_gap.  A census run puts its central points
 +-I through the same check stage, stacked with its orbit samples.  Both
@@ -50,6 +52,7 @@ no numpy.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections import Counter
@@ -64,7 +67,6 @@ from .dimension import (
     dimension_table,
     orbit_count,
     orbit_numerator,
-    product_power_dim,
 )
 from .matrices import IDENTITY, adjugate, branch_roots, determinant, eval_word, mat_power, mul2, power_stack
 from .presentations import MAX_CENTRAL_POWER, MAX_SAMPLES, MAX_VERIFY_EXPONENT, validate_exponents
@@ -153,6 +155,17 @@ def _letter_jets(letters: np.ndarray, exponents) -> np.ndarray:
     return power_stack(jets, exponents, _jet_product)
 
 
+@functools.lru_cache(maxsize=64)
+def _jacobian_layout(n: int):
+    """For n letters: the determinant rows' entries in the flat (n + 4, 4n)
+    Jacobian, and per letter i the jet row each word row takes: 0, the
+    value, up to row 4i, then 1..4, the derivatives, in i's own rows."""
+    # row i holds d det(m_i) = (d, -c, -b, a) at columns 4i..4i+3
+    det_entries = (np.arange(n)[:, None] * (4 * n + 4) + np.arange(4)).ravel()
+    jet_rows = np.maximum(np.arange(1 + 4 * n) - 4 * np.arange(n)[:, None], 0)
+    return det_entries, jet_rows
+
+
 class ConstraintSystem(FrozenRecord):
     """Polynomial equations cutting the variety of m1^p1 ... mn^pn =
     sign*I out of C^(4n)."""
@@ -175,13 +188,13 @@ class ConstraintSystem(FrozenRecord):
         minus sign*I.  A (..., n, 2, 2) stack of points gives a
         (..., n + 4) stack of residual vectors."""
         mats = np.asarray(mats, dtype=complex)
-        return self._residuals(mats, eval_word(mats, self.exponents))
+        return self._residuals(determinant(mats), eval_word(mats, self.exponents))
 
-    def _residuals(self, mats: np.ndarray, word: np.ndarray) -> np.ndarray:
-        """The residual vectors of a stack of points and its word values."""
-        dets = determinant(mats) - 1.0
+    def _residuals(self, dets: np.ndarray, word: np.ndarray) -> np.ndarray:
+        """The residual vectors of a stack of points from its letters'
+        determinants and its word values."""
         word = word - self.sign * IDENTITY
-        return np.concatenate([dets, word.reshape(word.shape[:-2] + (4,))], axis=-1)
+        return np.concatenate([dets - 1.0, word.reshape(word.shape[:-2] + (4,))], axis=-1)
 
     def residual_norm(self, mats) -> float:
         return float(np.max(np.abs(self.residuals(mats))))
@@ -193,12 +206,14 @@ class ConstraintSystem(FrozenRecord):
 
     def _jacobian_and_word(self, mats: np.ndarray):
         """The Jacobian and the word values: row 0 of the product-rule
-        pass, bitwise eval_word at finite entries."""
+        pass, bitwise eval_word at finite entries.  Each letter after the
+        first takes one product: its rows start as the word so far, then
+        every row filled in multiplies by the letter's value or, in its
+        own rows, its derivatives, each row the arithmetic it took alone."""
         n = self.num_matrices
         lead = mats.shape[:-3]
+        det_entries, jet_rows = _jacobian_layout(n)
         jac = np.zeros(lead + (n + 4, 4 * n), dtype=complex)
-        # row i holds d det(m_i) = (d, -c, -b, a) at columns 4i..4i+3
-        det_entries = (np.arange(n)[:, None] * (4 * n + 4) + np.arange(4)).ravel()
         jac.reshape(lead + (-1,))[..., det_entries] = \
             (mats[..., ::-1, ::-1] * _DET_SIGNS).reshape(lead + (4 * n,))
         # row 0 holds the word so far, rows 4i+1..4i+4 its derivatives
@@ -209,39 +224,49 @@ class ConstraintSystem(FrozenRecord):
         word[..., :5, :, :] = jets[0]
         for i in range(1, n):
             # the rows of later letters are not filled in yet
-            word[..., 4 * i + 1: 4 * i + 5, :, :] = mul2(word[..., :1, :, :], jets[i, ..., 1:, :, :])
-            word[..., :4 * i + 1, :, :] = mul2(word[..., :4 * i + 1, :, :], jets[i, ..., :1, :, :])
+            rows = 4 * i + 5
+            word[..., rows - 4:rows, :, :] = word[..., :1, :, :]
+            word[..., :rows, :, :] = mul2(word[..., :rows, :, :], np.take(jets[i], jet_rows[i, :rows], axis=-3))
         jac[..., n:, :] = np.swapaxes(word[..., 1:, :, :].reshape(lead + (4 * n, 4)), -1, -2)
         return jac, word[..., 0, :, :]
+
+
+# jacobian_fd's copies of a letter: unmoved, then each entry moved by
+# +1 and by -1 steps (-0.0 elsewhere, as -(step * I) has)
+_FD_MOVES = np.concatenate([np.zeros((1, 4)), np.eye(4), -np.eye(4)]).reshape(9, 2, 2)
+
+
+@functools.lru_cache(maxsize=64)
+def _fd_copies(n: int) -> np.ndarray:
+    """jacobian_fd's (8n, n) map from point and letter to the letter's copy
+    in the flat (n, 9) copies: point r moves entry r % 4 of letter
+    (r mod 4n) // 4, by +step if r < 4n, else by -step."""
+    rows = np.arange(8 * n)
+    copies = np.tile(9 * np.arange(n), (8 * n, 1))
+    copies[rows, rows % (4 * n) // 4] += rows // (4 * n) * 4 + rows % 4 + 1
+    return copies
 
 
 def jacobian_fd(system: ConstraintSystem, mats, step: float = FD_STEP) -> np.ndarray:
     """Central finite differences of the residual map, for cross-checks.
 
     The 8n points base +- step * e_j, one per entry j of the 4n matrix
-    entries, are evaluated as one stack.  Point r moves one entry of
-    letter (r mod 4n) // 4 only, so one power chain raises each letter
-    and its 8 moved copies, and each point multiplies its letters'
-    powers left to right: bitwise residuals at all 8n points, but for
-    the sign of zero entries.
+    entries, are evaluated as one stack.  A point moves one entry of one
+    letter only, so one power chain and one determinant call over each
+    letter's 9 copies (unmoved, and each entry moved by +-step) serve
+    all points, and each point multiplies its letters' powers left to
+    right: bitwise residuals at all 8n points, but for the sign of zero
+    entries.
     """
     base = np.asarray(mats, dtype=complex)
     cols = system.ambient_dim
-    offsets = (step * np.eye(cols)).reshape((cols,) + base.shape)
-    points = base + np.concatenate([offsets, -offsets])
-    rows = np.arange(2 * cols)
-    # the letter point r moves, and its copy: 0 is the base letter,
-    # 1..4 the entries moved by +step, 5..8 those moved by -step
-    moved, copy = rows % cols // 4, rows // cols * 4 + rows % 4 + 1
-    letters = np.repeat(base[:, None], 9, axis=1)
-    letters[moved, copy] = points[rows, moved]
-    powers = power_stack(letters, system.exponents)
-    factors = np.repeat(powers[None, :, 0], 2 * cols, axis=0)
-    factors[rows, moved] = powers[moved, copy]
+    copies = base[:, None] + step * _FD_MOVES
+    index = _fd_copies(len(base))
+    factors = power_stack(copies, system.exponents).reshape(-1, 2, 2)[index]
     word = IDENTITY
     for i in range(len(base)):
         word = mul2(word, factors[:, i])
-    res = system._residuals(points, word)
+    res = system._residuals(determinant(copies).ravel()[index], word)
     return (res[:cols] - res[cols:]).T / (2 * step)
 
 
@@ -289,7 +314,7 @@ def _local_dimensions(mats: np.ndarray, system: ConstraintSystem, tol: Tolerance
     -1 and gap NaN where the residual gate fails or the Jacobian is not
     finite."""
     jac, word = system._jacobian_and_word(mats)
-    res = np.max(np.abs(system._residuals(mats, word)), axis=-1)
+    res = np.max(np.abs(system._residuals(determinant(mats), word)), axis=-1)
     rank = np.full(len(mats), -1)
     gap = np.full(len(mats), np.nan)
     near = np.flatnonzero(res <= tol.residual)
@@ -458,13 +483,19 @@ def build_plan(exponents, sign: int) -> SamplePlan:
     exps = validate_exponents(exponents)
     if len(exps) < 2:
         raise ValueError(f"sampling plans cover words of 2 or more letters, got {len(exps)}")
+    return _plan_and_dim(exps, sign)[0]
+
+
+def _plan_and_dim(exps: tuple[int, ...], sign: int) -> tuple[SamplePlan, int]:
+    """build_plan's plan for a validated word of 2 or more letters, and
+    the dimension it predicts, from one dimension_table."""
     step = dimension_table(exps)[-1][sign]
     if step.generic_floor == step.dim:
-        return SamplePlan(exps, sign, None)
+        return SamplePlan(exps, sign, None), step.dim
     first, last = exps
     # the flip branch puts the first letter on -sign and the last on -I
     fiber = -1 if step.flip_sign_branch == step.dim else 1
-    return SamplePlan(exps, sign, ((abs(first), sign * fiber), (abs(last), fiber)))
+    return SamplePlan(exps, sign, ((abs(first), sign * fiber), (abs(last), fiber))), step.dim
 
 
 def _conjugated_diagonal(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -680,9 +711,10 @@ def verify_dimension(
     if not 1 <= num_samples <= MAX_SAMPLES:
         raise ValueError(f"samples must be in 1..{MAX_SAMPLES}, got {num_samples}")
     system = ConstraintSystem(len(exps), exps, sign)
-    verdicts, gaps = _dimension_verdicts(build_plan(exps, sign), system, seed, num_samples, tol)
+    plan, predicted = _plan_and_dim(exps, sign)
+    verdicts, gaps = _dimension_verdicts(plan, system, seed, num_samples, tol)
     return _report("dimension", {"exponents": list(exps), "sign": sign}, seed, tol,
-                   verdicts, gaps, product_power_dim(exps, sign).dim)
+                   verdicts, gaps, predicted)
 
 
 def verify_central_roots(

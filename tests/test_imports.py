@@ -130,6 +130,7 @@ def unreferenced_definitions(sources: dict[str, str]) -> set[str]:
 # use it; a name that gains a caller in src/ leaves this list
 ACCEPTANCE, README, BENCH_TARGETS = "tests/test_acceptance.py", "README.md", "bench/worker.py"
 OUTSIDE_USERS = {
+    "build_plan": (README, BENCH_TARGETS),
     "central_root_classes": (ACCEPTANCE,),
     "complete_point": (ACCEPTANCE,),
     "jacobian_fd": (ACCEPTANCE, BENCH_TARGETS),

@@ -12,8 +12,8 @@ import warnings
 import numpy as np
 import pytest
 
-from sl2rep import oracle
-from sl2rep.dimension import check_sign, orbit_count, product_power_dim
+from sl2rep import dimension, oracle
+from sl2rep.dimension import check_sign, dimension_table, orbit_count, product_power_dim
 from sl2rep.matrices import IDENTITY, adjugate, determinant, mat2, mat_power, mul2, random_sl2
 from sl2rep.oracle import (
     FD_STEP,
@@ -369,6 +369,49 @@ def test_jacobian_fd_is_bitwise_the_stacked_residual_form():
         mats = np.stack([random_sl2(rng) for _ in range(n)])
         for step in (FD_STEP, 1e-3):
             assert jacobian_fd(system, mats, step).tobytes() == _stacked_residual_fd(system, mats, step).tobytes()
+
+
+def test_jacobian_takes_one_product_per_letter_beyond_its_jet_chain(monkeypatch):
+    # every row filled in so far multiplies by letter i's value, or in
+    # letter i's own rows its derivatives, in one product
+    calls, chains = [], []
+
+    def counted(a, b):
+        calls.append(a.shape)
+        return mul2(a, b)
+
+    def counted_jets(letters, exps):
+        start = len(calls)
+        jets = _letter_jets(letters, exps)
+        chains.append(len(calls) - start)
+        return jets
+
+    monkeypatch.setattr(oracle, "mul2", counted)
+    monkeypatch.setattr(oracle, "_letter_jets", counted_jets)
+    for system, stack in _stack_cases():
+        for mats in (stack[0], stack):
+            calls.clear()
+            chains.clear()
+            system.jacobian(mats)
+            (chain,) = chains
+            assert len(calls) - chain == system.num_matrices - 1
+
+
+def test_jacobian_fd_takes_the_determinants_of_the_letter_copies_only(monkeypatch):
+    # each of the 8n points moves one entry of one letter, so the 9
+    # copies of each letter hold every determinant the points need
+    sizes = []
+
+    def counted(m):
+        dets = determinant(m)
+        sizes.append(np.size(dets))
+        return dets
+
+    monkeypatch.setattr(oracle, "determinant", counted)
+    for system, stack in _stack_cases():
+        sizes.clear()
+        jacobian_fd(system, stack[0])
+        assert sum(sizes) == 9 * system.num_matrices
 
 
 def test_power_chains_raise_no_warning_at_the_exponent_cap():
@@ -746,6 +789,23 @@ def test_build_plan_follows_the_recursion_argmax():
     assert build_plan((2, 5), -1) == SamplePlan((2, 5), -1, ((2, -1), (5, 1)))
     # (2, 2) with sign +1 peaks on the flip branch: both letters on -I
     assert build_plan((2, 2), 1) == SamplePlan((2, 2), 1, ((2, -1), (2, -1)))
+
+
+def test_verify_dimension_runs_the_recursion_once(monkeypatch):
+    # the plan and the predicted dimension come from one table
+    calls = []
+
+    def counted(exps):
+        calls.append(exps)
+        return dimension_table(exps)
+
+    monkeypatch.setattr(dimension, "dimension_table", counted)
+    monkeypatch.setattr(oracle, "dimension_table", counted)
+    for exps, sign in [((2, 2), 1), ((2, 5), -1), ((3, 5, 7), 1)]:
+        calls.clear()
+        report = verify_dimension(exps, sign, num_samples=2, seed=1)
+        assert calls == [exps]
+        assert report.predicted_dim == product_power_dim(exps, sign).dim
 
 
 @functools.cache
