@@ -391,13 +391,8 @@ def _cmd_isom(args) -> _Report:
 def _cmd_sequence(args) -> _Report:
     entries = distinguishing_sequence(args.dim, args.count)
     report = _Report("sequence", {"dim": args.dim, "count": args.count}, args)
-    listing = []
-    for group, census in entries:
-        listing.append({
-            "group": format_spec(group),
-            "dimension": args.dim,
-            "lower_bound": census.spectrum.count(args.dim),
-        })
+    listing = [{"group": format_spec(group), "dimension": args.dim, "lower_bound": bound}
+               for group, bound in entries]
     report.claim("groups", listing, QUOTIENT)
     return report
 

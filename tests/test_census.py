@@ -5,12 +5,14 @@ itertools, independently of the accumulator in the package.
 """
 
 import itertools
+import json
 import random
 import sys
 import time
 
 import pytest
 
+from sl2rep import census as census_module
 from sl2rep.census import (
     MAX_SEQUENCE_COUNT,
     CensusResult,
@@ -27,6 +29,7 @@ from sl2rep.census import (
     triple_group,
     _top_term,
 )
+from sl2rep.cli import main
 from sl2rep.dimension import representation_dim
 from sl2rep.families import MAX_FAMILY_INDEX, witness_group
 from sl2rep.presentations import CyclicFinite, FreeGroup, FreeProduct, ProductPower
@@ -346,7 +349,52 @@ def test_triple_bound_is_the_certified_count(rank):
 @pytest.mark.parametrize("c", [6, 9, 12])
 def test_distinguishing_sequence_is_the_certified_census(c):
     entries = distinguishing_sequence(c, 500)
-    assert entries == [(group, lower_bound_census(group)) for group, _ in entries]
+    assert len(entries) == 500
+    assert entries == [(group, lower_bound_census(group).spectrum.count(c)) for group, _ in entries]
+    assert all(type(bound) is int for _, bound in entries)
+
+
+def test_distinguishing_sequence_certifies_once_and_checks_every_member(monkeypatch):
+    # one full quotient census, of the first member, whatever the count
+    calls = []
+    quotient_bound = census_module._quotient_bound
+
+    def counted(*args):
+        calls.append(args)
+        return quotient_bound(*args)
+
+    monkeypatch.setattr(census_module, "_quotient_bound", counted)
+    for count in (0, 1, 40, 500):
+        calls.clear()
+        distinguishing_sequence(9, count)
+        assert len(calls) == 1
+    # every member's count still checks its own quotient dimension
+    top_term = census_module._top_term
+
+    def wrong_for_one(free_rank, orders):
+        dim, count = top_term(free_rank, orders)
+        return (dim + 2, count) if tuple(orders) == (43, 47, 53) else (dim, count)
+
+    monkeypatch.setattr(census_module, "_top_term", wrong_for_one)
+    assert len(distinguishing_sequence(9, 4)) == 4
+    with pytest.raises(ValueError, match="quotient variety has dimension 11 != 9"):
+        distinguishing_sequence(9, 5)
+
+
+@pytest.mark.parametrize("c", [6, 9, 12])
+def test_sequence_command_matches_the_sieved_triples(c, capsys):
+    # member i is the i-th triple of consecutive odd primes, times
+    # F_{c/3-2}, with the closed-form count (p-1)(q-1)(r-1)/8
+    assert main(["sequence", "--dim", str(c), "--count", "300", "--output", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    members = {r["name"]: r["value"] for r in payload["results"]}["groups"]
+    primes = odd_primes_below(8000)
+    assert len(members) == 300 and len(primes) >= 900
+    free = "" if c == 6 else f"F{c // 3 - 2} * "
+    for i, member in enumerate(members):
+        p, q, r = primes[3 * i:3 * i + 3]
+        assert member == {"group": f"{free}<a,b,c; a^{p} b^{q} c^{r}>", "dimension": c,
+                          "lower_bound": (p - 1) * (q - 1) * (r - 1) // 8}
 
 
 def test_distinguishing_sequence_at_its_cap_is_quick():
@@ -367,7 +415,7 @@ def test_distinguishing_sequence_and_witness_regression():
         for i in range(40)
     ]
     assert entries[-1][0].factors[1] == ProductPower((653, 659, 661))
-    assert [census.spectrum.count(9) for _, census in entries] == [
+    assert [bound for _, bound in entries] == [
         6, 240, 1386, 5400, 12558, 28710, 49140, 86592, 135150, 190512,
         304980, 432900, 578178, 760950, 931392, 1317015, 1573656, 1920000,
         2369790, 2724120, 3462390, 4066920, 5057136, 5765232, 6714414,
@@ -375,8 +423,9 @@ def test_distinguishing_sequence_and_witness_regression():
         18322200, 21326214, 23310720, 25931672, 27815400, 29979180,
         33178560, 35393820,
     ]
-    for group, census in entries:
-        assert census.spectrum.entries.keys() == {9}
+    for group, bound in entries:
+        census = lower_bound_census(group)
+        assert census.spectrum.entries == {9: bound}
         cyclics = tuple(CyclicFinite(p) for p in group.factors[1].exponents)
         assert census.basis == QuotientLowerBound(FreeProduct((FreeGroup(1),) + cyclics), 9)
 
@@ -390,8 +439,9 @@ def test_distinguishing_sequence_and_witness_regression():
 
 def test_distinguishing_sequence_rank_two():
     entries = distinguishing_sequence(6, 4)
-    bounds = [census.spectrum.count(6) for _, census in entries]
+    bounds = [bound for _, bound in entries]
     assert bounds == [6, 240, 1386, 5400]
+    assert bounds == [lower_bound_census(group).spectrum.count(6) for group, _ in entries]
     assert all(b2 > b1 for b1, b2 in zip(bounds, bounds[1:]))
     groups = [group for group, _ in entries]
     assert groups[0] == ProductPower((3, 5, 7))
@@ -400,8 +450,9 @@ def test_distinguishing_sequence_rank_two():
 
 def test_distinguishing_sequence_higher_rank():
     entries = distinguishing_sequence(9, 2)
-    bounds = [census.spectrum.count(9) for _, census in entries]
+    bounds = [bound for _, bound in entries]
     assert bounds == [6, 240]
+    assert bounds == [lower_bound_census(group).spectrum.count(9) for group, _ in entries]
     group = entries[0][0]
     assert group == FreeProduct((FreeGroup(1), ProductPower((3, 5, 7))))
 
