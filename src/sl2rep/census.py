@@ -157,35 +157,23 @@ def _lower_bound_at(spec: GroupSpec, c: int) -> CensusResult:
             orders.append(f.order)
         else:
             orders.extend(abs(p) for p in f.exponents)
-    return _quotient_bound(frees, orders, c)
-
-
-def _top_term(free_rank: int, orders) -> tuple[int, int]:
-    """(dimension, count) of the top spectrum term of F_free_rank * Z_p1 * ...
-    for p in orders: top dimensions add and counts multiply.  F_k gives (3k, 1),
-    Z_p (2, orbit_count(p, 1)), or its central points at 0 if it has no orbit."""
-    dim, count = 3 * free_rank, 1
-    for p in orders:
-        dim += base_dim(p, 1)
-        count *= orbit_count(p, 1) or len(central_signs(p, 1))
-    return dim, count
+    bound = _top_count(sum(f.rank for f in frees), orders, c)
+    quotient = FreeProduct(tuple(frees) + tuple(CyclicFinite(p) for p in orders))
+    return CensusResult(ComponentSpectrum({c: bound}), QuotientLowerBound(quotient, c))
 
 
 def _top_count(free_rank: int, orders, c: int) -> int:
     """The dimension-c count of F_free_rank * Z_p1 * ... * Z_pn for p in
-    orders, checked to be that variety's top dimension."""
-    dim, count = _top_term(free_rank, orders)
+    orders, checked to be that variety's top dimension.  Top dimensions
+    add and counts multiply: F_k gives (3k, 1), Z_p (2, orbit_count(p, 1)),
+    or its central points at 0 if it has no orbit."""
+    dim, count = 3 * free_rank, 1
+    for p in orders:
+        dim += base_dim(p, 1)
+        count *= orbit_count(p, 1) or len(central_signs(p, 1))
     if dim != c:
         raise ValueError(f"quotient variety has dimension {dim} != {c}; the lower bound does not apply")
     return count
-
-
-def _quotient_bound(frees, orders, c: int) -> CensusResult:
-    """_top_count of the quotient F * Z_p1 * ... * Z_pn of frees and
-    orders, with the quotient it rests on."""
-    bound = _top_count(sum(f.rank for f in frees), orders, c)
-    quotient = FreeProduct(tuple(frees) + tuple(CyclicFinite(p) for p in orders))
-    return CensusResult(ComponentSpectrum({c: bound}), QuotientLowerBound(quotient, c))
 
 
 def _odd_primes() -> Iterator[int]:
@@ -249,9 +237,10 @@ def triple_group(rank: int, triple: tuple[int, int, int]) -> GroupSpec:
 def triple_bound(triple: tuple[int, int, int]) -> int:
     """The quotient lower bound of triple_group(r, triple) at its top
     dimension 3r, the same for every rank r >= 2, on a triple of odd
-    primes: lower_bound_census's top-term count, the product of the cyclic
-    factors' orbit_count(p, 1) two-dimensional components."""
-    return _top_term(0, triple)[1]
+    primes: lower_bound_census's checked top count of Z_p * Z_q * Z_r at
+    dimension 6, the product of the cyclic factors' orbit_count(p, 1)
+    two-dimensional components."""
+    return _top_count(0, triple, 6)
 
 
 # a cost bound: 10^4 groups take about 0.07 s on a 2-core VM

@@ -37,13 +37,14 @@ words and the Jacobian each raise all their letters in one power chain
 then one product per letter after the first.  The cross-check
 jacobian_fd powers only the 9 copies of each letter its 8n points share.
 A sample is rejected at the first stage it fails: genericity,
-obstructed, residual, rank_gap.  A census run puts its central points
-+-I through the same check stage, stacked with its orbit samples.  Both
-kinds of run turn the verdicts into a report in one place.  The
-single-sample entry points (sample_from_plan, complete_point,
-local_dimension, jacobian_rank) are stacks of one through the same
-code, so any sample of a run can be replayed alone; local_dimension
-returns the sample's dimension, an int, or raises the stage's error.
+obstructed, residual, rank_gap; the last two are the one check stage,
+_checked, which a census run's central points +-I pass stacked with
+its orbit samples.  Both kinds of run turn the verdicts into a report
+in one place.  The single-sample entry points (sample_from_plan,
+complete_point, local_dimension, jacobian_rank) are stacks of one
+through the same code, so any sample of a run replays alone;
+local_dimension is _checked on a stack of one, and returns the
+sample's dimension, an int, or raises the stage's error.
 
 The exact values a run is checked against, and the sign check, come
 from the dimension module and the caps from presentations, which load
@@ -307,46 +308,37 @@ def jacobian_rank(jac: np.ndarray, rank_rel: float, min_gap: float) -> tuple[int
     return rank, gap
 
 
-def _local_dimensions(mats: np.ndarray, system: ConstraintSystem, tol: Tolerances):
-    """The check stages on an (S, n, 2, 2) stack: one stacked Jacobian,
+def _checked(mats: np.ndarray, system: ConstraintSystem, tol: Tolerances):
+    """The check stage on an (S, n, 2, 2) stack: one stacked Jacobian,
     whose pass also gives every sample's residual norm, then one stacked
-    SVD of those within tol.residual.  Returns (res, rank, gap); rank is
-    -1 and gap NaN where the residual gate fails or the Jacobian is not
-    finite."""
+    SVD of the finite Jacobians within tol.residual.  Returns each
+    sample's verdict, its rejection reason ("residual" or "rank_gap") or
+    else its local dimension, its residual norm, and its rank gap: at
+    least tol.min_rank_gap exactly where accepted, NaN where the residual
+    gate fails or the Jacobian is not finite."""
     jac, word = system._jacobian_and_word(mats)
     res = np.max(np.abs(system._residuals(determinant(mats), word)), axis=-1)
-    rank = np.full(len(mats), -1)
+    near = res <= tol.residual
+    verdicts = np.where(near, "rank_gap", "residual").astype(object)
     gap = np.full(len(mats), np.nan)
-    near = np.flatnonzero(res <= tol.residual)
-    if near.size:
-        jac = jac[near]
-        finite = np.all(np.isfinite(jac), axis=(-2, -1))
-        if finite.any():
-            rank[near[finite]], gap[near[finite]] = _ranks(jac[finite], tol.rank_rel)
-    return res, rank, gap
-
-
-def _checked(mats: np.ndarray, system: ConstraintSystem, tol: Tolerances):
-    """The check stage as verdicts: each sample's rejection reason
-    ("residual" or "rank_gap") or else its local dimension, and each
-    sample's rank gap, at least tol.min_rank_gap exactly where accepted."""
-    res, rank, gap = _local_dimensions(mats, system, tol)
-    verdicts = np.where(res <= tol.residual, "rank_gap", "residual").astype(object)
-    good = gap >= tol.min_rank_gap
-    verdicts[good] = (system.ambient_dim - rank[good]).tolist()
-    return verdicts, gap
+    finite = np.flatnonzero(near & np.all(np.isfinite(jac), axis=(-2, -1)))
+    if finite.size:
+        rank, gap[finite] = _ranks(jac[finite], tol.rank_rel)
+        good = gap[finite] >= tol.min_rank_gap
+        verdicts[finite[good]] = (system.ambient_dim - rank[good]).tolist()
+    return verdicts, res, gap
 
 
 def local_dimension(mats, system: ConstraintSystem, tol: Tolerances = Tolerances()) -> int:
-    """Local dimension 4n - rank(Jacobian) at a near-solution sample, an int."""
-    (res,), (rank,), (gap,) = _local_dimensions(np.asarray(mats, dtype=complex)[None], system, tol)
-    if not res <= tol.residual:
+    """Local dimension 4n - rank(Jacobian) at a near-solution sample, an
+    int: the check stage on a stack of one, raising its rejection."""
+    (verdict,), (res,), (gap,) = _checked(np.asarray(mats, dtype=complex)[None], system, tol)
+    if verdict == "residual":
         raise ResidualError(f"residual {res:.3g} above {tol.residual:.3g}")
-    if rank < 0:
-        raise RankGapError("jacobian has non-finite entries")
-    if gap < tol.min_rank_gap:
-        raise RankGapError(f"singular value gap {gap:.3g} below {tol.min_rank_gap:.3g}")
-    return system.ambient_dim - int(rank)
+    if verdict == "rank_gap":
+        raise RankGapError("jacobian has non-finite entries" if math.isnan(gap)
+                           else f"singular value gap {gap:.3g} below {tol.min_rank_gap:.3g}")
+    return verdict
 
 
 def _splitmix(z):
@@ -402,37 +394,27 @@ def _polish_last(prefix_word: np.ndarray, root: np.ndarray, power: int, sign: in
     branch.  A row stops once its residual is below 1e-13 or not finite
     and keeps its best iterate; the others step together through a
     stacked SVD solve, which, unlike normal equations, does not square
-    the magnitude spread of the word rows.  Most rows stop at the first
-    check, so it and the last allowed one, which no step follows, take
-    the value power alone; each check between takes one jet for both.
+    the magnitude spread of the word rows.  Each check takes the value
+    power of its rows, and each step the derivative jets of its rows.
     """
     m, word, target = root, prefix_word, sign * IDENTITY
     best, best_res = root.copy(), np.full(len(root), math.inf)
     rows = np.arange(len(root))  # where the stepping rows sit in best
     for step in range(steps + 1):
-        if 0 < step < steps:
-            jets = _letter_jets(m[None], (power,))[0]
-            powered = jets[:, 0]
-        else:
-            powered = mat_power(m, power)
         fvec = np.empty((len(m), 5), dtype=complex)
         fvec[:, 0] = determinant(m) - 1.0
-        fvec[:, 1:] = (mul2(word, powered) - target).reshape(-1, 4)
+        fvec[:, 1:] = (mul2(word, mat_power(m, power)) - target).reshape(-1, 4)
         res = np.max(abs(fvec), axis=1)
         better = res < best_res[rows]
         best[rows[better]], best_res[rows[better]] = m[better], res[better]
         go = (res >= 1e-13) & (res < math.inf)
         if step == steps or not go.any():
             break
-        if not go.all():
-            m, word, fvec, rows = m[go], word[go], fvec[go], rows[go]
-            if step:
-                jets = jets[go]
-        if not step:
-            jets = _letter_jets(m[None], (power,))[0]
+        m, word, fvec, rows = m[go], word[go], fvec[go], rows[go]
+        derivs = _letter_jets(m[None], (power,))[0, :, 1:]
         jac = np.empty((len(m), 5, 4), dtype=complex)
         jac[:, 0] = (m[:, ::-1, ::-1] * _DET_SIGNS).reshape(-1, 4)
-        jac[:, 1:] = np.swapaxes(mul2(word[:, None], jets[:, 1:]).reshape(-1, 4, 4), -1, -2)
+        jac[:, 1:] = np.swapaxes(mul2(word[:, None], derivs).reshape(-1, 4, 4), -1, -2)
         m = m + _lstsq(jac, -fvec).reshape(-1, 2, 2)
     return best
 
@@ -598,7 +580,7 @@ def _dimension_verdicts(plan: SamplePlan, system: ConstraintSystem, seed: int,
     generic = ~_near_central_trace(witnesses, tol.genericity)
     verdicts[generic & obstructed] = "obstructed"
     checked = np.flatnonzero(generic & ~obstructed)
-    verdicts[checked], gap = _checked(mats[checked], system, tol)
+    verdicts[checked], _, gap = _checked(mats[checked], system, tol)
     return verdicts.tolist(), gap[gap >= tol.min_rank_gap]
 
 
@@ -685,6 +667,14 @@ def _report(kind: str, inputs: dict, seed: int, tol: Tolerances, verdicts: list,
     )
 
 
+def _check_sample_count(num_samples) -> None:
+    """Reject a num_samples that is not an int in 1..MAX_SAMPLES; a bool
+    is not an integer here, as in validate_exponents."""
+    if isinstance(num_samples, bool) or not isinstance(num_samples, int) \
+            or not 1 <= num_samples <= MAX_SAMPLES:
+        raise ValueError(f"num_samples must be an integer in 1..{MAX_SAMPLES}, got {num_samples!r}")
+
+
 def verify_dimension(
     exponents,
     sign: int = 1,
@@ -708,8 +698,7 @@ def verify_dimension(
     if max(map(abs, exps)) > MAX_VERIFY_EXPONENT:
         raise ValueError(f"verification covers exponents up to |p| = {MAX_VERIFY_EXPONENT}, "
                          f"got {max(exps, key=abs)}")
-    if not 1 <= num_samples <= MAX_SAMPLES:
-        raise ValueError(f"samples must be in 1..{MAX_SAMPLES}, got {num_samples}")
+    _check_sample_count(num_samples)
     system = ConstraintSystem(len(exps), exps, sign)
     plan, predicted = _plan_and_dim(exps, sign)
     verdicts, gaps = _dimension_verdicts(plan, system, seed, num_samples, tol)
@@ -738,8 +727,7 @@ def verify_central_roots(
     """
     if p > MAX_CENTRAL_POWER:
         raise ValueError(f"power must be at most {MAX_CENTRAL_POWER}, got {p}")
-    if not 1 <= num_samples <= MAX_SAMPLES:
-        raise ValueError(f"samples must be in 1..{MAX_SAMPLES}, got {num_samples}")
+    _check_sample_count(num_samples)
     traces = admissible_traces(p, sign)
     # the orbit classes by increasing angle, as central_root_classes lists them
     orbit_rows = np.flatnonzero(traces.numerators % p != 0)
@@ -750,7 +738,7 @@ def verify_central_roots(
     central = central_signs(p, sign)
     # the central points pass the check stage ahead of the orbit samples
     points = np.concatenate([np.multiply.outer(central, IDENTITY), orbits])
-    verdicts, gap = _checked(points[:, None], ConstraintSystem(1, (p,), sign), tol)
+    verdicts, _, gap = _checked(points[:, None], ConstraintSystem(1, (p,), sign), tol)
     samples = slice(len(central), None)
     accepted = gap[samples] >= tol.min_rank_gap
     report = _report("central-roots", {"power": p, "sign": sign}, seed, tol, verdicts[samples].tolist(),

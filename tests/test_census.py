@@ -27,7 +27,7 @@ from sl2rep.census import (
     product_spectrum,
     triple_bound,
     triple_group,
-    _top_term,
+    _top_count,
 )
 from sl2rep.cli import main
 from sl2rep.dimension import representation_dim
@@ -222,9 +222,9 @@ def test_top_term_is_the_quotient_spectrum_top():
             quotient = FreeProduct((FreeGroup(free_rank),) + tuple(map(CyclicFinite, orders)))
             spectrum = exact_census(quotient).spectrum
             top = spectrum.dimension()
-            assert _top_term(free_rank, orders) == (top, spectrum.count(top))
+            assert _top_count(free_rank, orders, top) == spectrum.count(top)
     # Z2 has no orbit: its top term is its two central points
-    assert _top_term(0, (2,)) == (0, 2)
+    assert _top_count(0, (2,), 0) == 2
 
 
 def bound_by_quotient_spectrum(spec):
@@ -357,25 +357,25 @@ def test_distinguishing_sequence_is_the_certified_census(c):
 def test_distinguishing_sequence_certifies_once_and_checks_every_member(monkeypatch):
     # one full quotient census, of the first member, whatever the count
     calls = []
-    quotient_bound = census_module._quotient_bound
+    lower_bound_at = census_module._lower_bound_at
 
     def counted(*args):
         calls.append(args)
-        return quotient_bound(*args)
+        return lower_bound_at(*args)
 
-    monkeypatch.setattr(census_module, "_quotient_bound", counted)
+    monkeypatch.setattr(census_module, "_lower_bound_at", counted)
     for count in (0, 1, 40, 500):
         calls.clear()
         distinguishing_sequence(9, count)
         assert len(calls) == 1
-    # every member's count still checks its own quotient dimension
-    top_term = census_module._top_term
+    # every member's count still checks its own quotient dimension: the
+    # fifth member, (43, 47, 53), reads Z_53 two dimensions too high
+    base_dim = census_module.base_dim
 
-    def wrong_for_one(free_rank, orders):
-        dim, count = top_term(free_rank, orders)
-        return (dim + 2, count) if tuple(orders) == (43, 47, 53) else (dim, count)
+    def wrong_for_one(p, sign):
+        return base_dim(p, sign) + 2 * (p == 53)
 
-    monkeypatch.setattr(census_module, "_top_term", wrong_for_one)
+    monkeypatch.setattr(census_module, "base_dim", wrong_for_one)
     assert len(distinguishing_sequence(9, 4)) == 4
     with pytest.raises(ValueError, match="quotient variety has dimension 11 != 9"):
         distinguishing_sequence(9, 5)

@@ -1,8 +1,8 @@
 """Structure guards over src/, read with ast: every module uses every
 name it imports, only the numeric layer imports numpy, no module imports
-dataclasses, the CLI loads the oracle only when a command needs it, and
+dataclasses, the CLI loads the oracle only when a command needs it,
 every public function or class has a caller in src/ or a named outside
-user."""
+user, and every private one has a caller in src/."""
 
 import ast
 import collections
@@ -117,17 +117,18 @@ def _referenced(node) -> collections.Counter:
 
 
 def unreferenced_definitions(sources: dict[str, str]) -> set[str]:
-    """The public top-level functions and classes that no code of the
-    sources names outside their own def."""
+    """The top-level functions and classes, public or private, that no
+    code of the sources names outside their own def."""
     trees = [ast.parse(source) for source in sources.values()]
     names = sum(map(_referenced, trees), collections.Counter())
     return {node.name for tree in trees for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and names[node.name] == _referenced(node)[node.name]}
 
 
 # public names with no caller in src/, each with the files outside it that
-# use it; a name that gains a caller in src/ leaves this list
+# use it; a name that gains a caller in src/ leaves this list.  A private
+# name has no such entry: one that only tests read goes.
 ACCEPTANCE, README, BENCH_TARGETS = "tests/test_acceptance.py", "README.md", "bench/worker.py"
 OUTSIDE_USERS = {
     "build_plan": (README, BENCH_TARGETS),
@@ -148,6 +149,7 @@ def test_every_public_definition_has_a_caller_or_a_named_outside_user():
     assert unreferenced_definitions(sources) == set(OUTSIDE_USERS)
     for name, users in OUTSIDE_USERS.items():
         assert all(name in (SRC.parent / user).read_text() for user in users), name
-    helper = "\n\ndef helper_for_tests(x):\n    return helper_for_tests(x - 1) if x else 0\n"
+    helper = ("\n\ndef helper_for_tests(x):\n    return helper_for_tests(x - 1) if x else 0\n"
+              "\n\ndef _private_helper(x):\n    return _private_helper(x - 1) if x else 0\n")
     planted = {**sources, "census.py": sources["census.py"] + helper}
-    assert unreferenced_definitions(planted) == set(OUTSIDE_USERS) | {"helper_for_tests"}
+    assert unreferenced_definitions(planted) == set(OUTSIDE_USERS) | {"helper_for_tests", "_private_helper"}

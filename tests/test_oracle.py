@@ -36,11 +36,11 @@ from sl2rep.oracle import (
     verify_dimension,
 )
 from sl2rep.oracle import (
+    _checked,
     _dimension_verdicts,
     _draw_samples,
     _letter_jets,
     _letters,
-    _local_dimensions,
     _orbit_point,
     _width,
 )
@@ -538,32 +538,6 @@ def test_complete_point_even_parabolic_obstruction():
     assert system.residual_norm(mats) <= 1e-8
 
 
-def _polish_two_chains(word, root, power, sign, steps=4):
-    """The polish with two power chains per Gauss-Newton step: the value
-    power for every residual, then jets of the stepping rows for the
-    derivatives."""
-    m, target = root, sign * IDENTITY
-    best, best_res = root.copy(), np.full(len(root), math.inf)
-    rows = np.arange(len(root))
-    for step in range(steps + 1):
-        fvec = np.empty((len(m), 5), dtype=complex)
-        fvec[:, 0] = determinant(m) - 1.0
-        fvec[:, 1:] = (mul2(word, mat_power(m, power)) - target).reshape(-1, 4)
-        res = np.max(abs(fvec), axis=1)
-        better = res < best_res[rows]
-        best[rows[better]], best_res[rows[better]] = m[better], res[better]
-        go = (res >= 1e-13) & (res < math.inf)
-        if step == steps or not go.any():
-            break
-        m, word, fvec, rows = m[go], word[go], fvec[go], rows[go]
-        jac = np.empty((len(m), 5, 4), dtype=complex)
-        jac[:, 0] = (m[:, ::-1, ::-1] * oracle._DET_SIGNS).reshape(-1, 4)
-        derivs = _letter_jets(m[None], (power,))[0, :, 1:]
-        jac[:, 1:] = np.swapaxes(mul2(word[:, None], derivs).reshape(-1, 4, 4), -1, -2)
-        m = m + oracle._lstsq(jac, -fvec).reshape(-1, 2, 2)
-    return best
-
-
 @pytest.mark.parametrize("seed", range(6))
 def test_polish_takes_one_power_chain_per_step(monkeypatch, seed):
     # 10 to 12 rows of each of these draws take a Gauss-Newton step, and
@@ -574,7 +548,6 @@ def test_polish_takes_one_power_chain_per_step(monkeypatch, seed):
         patch.setattr(oracle, "_polish_last", lambda *args: calls.append(args) or args[1])
         _draw_samples(plan, rows, uniforms(seed, rows, _width(plan)))
     (args,) = calls
-    reference = _polish_two_chains(*args)
 
     counts = {"mat_power": 0, "_letter_jets": 0, "_lstsq": 0}
 
@@ -589,14 +562,19 @@ def test_polish_takes_one_power_chain_per_step(monkeypatch, seed):
     for name in counts:
         monkeypatch.setattr(oracle, name, counted(name))
     polished = oracle._polish_last(*args)
-    assert polished.tobytes() == reference.tobytes()
     steps = counts.pop("_lstsq")
     assert steps >= 1 and (seed != 1 or steps == 4)
-    # the first check's value power and its stepping rows' jets, then one
-    # jet power per later check but the last allowed one, which takes the
-    # value power alone
-    last = steps == 4
-    assert counts == {"mat_power": 1 + last, "_letter_jets": 1 + steps - last}
+    # the value power at every check, the last one after the last step,
+    # and the stepping rows' jets at every step
+    assert counts == {"mat_power": steps + 1, "_letter_jets": steps}
+    # each row keeps its best iterate, no worse than its root
+    word, root, power, sign = args
+
+    def residuals(m):
+        words = (mul2(word, mat_power(m, power)) - sign * IDENTITY).reshape(-1, 4)
+        return np.max(abs(np.column_stack([determinant(m) - 1, words])), axis=1)
+    before, after = residuals(root), residuals(polished)
+    assert np.all(after <= before) and np.any(after < before)
 
 
 def test_generic_sample_reproducible_and_valid():
@@ -757,7 +735,7 @@ def test_check_stage_residuals_come_from_the_jacobian_pass(monkeypatch):
     # which a run no longer makes
     tol = Tolerances()
     for system, stack in _stack_cases():
-        res, _, _ = _local_dimensions(stack, system, tol)
+        _, res, _ = _checked(stack, system, tol)
         assert np.array_equal(res, np.max(np.abs(system.residuals(stack)), axis=-1))
 
     def unused(self, mats):
@@ -1010,6 +988,14 @@ def test_verify_central_roots_validation():
         verify_central_roots(5, 1, num_samples=0)
 
 
+@pytest.mark.parametrize("num_samples", [True, 2.0, 2.5, "3"])
+@pytest.mark.parametrize("verify,subject", [(verify_central_roots, 7), (verify_dimension, (3, 5, 7))])
+def test_verify_rejects_a_sample_count_that_is_not_an_integer(verify, subject, num_samples):
+    # 2.5 used to run 3 samples and True 1, or to fail inside numpy
+    with pytest.raises(ValueError, match="num_samples"):
+        verify(subject, 1, num_samples=num_samples)
+
+
 def test_verify_central_roots_even_sign_minus():
     report = verify_central_roots(4, -1, num_samples=10, seed=0)
     assert report.passed
@@ -1040,13 +1026,30 @@ def test_both_verify_runs_share_one_check_stage_and_report_builder(monkeypatch, 
             return original(*args, **kwargs)
         monkeypatch.setattr(oracle, name, wrapper)
 
-    for name in ("_local_dimensions", "local_dimension", "_report"):
+    for name in ("_checked", "local_dimension", "_report"):
         counted(name)
     assert verify_central_roots(p, sign, num_samples=6, seed=1).passed
-    assert sorted(calls) == ["_local_dimensions", "_report"]
+    assert sorted(calls) == ["_checked", "_report"]
     calls.clear()
     assert verify_dimension((2, 3), sign, num_samples=6, seed=1).passed
-    assert sorted(calls) == ["_local_dimensions", "_report"]
+    assert sorted(calls) == ["_checked", "_report"]
+    # a single sample goes through the same check stage, as a stack of one
+    calls.clear()
+    eta = dimension.central_signs(p, sign)[0]
+    assert oracle.local_dimension(eta * IDENTITY[None], ConstraintSystem(1, (p,), sign)) == 0
+    assert sorted(calls) == ["_checked", "local_dimension"]
+
+
+def test_local_dimension_rejects_a_non_finite_jacobian(monkeypatch):
+    # +I solves A^3 = I, so only the finite-Jacobian gate can reject it
+    jacobian_and_word = ConstraintSystem._jacobian_and_word
+
+    def poisoned(self, mats):
+        jac, word = jacobian_and_word(self, mats)
+        return jac * np.nan, word
+    monkeypatch.setattr(ConstraintSystem, "_jacobian_and_word", poisoned)
+    with pytest.raises(RankGapError, match="jacobian has non-finite entries"):
+        local_dimension(IDENTITY[None], ConstraintSystem(1, (3,), 1))
 
 
 @pytest.mark.parametrize(
