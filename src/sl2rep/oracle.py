@@ -188,7 +188,7 @@ class ConstraintSystem(FrozenRecord):
         """det(m_i) - 1 for each matrix, then the four entries of the word
         minus sign*I.  A (..., n, 2, 2) stack of points gives a
         (..., n + 4) stack of residual vectors."""
-        mats = np.asarray(mats, dtype=complex)
+        mats = self._points(mats)
         return self._residuals(determinant(mats), eval_word(mats, self.exponents))
 
     def _residuals(self, dets: np.ndarray, word: np.ndarray) -> np.ndarray:
@@ -203,7 +203,15 @@ class ConstraintSystem(FrozenRecord):
     def jacobian(self, mats) -> np.ndarray:
         """Complex Jacobian of residuals, by product-rule accumulation.  A
         (..., n, 2, 2) stack of points gives a (..., rows, 4n) stack."""
-        return self._jacobian_and_word(np.asarray(mats, dtype=complex))[0]
+        return self._jacobian_and_word(self._points(mats))[0]
+
+    def _points(self, mats) -> np.ndarray:
+        """mats as a complex (..., n, 2, 2) stack, or a ValueError naming both letter counts."""
+        mats = np.asarray(mats, dtype=complex)
+        if mats.shape[-3:] != (self.num_matrices, 2, 2):
+            got = mats.shape[-3] if mats.ndim > 2 and mats.shape[-2:] == (2, 2) else f"shape {mats.shape}"
+            raise ValueError(f"a point of this system has {self.num_matrices} letters, got {got}")
+        return mats
 
     def _jacobian_and_word(self, mats: np.ndarray):
         """The Jacobian and the word values: row 0 of the product-rule
@@ -248,27 +256,27 @@ def _fd_copies(n: int) -> np.ndarray:
     return copies
 
 
-def jacobian_fd(system: ConstraintSystem, mats, step: float = FD_STEP) -> np.ndarray:
+def jacobian_fd(system: ConstraintSystem, mats) -> np.ndarray:
     """Central finite differences of the residual map, for cross-checks.
 
-    The 8n points base +- step * e_j, one per entry j of the 4n matrix
+    The 8n points base +- FD_STEP * e_j, one per entry j of the 4n matrix
     entries, are evaluated as one stack.  A point moves one entry of one
     letter only, so one power chain and one determinant call over each
-    letter's 9 copies (unmoved, and each entry moved by +-step) serve
+    letter's 9 copies (unmoved, and each entry moved by +-FD_STEP) serve
     all points, and each point multiplies its letters' powers left to
     right: bitwise residuals at all 8n points, but for the sign of zero
     entries.
     """
-    base = np.asarray(mats, dtype=complex)
+    base = system._points(mats)
     cols = system.ambient_dim
-    copies = base[:, None] + step * _FD_MOVES
+    copies = base[:, None] + FD_STEP * _FD_MOVES
     index = _fd_copies(len(base))
     factors = power_stack(copies, system.exponents).reshape(-1, 2, 2)[index]
     word = IDENTITY
     for i in range(len(base)):
         word = mul2(word, factors[:, i])
     res = system._residuals(determinant(copies).ravel()[index], word)
-    return (res[:cols] - res[cols:]).T / (2 * step)
+    return (res[:cols] - res[cols:]).T / (2 * FD_STEP)
 
 
 def _equilibrated(jac: np.ndarray) -> np.ndarray:
@@ -332,7 +340,7 @@ def _checked(mats: np.ndarray, system: ConstraintSystem, tol: Tolerances):
 def local_dimension(mats, system: ConstraintSystem, tol: Tolerances = Tolerances()) -> int:
     """Local dimension 4n - rank(Jacobian) at a near-solution sample, an
     int: the check stage on a stack of one, raising its rejection."""
-    (verdict,), (res,), (gap,) = _checked(np.asarray(mats, dtype=complex)[None], system, tol)
+    (verdict,), (res,), (gap,) = _checked(system._points(mats)[None], system, tol)
     if verdict == "residual":
         raise ResidualError(f"residual {res:.3g} above {tol.residual:.3g}")
     if verdict == "rank_gap":
@@ -667,12 +675,11 @@ def _report(kind: str, inputs: dict, seed: int, tol: Tolerances, verdicts: list,
     )
 
 
-def _check_sample_count(num_samples) -> None:
-    """Reject a num_samples that is not an int in 1..MAX_SAMPLES; a bool
-    is not an integer here, as in validate_exponents."""
-    if isinstance(num_samples, bool) or not isinstance(num_samples, int) \
-            or not 1 <= num_samples <= MAX_SAMPLES:
-        raise ValueError(f"num_samples must be an integer in 1..{MAX_SAMPLES}, got {num_samples!r}")
+def _check_int(name: str, value, lo: int, hi: int) -> None:
+    """Reject a value that is not an int in lo..hi; a bool is not an
+    integer here, as in validate_exponents."""
+    if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
+        raise ValueError(f"{name} must be an integer in {lo}..{hi}, got {value!r}")
 
 
 def verify_dimension(
@@ -698,7 +705,7 @@ def verify_dimension(
     if max(map(abs, exps)) > MAX_VERIFY_EXPONENT:
         raise ValueError(f"verification covers exponents up to |p| = {MAX_VERIFY_EXPONENT}, "
                          f"got {max(exps, key=abs)}")
-    _check_sample_count(num_samples)
+    _check_int("num_samples", num_samples, 1, MAX_SAMPLES)
     system = ConstraintSystem(len(exps), exps, sign)
     plan, predicted = _plan_and_dim(exps, sign)
     verdicts, gaps = _dimension_verdicts(plan, system, seed, num_samples, tol)
@@ -725,9 +732,8 @@ def verify_central_roots(
     class set matches the expected census.  p is capped at
     MAX_CENTRAL_POWER and num_samples at MAX_SAMPLES.
     """
-    if p > MAX_CENTRAL_POWER:
-        raise ValueError(f"power must be at most {MAX_CENTRAL_POWER}, got {p}")
-    _check_sample_count(num_samples)
+    _check_int("p", p, 2, MAX_CENTRAL_POWER)
+    _check_int("num_samples", num_samples, 1, MAX_SAMPLES)
     traces = admissible_traces(p, sign)
     # the orbit classes by increasing angle, as central_root_classes lists them
     orbit_rows = np.flatnonzero(traces.numerators % p != 0)

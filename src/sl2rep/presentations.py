@@ -6,7 +6,8 @@ group whose relator is a product of distinct generator powers
 or a free product of such groups; ``<a; a^p>`` parses as Z_|p|.
 Presentations are stored in relator-normal form: any right-hand side
 of the relation is moved to the left with its exponent negated, and
-generator names are erased after parsing.
+generator names are erased after parsing.  The grammar is regular, and
+parse_spec reads it with one anchored regular expression per production.
 """
 
 from __future__ import annotations
@@ -122,23 +123,27 @@ MAX_CENTRAL_POWER = 10**4
 # an accuracy bound: float64 checks m^p to the residual gate up to here
 MAX_VERIFY_EXPONENT = 10**7
 
-_TOKEN_RE = re.compile(r"(\s*)(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([<>,;=*^-])|(\S))")
+# one anchored pattern per production, each matched where the last match
+# ended.  None repeats a group of terms, and no two \s* meet with only
+# optional text between them, so backtracking stays linear in the text
+_ATOM = re.compile(r"\s*(?:([FZ])([0-9]+)|<)")
+_AFTER_ATOM = re.compile(r"\s*(?:(\*)|\Z)")
+_NAME = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*)")
+_SEPARATOR = re.compile(r"\s*([,;])")
+_TRIVIAL = re.compile(r"\s*1")
+_TERM = re.compile(_NAME.pattern + r"(?:\s*\^\s*(?:(-)\s*)?(\d+))?")
+_RELATION = re.compile(r"\s*([=>])")
+_CLOSE = re.compile(r"\s*>")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, position) per token, then ("eof", "", len(text)); a
-    token's position is where the previous one ended.  The matches cover
-    the text up to trailing whitespace, so positions add up without the
-    match objects of finditer."""
-    tokens, pos = [], 0
-    for space, digits, ident, punct, bad in _TOKEN_RE.findall(text):
-        if bad:
-            raise ParseError(f"unexpected character {bad!r} at position {pos}")
-        token = digits or ident or punct
-        tokens.append(("int" if digits else "ident" if ident else "punct", token, pos))
-        pos += len(space) + len(token)
-    tokens.append(("eof", "", len(text)))
-    return tokens
+def _match(pattern: re.Pattern, text: str, pos: int, expected: str) -> re.Match:
+    """pattern's match at pos, or a ParseError: what was expected where."""
+    m = pattern.match(text, pos)
+    if m is None:
+        rest = text[pos:].lstrip()  # str.isspace is the \s of str patterns
+        got = repr(rest[0]) if rest else "end of input"
+        raise ParseError(f"expected {expected} at position {len(text) - len(rest)}, got {got}")
+    return m
 
 
 def _to_int(digits: str, pos: int) -> int:
@@ -148,121 +153,47 @@ def _to_int(digits: str, pos: int) -> int:
         raise ParseError(f"integer at position {pos} is too long") from None
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
+def _word(text: str, pos: int) -> tuple[list[tuple[str, int]], int]:
+    """The word at pos as (name, exponent) terms, none for '1', and its end."""
+    terms, m = [], _TERM.match(text, pos)
+    while m:
+        exp = _to_int(m[3], m.start(3)) if m[3] else 1
+        terms.append((m[1], -exp if m[2] else exp))
+        pos, m = m.end(), _TERM.match(text, m.end())
+    return (terms, pos) if terms else ([], _match(_TRIVIAL, text, pos, "a word").end())
 
-    def peek(self):
-        return self.tokens[self.i]
 
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, value: str):
-        kind, val, pos = self.next()
-        if val != value:
-            raise ParseError(f"expected {value!r} at position {pos}, got {val or 'end of input'!r}")
-        return val
-
-    def parse_expr(self) -> GroupSpec:
-        factors = [self.parse_atom()]
-        while self.peek()[1] == "*":
-            self.next()
-            factors.append(self.parse_atom())
-        if len(factors) > MAX_FACTORS:
-            raise ParseError(f"a group description has at most {MAX_FACTORS} factors, got {len(factors)}")
-        if len(factors) == 1:
-            return factors[0]
-        return FreeProduct(tuple(factors))
-
-    def parse_atom(self) -> GroupSpec:
-        kind, val, pos = self.peek()
-        if val == "<":
-            return self.parse_presentation()
-        if kind == "ident":
-            m = re.fullmatch(r"([FZ])(\d+)", val)
-            if m is None:
-                raise ParseError(f"expected F<n>, Z<n>, or a presentation at position {pos}, got {val!r}")
-            self.next()
-            n = _to_int(m.group(2), pos)
-            if m.group(1) == "F":
-                return FreeGroup(n)
-            try:
-                return CyclicFinite(n)
-            except ValueError as exc:
-                raise ParseError(str(exc)) from None
-        raise ParseError(f"expected a group atom at position {pos}, got {val or 'end of input'!r}")
-
-    def parse_presentation(self) -> GroupSpec:
-        self.expect("<")
-        gens = [self._ident()]
-        while self.peek()[1] == ",":
-            self.next()
-            gens.append(self._ident())
-        if len(set(gens)) != len(gens):
-            raise ParseError("duplicate generator name in presentation")
-        self.expect(";")
-        terms = self._word()
-        if self.peek()[1] == "=":
-            self.next()
-            right = self._word()
-            terms += [(name, -exp) for (name, exp) in right]
-        self.expect(">")
-        if not terms:
-            return FreeGroup(len(gens))
-        declared, seen = set(gens), set()
-        exponents: list[int] = []
-        for name, exp in terms:
-            if name not in declared:
-                raise ParseError(f"unknown generator {name!r} in relator")
-            if name in seen:
-                raise ParseError(f"generator {name!r} appears more than once in the relator")
-            seen.add(name)
-            exponents.append(exp)
-        missing = [g for g in gens if g not in seen]
-        if missing:
-            raise ParseError(f"generator {missing[0]!r} does not appear in the relator")
-        try:
-            if len(exponents) == 1:  # <a; a^p> is Z_|p|
-                return CyclicFinite(abs(validate_exponents(exponents)[0]))
-            return ProductPower(tuple(exponents))
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
-
-    def _ident(self) -> str:
-        kind, val, pos = self.next()
-        if kind != "ident":
-            raise ParseError(f"expected a generator name at position {pos}, got {val or 'end of input'!r}")
-        return val
-
-    def _word(self) -> list[tuple[str, int]]:
-        # a word is '1' (trivial) or a sequence of ident('^'int)? terms
-        if self.peek() == ("int", "1", self.peek()[2]):
-            self.next()
-            return []
-        terms = []
-        while self.peek()[0] == "ident":
-            name = self.next()[1]
-            exp = 1
-            if self.peek()[1] == "^":
-                self.next()
-                sign = 1
-                if self.peek()[1] == "-":
-                    self.next()
-                    sign = -1
-                kind, val, pos = self.next()
-                if kind != "int":
-                    raise ParseError(f"expected an integer exponent at position {pos}")
-                exp = sign * _to_int(val, pos)
-            terms.append((name, exp))
-        if not terms:
-            kind, val, pos = self.peek()
-            raise ParseError(f"expected a word at position {pos}, got {val or 'end of input'!r}")
-        return terms
+def _presentation(text: str, pos: int) -> tuple[GroupSpec, int]:
+    """The presentation whose '<' ends at pos: its group, checked once read, and its end."""
+    gens, m = [], None
+    while m is None or m[1] == ",":
+        m = _match(_NAME, text, m.end() if m else pos, "a generator name")
+        gens.append(m[1])
+        m = _match(_SEPARATOR, text, m.end(), "',' or ';'")
+    terms, pos = _word(text, m.end())
+    m = _match(_RELATION, text, pos, "a term, '=' or '>'")
+    if m[1] == "=":
+        right, pos = _word(text, m.end())
+        terms += [(name, -exp) for name, exp in right]
+        m = _match(_CLOSE, text, pos, "a term or '>'")
+    if len(set(gens)) != len(gens):
+        raise ParseError("duplicate generator name in presentation")
+    if not terms:
+        return FreeGroup(len(gens)), m.end()
+    declared, seen = set(gens), set()
+    for name, _ in terms:
+        if name not in declared:
+            raise ParseError(f"unknown generator {name!r} in relator")
+        if name in seen:
+            raise ParseError(f"generator {name!r} appears more than once in the relator")
+        seen.add(name)
+    if len(seen) < len(gens):
+        raise ParseError(f"generator {next(g for g in gens if g not in seen)!r} does not appear in the relator")
+    try:
+        exps = validate_exponents(exp for _, exp in terms)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+    return (CyclicFinite(abs(exps[0])) if len(exps) == 1 else ProductPower(exps)), m.end()
 
 
 def parse_spec(text: str) -> GroupSpec:
@@ -281,12 +212,23 @@ def parse_spec(text: str) -> GroupSpec:
     must appear exactly once in the relator; multi-relator input is not
     in the grammar and is rejected.  <a; a^p> gives CyclicFinite(|p|).
     """
-    parser = _Parser(text)
-    spec = parser.parse_expr()
-    kind, val, pos = parser.peek()
-    if kind != "eof":
-        raise ParseError(f"trailing input at position {pos}: {val!r}")
-    return spec
+    factors, more, pos = [], True, 0
+    while more:
+        m = _match(_ATOM, text, pos, "F<n>, Z<n> or a presentation")
+        if m[1] is None:
+            spec, pos = _presentation(text, m.end())
+        else:
+            n, pos = _to_int(m[2], m.start(2)), m.end()
+            try:
+                spec = FreeGroup(n) if m[1] == "F" else CyclicFinite(n)
+            except ValueError as exc:
+                raise ParseError(str(exc)) from None
+        factors.append(spec)
+        m = _match(_AFTER_ATOM, text, pos, "'*' or the end of input")
+        more, pos = m[1], m.end()
+    if len(factors) > MAX_FACTORS:
+        raise ParseError(f"a group description has at most {MAX_FACTORS} factors, got {len(factors)}")
+    return factors[0] if len(factors) == 1 else FreeProduct(tuple(factors))
 
 
 _GENERATOR_NAMES = "abcdefghijklmnopqrstuvwxyz"

@@ -1,8 +1,8 @@
 """Structure guards over src/, read with ast: every module uses every
 name it imports, only the numeric layer imports numpy, no module imports
 dataclasses, the CLI loads the oracle only when a command needs it,
-every public function or class has a caller in src/ or a named outside
-user, and every private one has a caller in src/."""
+every public function, class or method has a caller in src/ or a named
+outside user, and every private one has a caller in src/."""
 
 import ast
 import collections
@@ -116,21 +116,34 @@ def _referenced(node) -> collections.Counter:
                                if isinstance(n, (ast.Name, ast.Attribute)))
 
 
+def _definitions(tree):
+    """(qualified name, node) of each top-level function and class, and
+    of each method of a top-level class but the dunder ones."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item) for item in node.body
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"))
+
+
 def unreferenced_definitions(sources: dict[str, str]) -> set[str]:
-    """The top-level functions and classes, public or private, that no
-    code of the sources names outside their own def."""
+    """The top-level functions and classes and the methods, public or
+    private, that no code of the sources names outside their own def;
+    a method counts as named wherever its bare name is read."""
     trees = [ast.parse(source) for source in sources.values()]
     names = sum(map(_referenced, trees), collections.Counter())
-    return {node.name for tree in trees for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and names[node.name] == _referenced(node)[node.name]}
+    return {qualified for tree in trees for qualified, node in _definitions(tree)
+            if names[node.name] == _referenced(node)[node.name]}
 
 
 # public names with no caller in src/, each with the files outside it that
-# use it; a name that gains a caller in src/ leaves this list.  A private
-# name has no such entry: one that only tests read goes.
+# use it (a method as ".name("); a name that gains a caller in src/ leaves
+# this list.  A private name has no such entry: one that only tests read goes.
 ACCEPTANCE, README, BENCH_TARGETS = "tests/test_acceptance.py", "README.md", "bench/worker.py"
 OUTSIDE_USERS = {
+    "ConstraintSystem.jacobian": (ACCEPTANCE, BENCH_TARGETS),
+    "ConstraintSystem.residual_norm": (ACCEPTANCE,),
     "build_plan": (README, BENCH_TARGETS),
     "central_root_classes": (ACCEPTANCE,),
     "complete_point": (ACCEPTANCE,),
@@ -148,8 +161,12 @@ def test_every_public_definition_has_a_caller_or_a_named_outside_user():
     sources = package_sources()
     assert unreferenced_definitions(sources) == set(OUTSIDE_USERS)
     for name, users in OUTSIDE_USERS.items():
-        assert all(name in (SRC.parent / user).read_text() for user in users), name
+        used = f".{name.rpartition('.')[2]}(" if "." in name else name
+        assert all(used in (SRC.parent / user).read_text() for user in users), name
     helper = ("\n\ndef helper_for_tests(x):\n    return helper_for_tests(x - 1) if x else 0\n"
-              "\n\ndef _private_helper(x):\n    return _private_helper(x - 1) if x else 0\n")
+              "\n\ndef _private_helper(x):\n    return _private_helper(x - 1) if x else 0\n"
+              "\n\nclass Helper:\n    def method_for_tests(self, x):\n"
+              "        return self.method_for_tests(x - 1) if x else 0\n")
     planted = {**sources, "census.py": sources["census.py"] + helper}
-    assert unreferenced_definitions(planted) == set(OUTSIDE_USERS) | {"helper_for_tests", "_private_helper"}
+    assert unreferenced_definitions(planted) == set(OUTSIDE_USERS) | {
+        "helper_for_tests", "_private_helper", "Helper", "Helper.method_for_tests"}

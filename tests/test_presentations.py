@@ -1,6 +1,7 @@
 """Grammar, normal form, and validation of group specifications."""
 
 import random
+import re
 import time
 
 import pytest
@@ -105,6 +106,31 @@ def test_relator_errors_name_the_first_offender(text, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("Q5", "expected F<n>, Z<n> or a presentation at position 0, got 'Q'"),
+        ("F2 *  ", "expected F<n>, Z<n> or a presentation at position 6, got end of input"),
+        ("F2 x", "expected '*' or the end of input at position 3, got 'x'"),
+        ("Z3 * <a, ; a^2>", "expected a generator name at position 9, got ';'"),
+        ("<a b; a^2 b^3>", "expected ',' or ';' at position 3, got 'b'"),
+        ("<a; >", "expected a word at position 4, got '>'"),
+        ("<a,b; a^ -\tb^3>", "expected a term, '=' or '>' at position 7, got '^'"),
+        ("<a,b; a^2 b^3 ! >", "expected a term, '=' or '>' at position 14, got '!'"),
+        ("<a,b; a^2 = b^3 = 1>", "expected a term or '>' at position 16, got '='"),
+        ("<a,b; a^2 = b^3", "expected a term or '>' at position 15, got end of input"),
+        ("Z" + "9" * 5000, "integer at position 1 is too long"),
+        ("<a,b; a^2 b^-" + "9" * 5000 + ">", "integer at position 13 is too long"),
+    ],
+    ids=["atom", "atom-at-end", "star-or-end", "generator-name", "separator", "word", "bad-exponent",
+         "term-or-close", "close", "close-at-end", "overlong-order", "overlong-exponent"],
+)
+def test_syntax_errors_name_the_position_and_what_was_expected(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_spec(text)
+    assert str(info.value) == message
+
+
 def test_long_relator_parses_in_linear_time():
     names = [f"g{i}" for i in range(10**5)]
     text = f"<{','.join(names)}; {' '.join(f'{name}^3' for name in names)}>"
@@ -153,6 +179,62 @@ def test_format_parse_roundtrip_property():
         atoms = [_random_atom(rng) for _ in range(rng.randrange(1, 5))]
         spec = atoms[0] if len(atoms) == 1 else FreeProduct(tuple(atoms))
         assert parse_spec(format_spec(spec)) == spec
+
+
+_TOKEN = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|[0-9]+|\S")
+
+
+def test_whitespace_at_token_boundaries_leaves_the_parse_unchanged():
+    rng = random.Random(71)
+    for _ in range(300):
+        atoms = [_random_atom(rng) for _ in range(rng.randrange(1, 5))]
+        spec = atoms[0] if len(atoms) == 1 else FreeProduct(tuple(atoms))
+        tokens = _TOKEN.findall(format_spec(spec))
+        spaced = "".join(rng.choice(("", " ", "\t", "\n", " \n\t")) + token for token in tokens)
+        assert parse_spec(spaced + rng.choice(("", " ", "\n"))) == spec
+        # no two names or numbers meet, so every space is optional
+        assert parse_spec("".join(tokens)) == spec
+    assert parse_spec("<a,b,c;a^3b^5c^7>") == parse_spec("<a,b,c; a^3 b^5 c^7>")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "<" + "a" * 200000 + "!",
+        "<" + ",".join(f"g{i}" for i in range(20000)) + ">",
+        "Z3 *" * 50000 + "!",
+        "<a; a" + " ^ - 2" * 50000 + ">",
+        "<a,b; " + "a" * 200000 + "!",
+    ],
+    ids=["long-name", "no-semicolon", "many-factors", "many-carets", "long-term"],
+)
+def test_long_malformed_input_is_rejected_in_linear_time(text):
+    start = time.perf_counter()
+    with pytest.raises(ParseError):
+        parse_spec(text)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("text", ["<a; a^ x>", "<a; a ^ - x>", "<a; a ^ - >", "<a, b x", "<a; 1 x",
+                                  "<a,b; a^2 b^3 = 1 = 1>", "Z3 * x", "F2 F3", "F2 *"])
+def test_whitespace_runs_at_every_token_boundary_are_rejected_in_linear_time(text):
+    # two \s* with only optional text between them backtrack in quadratic
+    # time, ~1 s at 8,000 spaces and ~14 s at 30,000
+    spaced = (" " * 30000).join([""] + _TOKEN.findall(text) + [""])
+    start = time.perf_counter()
+    with pytest.raises(ParseError):
+        parse_spec(spaced)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_long_whitespace_runs_parse_in_linear_time():
+    # a scanner that retries every start position of a trailing whitespace
+    # run is quadratic in it: ~13 s for 16,000 spaces
+    start = time.perf_counter()
+    assert parse_spec(" " * 100000 + "F2" + " " * 100000) == FreeGroup(2)
+    assert parse_spec("Z3" + " \n\t" * 50000 + "* Z5 " + "\t" * 100000) == \
+        FreeProduct((CyclicFinite(3), CyclicFinite(5)))
+    assert time.perf_counter() - start < 1.0
 
 
 _FUZZ_PIECES = ["<", ">", ",", ";", "=", "*", "^", "-", " ", "a", "b", "c", "F", "Z",
