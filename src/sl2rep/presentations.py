@@ -125,7 +125,8 @@ MAX_VERIFY_EXPONENT = 10**7
 
 # one anchored pattern per production, each matched where the last match
 # ended.  None repeats a group of terms, and no two \s* meet with only
-# optional text between them, so backtracking stays linear in the text
+# optional text between them, so backtracking stays linear in the text.
+# F<n> and Z<n> take ASCII digits, an exponent any digit that int() reads.
 _ATOM = re.compile(r"\s*(?:([FZ])([0-9]+)|<)")
 _AFTER_ATOM = re.compile(r"\s*(?:(\*)|\Z)")
 _NAME = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*)")
