@@ -28,6 +28,7 @@ from .presentations import (
     FreeProduct,
     GroupSpec,
     ProductPower,
+    check_int,
     contains_product_power,
 )
 from .records import FrozenRecord, Record
@@ -37,11 +38,8 @@ class ComponentSpectrum(Record):
     """Map dimension -> number of maximal components of that dimension."""
 
     def __init__(self, entries: dict[int, int]):
-        cleaned = {int(d): int(c) for d, c in entries.items() if c}
-        for d, c in cleaned.items():
-            if d < 0 or c < 0:
-                raise ValueError(f"invalid spectrum entry {d}: {c}")
-        self.entries = dict(sorted(cleaned.items()))
+        checked = {check_int("dimension", d, 0): c for d, c in entries.items() if check_int("count", c, 0)}
+        self.entries = dict(sorted(checked.items()))
 
     def dimension(self) -> int:
         if not self.entries:
@@ -49,7 +47,7 @@ class ComponentSpectrum(Record):
         return max(self.entries)
 
     def count(self, dim: int) -> int:
-        return self.entries.get(dim, 0)
+        return self.entries.get(check_int("dim", dim, 0), 0)
 
     def total(self) -> int:
         return sum(self.entries.values())
@@ -218,16 +216,13 @@ def consecutive_prime_triples() -> Iterator[tuple[int, int, int]]:
 
 
 def prime_triple(index: int) -> tuple[int, int, int]:
-    if index < 0:
-        raise ValueError(f"triple index must be >= 0, got {index}")
-    return next(islice(consecutive_prime_triples(), index, None))
+    return next(islice(consecutive_prime_triples(), check_int("triple index", index, 0), None))
 
 
 def triple_group(rank: int, triple: tuple[int, int, int]) -> GroupSpec:
     """The rank-r group on a prime triple: the one-relator group
     ProductPower(triple), free-multiplied by F_{r-2} when r > 2."""
-    if rank < 2:
-        raise ValueError(f"family ranks start at 2, got {rank}")
+    check_int("family rank", rank, 2)
     group: GroupSpec = ProductPower(triple)
     if rank > 2:
         group = FreeProduct((FreeGroup(rank - 2), group))
@@ -257,9 +252,8 @@ def distinguishing_sequence(c: int, count: int) -> list[tuple[GroupSpec, int]]:
     strictly larger than the one before, so no two of the varieties are
     isomorphic.  count is at most MAX_SEQUENCE_COUNT.
     """
-    if not 0 <= count <= MAX_SEQUENCE_COUNT:
-        raise ValueError(f"count must be in 0..{MAX_SEQUENCE_COUNT}, got {count}")
-    if c < 6 or c % 3 != 0:
+    check_int("count", count, 0, MAX_SEQUENCE_COUNT)
+    if check_int("dimension c", c, 6) % 3 != 0:
         raise ValueError(f"supported dimensions are 6, 9, 12, ...; got {c}")
     # base_dim is 2 for every |p| >= 3, so the first member's census
     # certifies the variety's dimension c, and its quotient's free rank,

@@ -41,6 +41,7 @@ from .presentations import (
     FreeProduct,
     GroupSpec,
     ProductPower,
+    check_int,
     validate_exponents,
 )
 from .records import FrozenRecord
@@ -50,11 +51,11 @@ IRREDUCIBLE = "irreducible"
 UNDETERMINED = "undetermined"
 
 
-def check_sign(sign: int, power: int = 2):
-    """Reject a sign other than +-1, and a power that is not an integer >= 2."""
-    if not isinstance(power, int) or power < 2:
-        raise ValueError(f"power must be an integer >= 2, got {power!r}")
-    if sign not in (1, -1):
+def check_sign(sign: int, p: int = 2) -> None:
+    """Reject a sign other than the ints +-1, and a power p that is not an integer >= 2."""
+    if type(p) is not int or p < 2:
+        check_int("p", p, 2)
+    if type(sign) is not int or sign not in (1, -1):  # True and 1.0 equal 1
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
 
 
@@ -75,15 +76,17 @@ def orbit_numerator(sign, index):
 
 def central_signs(p: int, sign: int) -> tuple[int, ...]:
     """Signs eta with (eta*I)^p = sign*I, each an isolated central point."""
+    check_sign(sign, p)
     if sign == 1:
         return (1, -1) if p % 2 == 0 else (1,)
     return (-1,) if p % 2 == 1 else ()
 
 
 def base_dim(p: int, sign: int) -> int:
-    """Dimension of {A : A^p = sign*I}: 2 if it has an orbit component,
-    else 0 (only (|p|, sign) == (2, +1))."""
-    return 2 if orbit_count(abs(p), sign) else 0
+    """Dimension of {A : A^p = sign*I}, |p| >= 2: 2 if it has an orbit
+    component, else 0 (only (|p|, sign) == (2, +1))."""
+    # abs of an int only, so that orbit_count names any other p as given
+    return 2 if orbit_count(abs(p) if type(p) is int else p, sign) else 0
 
 
 class RecursionStep(NamedTuple):
@@ -169,6 +172,4 @@ def representation_dim(spec: GroupSpec) -> DimResult:
 def freeness_test(num_generators: int, dim: int) -> bool:
     """A group on n generators is free of rank n iff its representation
     variety fills the whole ambient dimension 3n."""
-    if not isinstance(num_generators, int) or num_generators < 0:
-        raise ValueError(f"generator count must be an integer >= 0, got {num_generators!r}")
-    return dim == 3 * num_generators
+    return check_int("dim", dim, 0) == 3 * check_int("num_generators", num_generators, 0)

@@ -28,6 +28,7 @@ from .presentations import (
     GroupSpec,
     ProductPower,
     exponent_gcd,
+    check_int,
     format_spec,
     normalized_exponents,
 )
@@ -97,8 +98,7 @@ def family_member(rank: int, index: int) -> GroupSpec:
     triple (3,5,7), (11,13,17), ...; rank r > 2 multiplies in a free
     group of rank r - 2.  Distinct indices give non-isomorphic groups
     (disjoint exponent multisets).  index is at most MAX_FAMILY_INDEX."""
-    if not 0 <= index <= MAX_FAMILY_INDEX:
-        raise ValueError(f"family index must be in 0..{MAX_FAMILY_INDEX}, got {index}")
+    check_int("family index", index, 0, MAX_FAMILY_INDEX)
     return triple_group(rank, prime_triple(index))
 
 
@@ -109,10 +109,7 @@ def witness_group(rank: int, min_components: int) -> tuple[GroupSpec, CensusResu
     family's closed form triple_bound with the target and runs
     lower_bound_census only on the member it returns, so the result is
     the certified one.  min_components is at most MAX_WITNESS_TARGET."""
-    if not 1 <= min_components <= MAX_WITNESS_TARGET:
-        raise ValueError(
-            f"component target must be in 1..{MAX_WITNESS_TARGET}, got {min_components}"
-        )
+    check_int("min_components", min_components, 1, MAX_WITNESS_TARGET)
     for triple in consecutive_prime_triples():
         if triple_bound(triple) >= min_components:
             group = triple_group(rank, triple)

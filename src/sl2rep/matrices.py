@@ -28,6 +28,7 @@ import functools
 import numpy as np
 
 from .dimension import central_signs, orbit_count, orbit_numerator
+from .presentations import check_int
 
 IDENTITY = np.eye(2, dtype=complex)
 
@@ -116,9 +117,7 @@ def power_stack(letters, exponents, product=mul2) -> np.ndarray:
     exponentiation, so the result is bitwise the same."""
     bases = np.array(letters, dtype=complex)
     for i, p in enumerate(exponents):
-        if not isinstance(p, int):
-            raise ValueError(f"matrix power must be an integer, got {p!r}")
-        if not p:
+        if not check_int("exponent", p):
             bases[i] = IDENTITY
     negative = [i for i, p in enumerate(exponents) if p < 0]
     if negative:
@@ -141,7 +140,7 @@ def power_stack(letters, exponents, product=mul2) -> np.ndarray:
 
 def mat_power(m: np.ndarray, k: int) -> np.ndarray:
     """m**k by binary exponentiation; negative k goes through the adjugate."""
-    return power_stack(np.asarray(m)[None], (k,))[0]
+    return power_stack(np.asarray(m)[None], (check_int("k", k),))[0]
 
 
 def eval_word(mats, exponents) -> np.ndarray:
@@ -196,8 +195,7 @@ def branch_roots(m: np.ndarray, k: int, branches):
       when sign is -1 and k is even, since no SL2C matrix has an even
       power in that class.
     """
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"root order must be an integer >= 1, got {k!r}")
+    check_int("k", k, 1)
     m = np.asarray(m, dtype=complex)
     branches = np.asarray(branches)
     counts = np.full(len(m), k)

@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from collections import Counter
 from typing import Optional
 
@@ -70,7 +69,7 @@ from .dimension import (
     orbit_numerator,
 )
 from .matrices import IDENTITY, adjugate, branch_roots, determinant, eval_word, mat_power, mul2, power_stack
-from .presentations import MAX_CENTRAL_POWER, MAX_SAMPLES, MAX_VERIFY_EXPONENT, validate_exponents
+from .presentations import MAX_CENTRAL_POWER, MAX_SAMPLES, MAX_VERIFY_EXPONENT, check_int, validate_exponents
 from .records import FrozenRecord, Record
 from .traces import admissible_traces, match_traces
 
@@ -93,7 +92,8 @@ class Tolerances(FrozenRecord):
     @staticmethod
     def domain_error(name: str, value: float) -> Optional[str]:
         """What is wrong with value for the field name, or None."""
-        if not (math.isfinite(value) and value > 0):
+        if isinstance(value, bool) or not (isinstance(value, (int, float))
+                                           and math.isfinite(value) and value > 0):
             return f"must be finite and > 0, got {value!r}"
         if name == "rank_rel" and not value < 1:
             return f"must be below 1, got {value!r}"
@@ -104,6 +104,8 @@ class Tolerances(FrozenRecord):
 
 # jacobian_fd's central difference step
 FD_STEP = 1e-6
+# the most Gauss-Newton steps _polish_last takes
+_POLISH_STEPS = 4
 
 
 class OracleError(RuntimeError):
@@ -173,8 +175,7 @@ class ConstraintSystem(FrozenRecord):
 
     def __init__(self, num_matrices: int, exponents: tuple[int, ...], sign: int = 1):
         exps = validate_exponents(exponents)
-        if len(exps) != num_matrices:
-            raise ValueError("exponent count must match matrix count")
+        check_int("num_matrices", num_matrices, len(exps), len(exps))
         check_sign(sign)
         object.__setattr__(self, "num_matrices", num_matrices)
         object.__setattr__(self, "exponents", exps)
@@ -205,12 +206,14 @@ class ConstraintSystem(FrozenRecord):
         (..., n, 2, 2) stack of points gives a (..., rows, 4n) stack."""
         return self._jacobian_and_word(self._points(mats))[0]
 
-    def _points(self, mats) -> np.ndarray:
-        """mats as a complex (..., n, 2, 2) stack, or a ValueError naming both letter counts."""
+    def _points(self, mats, one: bool = False) -> np.ndarray:
+        """mats as a complex (..., n, 2, 2) stack, or (n, 2, 2) point with one, or a ValueError."""
         mats = np.asarray(mats, dtype=complex)
         if mats.shape[-3:] != (self.num_matrices, 2, 2):
             got = mats.shape[-3] if mats.ndim > 2 and mats.shape[-2:] == (2, 2) else f"shape {mats.shape}"
             raise ValueError(f"a point of this system has {self.num_matrices} letters, got {got}")
+        if one and mats.ndim != 3:
+            raise ValueError(f"one point of this system has shape {mats.shape[-3:]}, got shape {mats.shape}")
         return mats
 
     def _jacobian_and_word(self, mats: np.ndarray):
@@ -267,7 +270,7 @@ def jacobian_fd(system: ConstraintSystem, mats) -> np.ndarray:
     right: bitwise residuals at all 8n points, but for the sign of zero
     entries.
     """
-    base = system._points(mats)
+    base = system._points(mats, one=True)
     cols = system.ambient_dim
     copies = base[:, None] + FD_STEP * _FD_MOVES
     index = _fd_copies(len(base))
@@ -340,7 +343,7 @@ def _checked(mats: np.ndarray, system: ConstraintSystem, tol: Tolerances):
 def local_dimension(mats, system: ConstraintSystem, tol: Tolerances = Tolerances()) -> int:
     """Local dimension 4n - rank(Jacobian) at a near-solution sample, an
     int: the check stage on a stack of one, raising its rejection."""
-    (verdict,), (res,), (gap,) = _checked(system._points(mats)[None], system, tol)
+    (verdict,), (res,), (gap,) = _checked(system._points(mats, one=True)[None], system, tol)
     if verdict == "residual":
         raise ResidualError(f"residual {res:.3g} above {tol.residual:.3g}")
     if verdict == "rank_gap":
@@ -359,11 +362,8 @@ def _splitmix(z):
 def _key(seed: int) -> int:
     """A run's 64-bit key: the finaliser folded over every 64-bit limb of
     a non-negative seed, low limb first, so seeds of any size stay apart."""
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     key = 0
-    for shift in range(0, max(seed.bit_length(), 1), 64):
+    for shift in range(0, max(check_int("seed", seed, 0).bit_length(), 1), 64):
         key = _splitmix(((key + _GOLDEN) & _MASK) ^ ((seed >> shift) & _MASK))
     return key
 
@@ -374,6 +374,7 @@ def uniforms(seed: int, rows, width: int) -> np.ndarray:
     key(seed) + (row * width + column + 1) * golden.  Integer-exact and
     counter-based, so sample i of a run replays alone as
     uniforms(seed, [i], width)."""
+    check_int("width", width, 0)
     counters = np.asarray(rows, dtype=np.uint64)[:, None] * width + np.arange(1, width + 1, dtype=np.uint64)
     return (_splitmix(_key(seed) + counters * _GOLDEN) >> 11) * 2.0 ** -53
 
@@ -388,8 +389,7 @@ def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (vh.conj().swapaxes(-1, -2) @ coef[..., None])[..., 0]
 
 
-def _polish_last(prefix_word: np.ndarray, root: np.ndarray, power: int, sign: int,
-                 steps: int = 4) -> np.ndarray:
+def _polish_last(prefix_word: np.ndarray, root: np.ndarray, power: int, sign: int) -> np.ndarray:
     """Gauss-Newton refinement of the solved last matrices, an (S, 2, 2)
     stack with its prefix words.
 
@@ -408,7 +408,7 @@ def _polish_last(prefix_word: np.ndarray, root: np.ndarray, power: int, sign: in
     m, word, target = root, prefix_word, sign * IDENTITY
     best, best_res = root.copy(), np.full(len(root), math.inf)
     rows = np.arange(len(root))  # where the stepping rows sit in best
-    for step in range(steps + 1):
+    for step in range(_POLISH_STEPS + 1):
         fvec = np.empty((len(m), 5), dtype=complex)
         fvec[:, 0] = determinant(m) - 1.0
         fvec[:, 1:] = (mul2(word, mat_power(m, power)) - target).reshape(-1, 4)
@@ -416,7 +416,7 @@ def _polish_last(prefix_word: np.ndarray, root: np.ndarray, power: int, sign: in
         better = res < best_res[rows]
         best[rows[better]], best_res[rows[better]] = m[better], res[better]
         go = (res >= 1e-13) & (res < math.inf)
-        if step == steps or not go.any():
+        if step == _POLISH_STEPS or not go.any():
             break
         m, word, fvec, rows = m[go], word[go], fvec[go], rows[go]
         derivs = _letter_jets(m[None], (power,))[0, :, 1:]
@@ -441,9 +441,11 @@ def complete_point(prefix, exponents, sign: int, branch: int):
 
     The last matrix solves mn^pn = sign * W^-1 for the prefix word W:
     a |pn|-th root of sign * W^-1 when pn > 0, of sign * W when pn < 0.
-    branch picks among root branches modulo their count.
+    branch, an int >= 0, picks among root branches modulo their count.
     """
     exps = validate_exponents(exponents)
+    check_sign(sign)
+    check_int("branch", branch, 0)
     prefix = np.asarray(prefix, dtype=complex).reshape(-1, 2, 2)
     if len(prefix) != len(exps) - 1:
         raise ValueError(f"need {len(exps) - 1} prefix matrices, got {len(prefix)}")
@@ -473,6 +475,7 @@ def build_plan(exponents, sign: int) -> SamplePlan:
     exps = validate_exponents(exponents)
     if len(exps) < 2:
         raise ValueError(f"sampling plans cover words of 2 or more letters, got {len(exps)}")
+    check_sign(sign)
     return _plan_and_dim(exps, sign)[0]
 
 
@@ -567,7 +570,9 @@ def _draw_samples(plan: SamplePlan, branches: np.ndarray, u: np.ndarray):
 
 def sample_from_plan(plan: SamplePlan, seed: int, index: int) -> Sample:
     """Sample index of a run of this plan under this seed, alone: a stack
-    of one drawn from the run's uniform row index on root branch index."""
+    of one drawn from the run's uniform row index on root branch index.
+    A run has at most MAX_SAMPLES samples."""
+    check_int("index", index, 0, MAX_SAMPLES - 1)
     mats, obstructed, witnesses = _draw_samples(plan, np.array([index]),
                                                 uniforms(seed, [index], _width(plan)))
     return Sample(None if obstructed[0] else mats[0], witnesses[0].tolist())
@@ -675,13 +680,6 @@ def _report(kind: str, inputs: dict, seed: int, tol: Tolerances, verdicts: list,
     )
 
 
-def _check_int(name: str, value, lo: int, hi: int) -> None:
-    """Reject a value that is not an int in lo..hi; a bool is not an
-    integer here, as in validate_exponents."""
-    if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
-        raise ValueError(f"{name} must be an integer in {lo}..{hi}, got {value!r}")
-
-
 def verify_dimension(
     exponents,
     sign: int = 1,
@@ -705,7 +703,7 @@ def verify_dimension(
     if max(map(abs, exps)) > MAX_VERIFY_EXPONENT:
         raise ValueError(f"verification covers exponents up to |p| = {MAX_VERIFY_EXPONENT}, "
                          f"got {max(exps, key=abs)}")
-    _check_int("num_samples", num_samples, 1, MAX_SAMPLES)
+    check_int("num_samples", num_samples, 1, MAX_SAMPLES)
     system = ConstraintSystem(len(exps), exps, sign)
     plan, predicted = _plan_and_dim(exps, sign)
     verdicts, gaps = _dimension_verdicts(plan, system, seed, num_samples, tol)
@@ -732,8 +730,8 @@ def verify_central_roots(
     class set matches the expected census.  p is capped at
     MAX_CENTRAL_POWER and num_samples at MAX_SAMPLES.
     """
-    _check_int("p", p, 2, MAX_CENTRAL_POWER)
-    _check_int("num_samples", num_samples, 1, MAX_SAMPLES)
+    check_int("p", p, 2, MAX_CENTRAL_POWER)
+    check_int("num_samples", num_samples, 1, MAX_SAMPLES)
     traces = admissible_traces(p, sign)
     # the orbit classes by increasing angle, as central_root_classes lists them
     orbit_rows = np.flatnonzero(traces.numerators % p != 0)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Union
+from typing import Optional, Union
 
 from .records import FrozenRecord
 
@@ -23,14 +23,27 @@ class ParseError(ValueError):
     """Raised when a group description cannot be parsed."""
 
 
+def check_int(name: str, value, lo: Optional[int] = None, hi: Optional[int] = None) -> int:
+    """value, when it is an int in lo..hi (None leaves an end open), else a
+    ValueError naming the argument and the range.  The package's one
+    integer rule: no bool (nor other int subclass), float or out-of-range
+    value is read as an integer.  Paths that run thousands of times per
+    command test type(value) is int inline and call this only to raise."""
+    if type(value) is int and (lo is None or lo <= value) and (hi is None or value <= hi):
+        return value
+    span = (f" >= {lo}" if hi is None else f" in {lo}..{hi}") if lo is not None else \
+        ("" if hi is None else f" <= {hi}")
+    raise ValueError(f"{name} must be an integer{span}, got {value!r}")
+
+
 def validate_exponents(exponents) -> tuple[int, ...]:
     """Check an exponent tuple: nonempty, integral, all |p| >= 2."""
     exps = tuple(exponents)
     if not exps:
         raise ValueError("exponent tuple must be nonempty")
     for p in exps:
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise ValueError(f"exponent {p!r} is not an integer")
+        if type(p) is not int:
+            check_int("exponent", p)
         if abs(p) < 2:
             raise ValueError(f"exponent {p} has absolute value < 2")
     return exps
@@ -53,16 +66,12 @@ def exponent_gcd(exponents) -> int:
 
 class FreeGroup(FrozenRecord):
     def __init__(self, rank: int):
-        if not isinstance(rank, int) or rank < 0:
-            raise ValueError(f"free group rank must be an integer >= 0, got {rank!r}")
-        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "rank", check_int("free group rank", rank, 0))
 
 
 class CyclicFinite(FrozenRecord):
     def __init__(self, order: int):
-        if not isinstance(order, int) or order < 2:
-            raise ValueError(f"cyclic group order must be an integer >= 2, got {order!r}")
-        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "order", check_int("cyclic group order", order, 2))
 
 
 class ProductPower(FrozenRecord):

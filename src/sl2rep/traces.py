@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from .dimension import central_signs, orbit_count, orbit_numerator
+from .presentations import check_int
 from .records import FrozenRecord
 
 
@@ -50,7 +51,7 @@ class TraceTable:
 
     def __init__(self, numerators, power: int):
         self.numerators = np.asarray(numerators, dtype=int)
-        self.power = power
+        self.power = check_int("power", power, 1)
         # k / p is the correctly rounded quotient of the two integers;
         # only the cos is numpy's array loop
         self.values = 2.0 * np.cos(np.pi * (self.numerators / power))

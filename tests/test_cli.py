@@ -155,14 +155,14 @@ def test_witness_target_bound(capsys):
     code, out, err = run(capsys, "witness", "--rank", "2", "--mirc", str(10**16))
     assert code == EXIT_USAGE
     assert out == ""
-    assert "component target" in err
+    assert f"min_components must be an integer in 1..{10**15}, got {10**16}" in err
 
 
 def test_family_index_bound(capsys):
     code, out, err = run(capsys, "family", "--rank", "2", "--index", "10001")
     assert code == EXIT_USAGE
     assert out == ""
-    assert "family index must be in 0..10000" in err
+    assert "family index must be an integer in 0..10000, got 10001" in err
 
 
 def test_verify_dim_passes_and_reports(capsys):

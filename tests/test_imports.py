@@ -2,7 +2,8 @@
 name it imports, only the numeric layer imports numpy, no module imports
 dataclasses, the CLI loads the oracle only when a command needs it,
 every public function, class or method has a caller in src/ or a named
-outside user, and every private one has a caller in src/."""
+outside user, every private one has a caller in src/, and one function
+words the integer rule."""
 
 import ast
 import collections
@@ -170,3 +171,33 @@ def test_every_public_definition_has_a_caller_or_a_named_outside_user():
     planted = {**sources, "census.py": sources["census.py"] + helper}
     assert unreferenced_definitions(planted) == set(OUTSIDE_USERS) | {
         "helper_for_tests", "_private_helper", "Helper", "Helper.method_for_tests"}
+
+
+# presentations.check_int is the package's one integer rule: no other
+# code may word it, so the rule cannot fork again
+INTEGER_RULE = "must be an integer"
+
+
+def integer_rule_sites(sources: dict[str, str]) -> set[str]:
+    """file:definition of every string literal (f-string parts among them)
+    in the sources that words the integer rule."""
+    sites = set()
+
+    def visit(node, file, where):
+        for child in ast.iter_child_nodes(node):
+            inner = f"{file}:{child.name}" if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else where
+            if isinstance(child, ast.Constant) and isinstance(child.value, str) and INTEGER_RULE in child.value:
+                sites.add(inner)
+            visit(child, file, inner)
+
+    for name, source in sources.items():
+        visit(ast.parse(source), name, name)
+    return sites
+
+
+def test_only_check_int_words_the_integer_rule():
+    sources = package_sources()
+    assert integer_rule_sites(sources) == {"presentations.py:check_int"}
+    planted = {**sources, "census.py": sources["census.py"] + (
+        "\n\ndef helper(x):\n    if x < 0:\n        raise ValueError(f'x must be an integer >= 0, got {x}')\n")}
+    assert integer_rule_sites(planted) == {"presentations.py:check_int", "census.py:helper"}

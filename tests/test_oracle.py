@@ -45,7 +45,7 @@ from sl2rep.oracle import (
     _orbit_point,
     _width,
 )
-from sl2rep.traces import admissible_traces, classify_trace, match_traces
+from sl2rep.traces import TraceTable, admissible_traces, classify_trace, match_traces
 
 
 def test_tolerance_defaults():
@@ -710,9 +710,9 @@ def test_uniforms_are_pinned_and_distinct():
     # and columns
     blocks = np.stack([uniforms(seed, np.arange(30), 8) for seed in _BIG_SEEDS])
     assert len(set(blocks.ravel().tolist())) == blocks.size
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0, got -1"):
         uniforms(-1, [0], 3)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0, got 1.5"):
         uniforms(1.5, [0], 3)
 
 
@@ -1094,3 +1094,39 @@ def test_verification_report_dict_shape():
     }
     assert report["kind"] == "dimension"
     assert report["samples_requested"] == 6
+
+
+_M = np.array([[2, 1], [1, 1]], dtype=complex)
+
+
+@pytest.mark.parametrize("call,name", [
+    # branch 1.5 used to return a point whose word residual is 1.0
+    (lambda: complete_point([_M], (3, 5), 1, 1.5), "branch"),
+    (lambda: complete_point([_M], (3, 5), 1.0, 0), "sign"),
+    # 1.5 used to replay row 1, and -1 to raise numpy's OverflowError
+    (lambda: sample_from_plan(build_plan((3, 5, 7), 1), 1, 1.5), "index"),
+    (lambda: sample_from_plan(build_plan((3, 5, 7), 1), 1, -1), "index"),
+    # 2 used to raise KeyError
+    (lambda: build_plan((3, 5), 2), "sign"),
+    (lambda: dimension.central_signs(5, 2), "sign"),
+    (lambda: TraceTable([2, 4], 2.5), "power"),
+    # True used to read as 1
+    (lambda: uniforms(1, [0], True), "width"),
+    (lambda: ConstraintSystem(True, (3,)), "num_matrices"),
+    (lambda: Tolerances(residual=True), "residual"),
+], ids=["complete_point-branch", "complete_point-sign", "sample_from_plan-index", "sample_from_plan-negative",
+        "build_plan-sign", "central_signs-sign", "TraceTable-power", "uniforms-width",
+        "ConstraintSystem-num_matrices", "Tolerances-residual"])
+def test_entry_points_that_took_any_value_name_it(call, name):
+    with pytest.raises(ValueError, match=rf"\b{name} must be"):
+        call()
+
+
+@pytest.mark.parametrize("call", [jacobian_fd, lambda system, mats: local_dimension(mats, system)],
+                         ids=["jacobian_fd", "local_dimension"])
+def test_the_one_point_entry_points_reject_a_stack(call):
+    # a stack used to die in numpy: "truth value of an array" in
+    # local_dimension, "operands could not be broadcast" in jacobian_fd
+    with pytest.raises(ValueError, match=re.escape("one point of this system has shape (2, 2, 2), "
+                                                   "got shape (4, 2, 2, 2)")):
+        call(ConstraintSystem(2, (3, 5), 1), np.zeros((4, 2, 2, 2)))
